@@ -32,10 +32,8 @@ from .generator import (
     Generator,
     GeneratorParams,
     KernelContext,
-    estimate_decay_constant,
     gamma_r,
     ghat,
-    kernel_eval,
     taper,
 )
 from .pipeline import (
@@ -61,7 +59,6 @@ from .quantize import (
     TransferOperator,
     greedy_noise_shape,
     msq,
-    nearest,
     stability_margin,
 )
 from .sampling import (

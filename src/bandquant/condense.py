@@ -178,11 +178,16 @@ def inf_to_two_bound(mat):
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One verified inequality: computed left side against its closed form."""
+    """One verified inequality: computed left side against its closed form.
+
+    ``vacuous`` marks an inequality that holds whatever was computed, such as
+    a lower bound that is not positive on a quantity that cannot be negative.
+    """
 
     label: str
     lhs: float
     rhs: float
+    vacuous: bool = False
 
     @property
     def passed(self):

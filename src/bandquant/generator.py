@@ -17,18 +17,14 @@ import numpy as np
 from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 
-CACHE_FORMAT_VERSION = 1
-
 # Safety factor applied on top of the measured grid maximum when estimating
 # decay constants, covering values between grid nodes.
 DECAY_SAFETY = 0.05
 
-# Evaluation points per quadrature panel (Gauss-Legendre).
-_PANEL_DEGREE = 64
-
-# Chunk of grid points transformed per matrix product while filling the cache;
-# bounds peak memory at roughly chunk * quad_points floats.
-_BUILD_CHUNK = 4000
+# Period of the trapezoid rule in t, in units of tail_cut.  The rule returns
+# g summed over shifts by the period, so on [0, tail_cut] the nearest alias
+# image lies at least 1.5 tail_cut away (|g| < 1.4e-13 there at the defaults).
+_PERIOD_FACTOR = 2.5
 
 
 def _bump(x):
@@ -86,88 +82,65 @@ def gamma_r(r, lam):
     return 1.0 + (lam / (r - 1.0)) * (1.0 + (lam / (lam - 1.0)) ** (r - 1.0))
 
 
-def _quad_rule(lam, quad_points):
-    """Composite Gauss-Legendre nodes/weights on [0, (2 lam - 1) pi].
-
-    The integrand cos(t xi) ghat(xi) oscillates, so the range is split into
-    panels with a fixed-degree rule per panel; quad_points is the total node
-    count and must be a multiple of the panel degree.
-    """
-    if quad_points % _PANEL_DEGREE != 0:
-        raise ValueError(
-            f"quad_points must be a multiple of {_PANEL_DEGREE}, got {quad_points}"
-        )
-    panels = quad_points // _PANEL_DEGREE
-    base_x, base_w = np.polynomial.legendre.leggauss(_PANEL_DEGREE)
-    edges = np.linspace(0.0, (2.0 * lam - 1.0) * math.pi, panels + 1)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    nodes = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
-    weights = (half[:, None] * base_w[None, :]).ravel()
-    return nodes, weights
-
-
 @dataclass(frozen=True)
 class GeneratorParams:
-    """Construction parameters for the cached generator."""
+    """Construction parameters of the generator's table: band and t-grid."""
 
     lam: float
-    quad_points: int = 2048
     grid_step: float = 1e-3
     tail_cut: float = 60.0
 
     def __post_init__(self):
         if self.lam <= 1:
             raise ValueError(f"oversampling ratio must exceed 1, got {self.lam}")
-        if self.quad_points < _PANEL_DEGREE or self.quad_points % _PANEL_DEGREE != 0:
-            raise ValueError(
-                f"quad_points must be a positive multiple of {_PANEL_DEGREE}, "
-                f"got {self.quad_points}"
-            )
         if not 0 < self.grid_step <= 0.1:
             raise ValueError(f"grid_step out of range: {self.grid_step}")
+        # The table's FFT wraps frequencies beyond pi / grid_step onto the band.
+        if (2.0 * self.lam - 1.0) * self.grid_step >= 1.0:
+            raise ValueError(
+                f"grid_step {self.grid_step} cannot resolve the band of lam={self.lam}"
+            )
         if self.tail_cut < 10.0:
             raise ValueError(f"tail_cut too small to certify decay: {self.tail_cut}")
 
 
 class Generator:
-    """Cached evaluator of the generator g.
+    """Tabulated evaluator of the generator g.
 
-    The inverse transform is computed once by quadrature on a uniform grid
-    over [0, tail_cut] and interpolated with a cubic spline; evaluation reads
-    the cache through |t|, so evenness is exact, and returns 0 beyond the
-    tail cut.  Instances are immutable apart from the decay-constant cache.
+    The inverse transform is tabulated once on a uniform grid over
+    [0, tail_cut] by the trapezoid rule, which converges faster than any power
+    of the step because ghat is smooth and compactly supported; one FFT
+    evaluates the rule at every grid point.  A cubic spline interpolates the
+    table; evaluation reads it through |t|, so evenness is exact, and returns
+    0 beyond the tail cut.  Instances are immutable apart from the
+    decay-constant cache.
     """
 
-    def __init__(self, params: GeneratorParams, _table=None):
+    def __init__(self, params: GeneratorParams):
         self.params = params
         self.support_half_width = (2.0 * params.lam - 1.0) * math.pi
-        if _table is None:
-            grid, values = self._build_table(params)
-        else:
-            grid, values = _table
-            grid = np.asarray(grid, dtype=float)
-            values = np.asarray(values, dtype=float)
-            if grid.shape != values.shape or grid.ndim != 1 or grid.size < 4:
-                raise ValueError("malformed generator cache table")
-        self.grid = grid
-        self.values = values
+        self.grid, self.values = self._build_table(params)
         # Clamping the derivative at t = 0 encodes that g is even.
-        self._spline = CubicSpline(grid, values, bc_type=((1, 0.0), "not-a-knot"))
+        self._spline = CubicSpline(self.grid, self.values, bc_type=((1, 0.0), "not-a-knot"))
         self._c_r_table: dict[int, float] = {}
 
     @staticmethod
     def _build_table(params):
-        nodes, weights = _quad_rule(params.lam, params.quad_points)
-        gh = ghat(nodes, params.lam)
-        coeff = weights * gh * (2.0 / math.sqrt(2.0 * math.pi))
+        """g on the grid by the trapezoid rule at xi_j = j h, h = 2 pi / period.
+
+        With the period a whole number n_fft of grid steps, the rule's sum of
+        ghat(xi_j) cos(xi_j t) at t = n * grid_step is the real part of a DFT
+        of length n_fft.
+        """
         n_grid = int(round(params.tail_cut / params.grid_step)) + 1
+        n_fft = int(round(_PERIOD_FACTOR * params.tail_cut / params.grid_step))
+        h = 2.0 * math.pi / (n_fft * params.grid_step)
+        nodes = np.arange(int((2.0 * params.lam - 1.0) * math.pi / h) + 1) * h
+        coeff = np.zeros(n_fft)
+        coeff[: nodes.size] = ghat(nodes, params.lam) * (2.0 * h / math.sqrt(2.0 * math.pi))
+        coeff[0] *= 0.5  # trapezoid end weight; the far end has ghat = 0
         grid = np.arange(n_grid) * params.grid_step
-        values = np.empty(n_grid)
-        for start in range(0, n_grid, _BUILD_CHUNK):
-            block = grid[start : start + _BUILD_CHUNK]
-            values[start : start + _BUILD_CHUNK] = np.cos(np.outer(block, nodes)) @ coeff
-        return grid, values
+        return grid, np.fft.rfft(coeff).real[:n_grid]
 
     @property
     def lam(self):
@@ -192,7 +165,7 @@ class Generator:
     __call__ = eval
 
     def decay_constant(self, r):
-        """Smallest certified C with |g(t)| <= C / (1 + |t|)^r on the cache grid.
+        """Smallest certified C with |g(t)| <= C / (1 + |t|)^r on the table grid.
 
         The grid maximum of (1 + t)^r |g(t)| is inflated by a fixed safety
         factor; the estimate is rejected when the weighted profile is still
@@ -206,7 +179,7 @@ class Generator:
         weighted = np.abs(self.values) * (1.0 + self.grid) ** r
         peak = float(weighted.max())
         if peak <= 0.0:
-            raise ValueError("generator cache is identically zero; cannot certify decay")
+            raise ValueError("generator table is identically zero; cannot certify decay")
         tail = float(weighted[-1])
         if tail >= peak:
             raise ValueError(
@@ -218,7 +191,7 @@ class Generator:
         return c_r
 
     def shift_inner_product(self, k):
-        """Inner product of g with its shift by k / lam, via the cache grid.
+        """Inner product of g with its shift by k / lam, via the table grid.
 
         Returns a value close to 1 for k = 0 and close to 0 otherwise; used to
         audit orthonormality of the lattice shifts.
@@ -234,43 +207,6 @@ class Generator:
         n = int(math.ceil((hi - lo) / self.params.grid_step)) + 1
         t = np.linspace(lo, hi, n)
         return float(simpson(self.eval(t) * self.eval(t - shift), x=t))
-
-    def export_cache(self, path):
-        """Write the cached table as CSV with a versioned parameter header."""
-        p = self.params
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(
-                f"# bandquant-generator-cache v{CACHE_FORMAT_VERSION} "
-                f"lam={p.lam:.17g} quad_points={p.quad_points} "
-                f"grid_step={p.grid_step:.17g} tail_cut={p.tail_cut:.17g}\n"
-            )
-            fh.write("t,g\n")
-            for t, v in zip(self.grid, self.values):
-                fh.write(f"{t:.17g},{v:.17g}\n")
-
-    @classmethod
-    def from_cache(cls, path):
-        """Rebuild a generator from an exported cache without re-integrating."""
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            prefix = "# bandquant-generator-cache "
-            if not header.startswith(prefix):
-                raise ValueError(f"not a generator cache file: {path}")
-            fields = header[len(prefix) :].split()
-            if not fields or fields[0] != f"v{CACHE_FORMAT_VERSION}":
-                raise ValueError(f"unsupported cache version in {path}: {header}")
-            kv = dict(item.split("=", 1) for item in fields[1:])
-            params = GeneratorParams(
-                lam=float(kv["lam"]),
-                quad_points=int(kv["quad_points"]),
-                grid_step=float(kv["grid_step"]),
-                tail_cut=float(kv["tail_cut"]),
-            )
-            column_line = fh.readline().strip()
-            if column_line != "t,g":
-                raise ValueError(f"unexpected cache columns: {column_line}")
-            data = np.loadtxt(fh, delimiter=",")
-        return cls(params, _table=(data[:, 0], data[:, 1]))
 
 
 @dataclass(frozen=True)
@@ -315,13 +251,3 @@ class KernelContext:
         cx = self.kernel_coefficients(x)
         cy = self.kernel_coefficients(y)
         return cx @ cy
-
-
-def kernel_eval(ctx: KernelContext, x, y):
-    """Module-level alias of :meth:`KernelContext.kernel_eval`."""
-    return ctx.kernel_eval(x, y)
-
-
-def estimate_decay_constant(generator: Generator, r):
-    """Module-level alias of :meth:`Generator.decay_constant`."""
-    return generator.decay_constant(r)

@@ -157,7 +157,7 @@ def validate(config: RunConfig):
 
 @functools.lru_cache(maxsize=4)
 def shared_generator(params: GeneratorParams):
-    """Process-wide generator cache; construction costs seconds, reuse is free."""
+    """Process-wide generator cache: one table per parameter set."""
     return Generator(params)
 
 
@@ -449,7 +449,10 @@ class BoundsReport:
     def to_text(self):
         out = []
         for line in self.lines:
-            status = "ok" if line.passed else "FAIL"
+            if not line.passed:
+                status = "FAIL"
+            else:
+                status = "vacuous" if line.vacuous else "ok"
             out.append(
                 f"{line.label}: {line.lhs:.6g} <= {line.rhs:.6g} -> {status}"
             )
@@ -542,6 +545,8 @@ def check_bounds(config: RunConfig):
                     label="frame spectrum lower edge",
                     lhs=band.lower,
                     rhs=band.lam_min,
+                    # The frame operator is positive semidefinite.
+                    vacuous=band.lower <= 0.0,
                 )
             )
             lines.append(

@@ -84,11 +84,6 @@ class MsqAlphabet:
         return float(q) if scalar else q
 
 
-def nearest(alphabet, w):
-    """Round w (scalar or array) to the closest element of the alphabet."""
-    return alphabet.nearest(w)
-
-
 def msq(y, alphabet: MsqAlphabet):
     """Memoryless per-sample rounding of y."""
     return alphabet.nearest(np.asarray(y, dtype=float))

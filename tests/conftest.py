@@ -5,7 +5,7 @@ import bandquant as bq
 
 @pytest.fixture(scope="session")
 def gen():
-    """Session-wide generator (construction integrates the window once)."""
+    """Session-wide generator (built once, shared by every test)."""
     return bq.shared_generator(bq.GeneratorParams(lam=2.0))
 
 

@@ -1,8 +1,9 @@
 """Generator tests, checked against independently coded oracles.
 
 The oracle below re-derives g(t) from the window definition with its own
-quadrature at ten times the node count of the implementation, so agreement
-validates both the window formulas and the cache/interpolation machinery.
+composite Gauss-Legendre quadrature, sharing no code with the FFT-built table,
+so agreement validates both the window formulas and the tabulation and
+interpolation machinery.
 """
 
 import math
@@ -36,7 +37,7 @@ def _oracle_window(xi, lam=LAM):
 
 
 def _oracle_g(t, lam=LAM, panels=320, degree=64):
-    """g(t) by composite Gauss-Legendre with 10x the implementation's nodes."""
+    """g(t) by composite Gauss-Legendre quadrature, 20480 nodes."""
     base_x, base_w = np.polynomial.legendre.leggauss(degree)
     edges = np.linspace(0.0, (2.0 * lam - 1.0) * math.pi, panels + 1)
     total = 0.0
@@ -85,7 +86,16 @@ def test_window_periodized_square_sum_is_constant():
     np.testing.assert_allclose(total, 1.0 / (2.0 * math.pi * LAM), rtol=1e-12)
 
 
-# --- cached evaluation -------------------------------------------------------
+# --- tabulated evaluation ----------------------------------------------------
+
+
+def test_table_matches_independent_quadrature_at_grid_nodes(gen):
+    # The table at its own nodes carries no spline error, unlike the check below.
+    for t in (0.0, 1.0, 5.2, 17.3, 31.4, 45.0, 59.0, 60.0):
+        node = int(round(t / gen.params.grid_step))
+        assert gen.grid[node] == pytest.approx(t, abs=1e-12)
+        expected = _oracle_g(gen.grid[node])
+        assert gen.values[node] == pytest.approx(expected, abs=1e-14), f"t={t}"
 
 
 def test_eval_matches_independent_quadrature(gen):
@@ -147,17 +157,15 @@ def test_decay_constant_caches_and_validates(gen):
 
 
 def test_decay_constant_rejects_zero_cache():
-    params = bq.GeneratorParams(lam=2.0)
-    grid = np.arange(0.0, 60.0 + 1e-3, 1e-3)
-    doctored = bq.Generator(params, _table=(grid, np.zeros_like(grid)))
+    doctored = bq.Generator(bq.GeneratorParams(lam=2.0))
+    doctored.values = np.zeros_like(doctored.values)
     with pytest.raises(ValueError, match="zero"):
         doctored.decay_constant(11)
 
 
 def test_decay_constant_rejects_rising_tail():
-    params = bq.GeneratorParams(lam=2.0)
-    grid = np.arange(0.0, 60.0 + 1e-3, 1e-3)
-    doctored = bq.Generator(params, _table=(grid, np.full_like(grid, 0.5)))
+    doctored = bq.Generator(bq.GeneratorParams(lam=2.0))
+    doctored.values = np.full_like(doctored.values, 0.5)
     with pytest.raises(ValueError, match="tail"):
         doctored.decay_constant(11)
 
@@ -214,48 +222,19 @@ def test_kernel_eval_symmetric_and_consistent(ctx):
             for k in ctx.index_set
         )
         assert kxy == pytest.approx(direct, abs=1e-12)
-    assert bq.kernel_eval(ctx, 0.3, 0.7) == ctx.kernel_eval(0.3, 0.7)
 
 
-# --- cache files -------------------------------------------------------------
-
-
-def test_cache_roundtrip(gen, tmp_path):
-    path = tmp_path / "cache.csv"
-    gen.export_cache(path)
-    clone = bq.Generator.from_cache(path)
-    assert clone.params == gen.params
-    np.testing.assert_array_equal(clone.grid, gen.grid)
-    np.testing.assert_array_equal(clone.values, gen.values)
-    t = np.linspace(-20.0, 20.0, 101)
-    np.testing.assert_allclose(clone.eval(t), gen.eval(t), atol=1e-14)
-
-
-def test_cache_rejects_malformed_files(tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("t,g\n0,1\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="not a generator cache"):
-        bq.Generator.from_cache(bad)
-    versioned = tmp_path / "version.csv"
-    versioned.write_text(
-        "# bandquant-generator-cache v999 lam=2 quad_points=2048 "
-        "grid_step=0.001 tail_cut=60\nt,g\n0,1\n",
-        encoding="utf-8",
-    )
-    with pytest.raises(ValueError, match="version"):
-        bq.Generator.from_cache(versioned)
+# --- parameters --------------------------------------------------------------
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
         bq.GeneratorParams(lam=1.0)
     with pytest.raises(ValueError):
-        bq.GeneratorParams(lam=2.0, quad_points=100)
-    with pytest.raises(ValueError):
         bq.GeneratorParams(lam=2.0, grid_step=0.5)
     with pytest.raises(ValueError):
         bq.GeneratorParams(lam=2.0, tail_cut=5.0)
-
-
-def test_estimate_decay_constant_alias(gen):
-    assert bq.estimate_decay_constant(gen, 11) == gen.decay_constant(11)
+    # The band (2 lam - 1) pi must lie below the grid's Nyquist frequency.
+    with pytest.raises(ValueError, match="band"):
+        bq.GeneratorParams(lam=6.0, grid_step=0.1)
+    bq.GeneratorParams(lam=5.4, grid_step=0.1)

@@ -196,6 +196,18 @@ def test_check_bounds_default_config_passes(gen):
     assert "frame spectrum" in text
 
 
+def test_check_bounds_labels_vacuous_lower_edge(gen):
+    # At the defaults 1 - gamma - 3t < 0, so the lower edge cannot fail.
+    report = bq.check_bounds(bq.RunConfig())
+    edge = [line for line in report.to_text().splitlines() if "lower edge" in line]
+    assert edge[0].endswith("-> vacuous")
+    assert report.all_passed
+    # At t = 0.1 the edge is positive, so it is audited.
+    tight = bq.check_bounds(dataclasses.replace(bq.RunConfig(), t=0.1))
+    edge = [line for line in tight.to_text().splitlines() if "lower edge" in line]
+    assert edge[0].endswith("-> FAIL")
+
+
 def test_check_bounds_msq_skips_condensation(gen):
     report = bq.check_bounds(dataclasses.replace(bq.RunConfig(), scheme="msq"))
     text = report.to_text()

@@ -20,16 +20,16 @@ def test_midrise_elements_and_rounding():
     alpha = bq.MidriseAlphabet(levels=2, delta=0.5)
     np.testing.assert_allclose(alpha.elements(), [-1.5, -0.5, 0.5, 1.5])
     assert alpha.max_element == 1.5
-    assert bq.nearest(alpha, 0.3) == 0.5
-    assert bq.nearest(alpha, -0.3) == -0.5
-    assert bq.nearest(alpha, 7.0) == 1.5  # saturation
-    assert bq.nearest(alpha, -7.0) == -1.5
+    assert alpha.nearest(0.3) == 0.5
+    assert alpha.nearest(-0.3) == -0.5
+    assert alpha.nearest(7.0) == 1.5  # saturation
+    assert alpha.nearest(-7.0) == -1.5
     # Exact ties resolve toward the larger element.
-    assert bq.nearest(alpha, 0.0) == 0.5
-    assert bq.nearest(alpha, 1.0) == 1.5
-    assert bq.nearest(alpha, -1.0) == -0.5
+    assert alpha.nearest(0.0) == 0.5
+    assert alpha.nearest(1.0) == 1.5
+    assert alpha.nearest(-1.0) == -0.5
     np.testing.assert_allclose(
-        bq.nearest(alpha, np.array([0.3, -0.3, 7.0])), [0.5, -0.5, 1.5]
+        alpha.nearest(np.array([0.3, -0.3, 7.0])), [0.5, -0.5, 1.5]
     )
 
 
