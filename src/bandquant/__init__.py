@@ -11,7 +11,6 @@ from .condense import (
     BlockCondensation,
     BoundReport,
     CondensationVector,
-    WeightMatrix,
     build_weight,
     inf_to_two_bound,
     nu_beta,
@@ -23,7 +22,6 @@ from .frame import (
     FrameFailure,
     FrameSystem,
     assemble_frame,
-    build_sample_matrix,
     frame_bound_report,
     reconstruct,
     sample_matrix,

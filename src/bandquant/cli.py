@@ -4,12 +4,15 @@ Subcommands: run (one reconstruction, full report files), sweep (trials over
 a list of sample budgets, CSV + SVG summary), check-bounds (numerical audits
 of the inequalities behind the method) and gen-signal (write a reproducible
 test signal).  Exit codes: 0 success, 2 invalid configuration, 3 frame or
-binning failure (and failed audits for check-bounds).
+binning failure (and failed audits for check-bounds), 141 (128 + SIGPIPE)
+when the reader of standard output goes away early, as in
+``bandquant check-bounds | head``; no traceback is printed then.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -30,7 +33,7 @@ from .sampling import BinningError
 
 _CONFIG_FLAGS = (
     # (flag, dest, type, help)
-    ("--scheme", "scheme", str, "quantization scheme: msq | sigma-delta | beta | none"),
+    ("--scheme", "scheme", str, "quantization scheme: msq | sigma-delta | beta"),
     ("--m", "m", str, "sample budget (comma list allowed for sweep)"),
     ("--p", "p", int, "number of condensation blocks"),
     ("--beta", "beta", float, "geometric feedback weight (beta scheme)"),
@@ -186,7 +189,16 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Send what is still buffered to devnull, so that the flush at exit
+        # does not raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (FrameFailure, BinningError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import sparse
 
 
 @dataclass(frozen=True)
@@ -108,49 +107,39 @@ class BlockCondensation:
     def shape(self):
         return (self.blocks, self.blocks * self.nu.block_len)
 
-    def matrix(self, as_sparse=False):
-        mat = sparse.kron(
-            sparse.identity(self.blocks), sparse.csr_matrix(self.row), format="csr"
-        )
-        return mat if as_sparse else mat.toarray()
+    def matrix(self):
+        """Dense block-diagonal matrix (a reference for tests and audits)."""
+        return np.kron(np.eye(self.blocks), self.row)
 
     def apply(self, v):
-        """Condense a stacked vector of blocks * block_len samples."""
+        """Condense blocks * block_len stacked samples: a vector, or a matrix's rows.
+
+        Row i of the result is the row-weighted sum over block i, accumulated
+        from zero in in-block order, so a vector and each column of a matrix
+        condense to the same bits.
+        """
         v = np.asarray(v, dtype=float)
         expected = self.blocks * self.nu.block_len
-        if v.shape != (expected,):
-            raise ValueError(f"expected vector of shape ({expected},), got {v.shape}")
-        return v.reshape(self.blocks, self.nu.block_len) @ self.row
+        if v.ndim not in (1, 2) or v.shape[0] != expected:
+            raise ValueError(
+                f"expected {expected} stacked samples along axis 0, got shape {v.shape}"
+            )
+        stacked = v.reshape(self.blocks, self.nu.block_len, *v.shape[1:])
+        out = np.zeros((self.blocks, *v.shape[1:]))
+        for j, w in enumerate(self.row):
+            out += w * stacked[:, j]
+        return out
 
 
-@dataclass(frozen=True)
-class WeightMatrix:
-    """Diagonal weights turning condensed bin sums into quadrature-like averages.
+def build_weight(block_counts, R, eps):
+    """Diagonal of the weight matrix for cumulative block counts (p1, p2, p3).
 
     Each bin's blocks share one weight, the square root of (bin length) /
     (blocks in bin); together with the sign flips this makes the condensed
     rows behave like a Monte-Carlo quadrature of inner products against the
-    reproducing kernel.
-    """
-
-    diagonal: np.ndarray
-    block_counts: tuple
-
-    def apply(self, v):
-        v = np.asarray(v, dtype=float)
-        if v.shape != self.diagonal.shape:
-            raise ValueError(
-                f"expected vector of shape {self.diagonal.shape}, got {v.shape}"
-            )
-        return self.diagonal * v
-
-
-def build_weight(block_counts, R, eps):
-    """Per-block weights for cumulative block counts (p1, p2, p3).
-
-    Bin 1 covers an interval of length 2(1+eps)R split over p1 blocks; bins 2
-    and 3 each cover shells of total length 2*eps*R split over their own
-    blocks.
+    reproducing kernel.  Bin 1 covers an interval of length 2(1+eps)R split
+    over p1 blocks; bins 2 and 3 each cover shells of total length 2*eps*R
+    split over their own blocks.
     """
     p1, p2, p3 = (int(c) for c in block_counts)
     if not 0 < p1 <= p2 <= p3:
@@ -161,18 +150,14 @@ def build_weight(block_counts, R, eps):
         )
     lengths = [2.0 * (1.0 + eps) * R, 2.0 * eps * R, 2.0 * eps * R]
     counts = [p1, p2 - p1, p3 - p2]
-    diag = np.concatenate(
+    return np.concatenate(
         [np.full(c, math.sqrt(ln / c)) for ln, c in zip(lengths, counts)]
     )
-    return WeightMatrix(diagonal=diag, block_counts=(p1, p2, p3))
 
 
 def inf_to_two_bound(mat):
     """Upper bound sqrt(sum_rows ||row||_1^2) on the sup-to-L2 operator norm."""
-    if sparse.issparse(mat):
-        row_l1 = np.asarray(np.abs(mat).sum(axis=1)).ravel()
-    else:
-        row_l1 = np.abs(np.asarray(mat, dtype=float)).sum(axis=1)
+    row_l1 = np.abs(np.asarray(mat, dtype=float)).sum(axis=1)
     return float(np.sqrt((row_l1**2).sum()))
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg
 
+from .condense import BlockCondensation
 from .generator import KernelContext
 
 # Smallest bottom eigenvalue of the frame operator considered invertible.
@@ -35,20 +36,22 @@ def sample_matrix(points, ctx: KernelContext):
     return ctx.kernel_coefficients(points)
 
 
-def build_sample_matrix(binned, ctx: KernelContext):
-    """Sample matrix for the retained, bin-ordered coordinates."""
-    return sample_matrix(binned.coordinates(), ctx)
-
-
 @dataclass(frozen=True)
 class FrameSystem:
-    """Assembled frame: the analysis matrix, frame operator and its spectrum."""
+    """Assembled frame: the analysis matrix, frame operator and its spectrum.
+
+    condenser and weight are the block condensation and the weight diagonal
+    the analysis matrix was assembled with (None on the plain per-sample
+    path); reconstruct applies the same measurement map to the samples.
+    """
 
     analysis: np.ndarray
     operator: np.ndarray
     lam_min: float
     lam_max: float
     context: KernelContext
+    condenser: BlockCondensation | None = None
+    weight: np.ndarray | None = None
 
     @property
     def rows(self):
@@ -58,9 +61,10 @@ class FrameSystem:
 def assemble_frame(G, ctx: KernelContext, weight=None, condenser=None, signs=None):
     """Form the analysis matrix W V diag(signs) G and its frame operator.
 
-    weight, condenser and signs default to identities, which is the plain
-    per-sample (memoryless) path.  Raises FrameFailure when the frame
-    operator's smallest eigenvalue falls below the invertibility floor.
+    weight (the diagonal of W), condenser (V) and signs default to
+    identities, which is the plain per-sample (memoryless) path.  Raises
+    FrameFailure when the frame operator's smallest eigenvalue falls below
+    the invertibility floor.
     """
     B = np.asarray(G, dtype=float)
     if B.ndim != 2 or B.shape[1] != ctx.dimension:
@@ -75,14 +79,15 @@ def assemble_frame(G, ctx: KernelContext, weight=None, condenser=None, signs=Non
             )
         B = signs[:, None] * B
     if condenser is not None:
-        B = condenser.matrix(as_sparse=True) @ B
+        B = condenser.apply(B)
     if weight is not None:
-        if weight.diagonal.shape != (B.shape[0],):
+        weight = np.asarray(weight, dtype=float)
+        if weight.shape != (B.shape[0],):
             raise ValueError(
-                f"weight diagonal of shape {weight.diagonal.shape} does not "
+                f"weight diagonal of shape {weight.shape} does not "
                 f"match {B.shape[0]} condensed rows"
             )
-        B = weight.diagonal[:, None] * B
+        B = weight[:, None] * B
     S = B.T @ B
     eigvals = linalg.eigvalsh(S)
     lam_min = float(eigvals[0])
@@ -93,22 +98,27 @@ def assemble_frame(G, ctx: KernelContext, weight=None, condenser=None, signs=Non
             f"{lam_min:.3e} (rows={B.shape[0]}, dim={ctx.dimension})"
         )
     return FrameSystem(
-        analysis=B, operator=S, lam_min=lam_min, lam_max=lam_max, context=ctx
+        analysis=B,
+        operator=S,
+        lam_min=lam_min,
+        lam_max=lam_max,
+        context=ctx,
+        condenser=condenser,
+        weight=weight,
     )
 
 
-def reconstruct(system: FrameSystem, q, weight=None, condenser=None):
+def reconstruct(system: FrameSystem, q):
     """Canonical-dual coefficients from (possibly quantized) signed samples q.
 
-    Applies the same condensation and weighting as the analysis matrix, then
-    solves the frame operator against the analysis adjoint:
-    c = S^{-1} B^T (W V q).
+    Applies the frame's own condensation and weighting, then solves the frame
+    operator against the analysis adjoint: c = S^{-1} B^T (W V q).
     """
     v = np.asarray(q, dtype=float)
-    if condenser is not None:
-        v = condenser.matrix(as_sparse=True) @ v
-    if weight is not None:
-        v = weight.apply(v)
+    if system.condenser is not None:
+        v = system.condenser.apply(v)
+    if system.weight is not None:
+        v = system.weight * v
     if v.shape != (system.rows,):
         raise ValueError(
             f"expected {system.rows} condensed measurements, got shape {v.shape}"
@@ -135,16 +145,20 @@ class FrameBandReport:
         return self.lam_max <= self.upper
 
 
-def frame_bound_report(system: FrameSystem, nu, gamma, t):
-    """Concentration band for the frame spectrum at confidence parameters.
+def frame_bound_report(system: FrameSystem, gamma, t):
+    """Concentration band for a condensed frame's spectrum at confidence parameters.
 
-    The band is (||nu||_2 / ||nu||_1)^2 * [1 - gamma - 3t, 1 + 3t]; the
-    report records whether the observed extreme eigenvalues respect it.
+    The band is (||nu||_2 / ||nu||_1)^2 * [1 - gamma - 3t, 1 + 3t] for the
+    frame's condensation row nu; the report records whether the observed
+    extreme eigenvalues respect it.
     """
+    if system.condenser is None:
+        raise ValueError("the concentration band needs a condensed frame")
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
+    nu = system.condenser.nu
     ratio = (nu.l2 / nu.l1) ** 2
     return FrameBandReport(
         lam_min=system.lam_min,

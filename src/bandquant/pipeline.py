@@ -28,8 +28,8 @@ from .condense import (
 )
 from .frame import (
     FrameFailure,
+    FrameSystem,
     assemble_frame,
-    build_sample_matrix,
     frame_bound_report,
     reconstruct,
     sample_matrix,
@@ -41,6 +41,7 @@ from .quantize import (
     TransferOperator,
     greedy_noise_shape,
     msq,
+    stability_margin,
 )
 from .sampling import BinningError, SampleConfig, draw_samples, partition_bins
 from .signals import (
@@ -50,7 +51,7 @@ from .signals import (
     synth_test_signal,
 )
 
-SCHEMES = ("msq", "sigma-delta", "beta", "none")
+SCHEMES = ("msq", "sigma-delta", "beta")
 
 
 class ConfigError(ValueError):
@@ -61,12 +62,12 @@ class ConfigError(ValueError):
 class RunConfig:
     """Complete description of one experiment.
 
-    scheme "none" runs the binned pipeline without quantization (exact
-    measurements), which isolates the frame round trip from quantization
-    effects.  gamma and t are the confidence parameters of the frame
-    concentration band used by the bound audit; the default t is sized so
-    that typical draws at the default (desk-scale) p sit inside the band,
-    and can be tightened for larger block counts.
+    scheme is "msq" (memoryless rounding of every sample) or one of the
+    shaped schemes "sigma-delta" and "beta", whose samples are binned,
+    noise-shaped and condensed.  gamma and t are the confidence parameters
+    of the frame concentration band used by the bound audit; the default t
+    is sized so that typical draws at the default (desk-scale) p sit inside
+    the band, and can be tightened for larger block counts.
     """
 
     lam: float = 2.0
@@ -151,6 +152,16 @@ def validate(config: RunConfig):
         problems.append(f"gamma must lie in (0, 1), got {config.gamma}")
     if config.t <= 0:
         problems.append(f"t must be positive, got {config.t}")
+    if not problems and config.scheme != "msq":
+        op, _ = _quantizer_parts(config, config.m, config.m // config.p)
+        alphabet = MidriseAlphabet(config.levels, config.delta)
+        margin = stability_margin(op, config.target_sup, alphabet)
+        if margin < 0:
+            problems.append(
+                f"stability margin {margin:.6g} at target_sup={config.target_sup:g} "
+                "is negative, so the greedy state may grow without bound; raise "
+                "levels or delta, or lower the feedback gain"
+            )
     if problems:
         raise ConfigError("; ".join(problems))
 
@@ -219,23 +230,31 @@ class RunArtifacts:
     state: np.ndarray
     binned: object
     points: np.ndarray
+    system: FrameSystem
 
 
 def _quantizer_parts(config: RunConfig, size, block):
-    """Transfer operator, alphabet and condensation row for the scheme."""
+    """Transfer operator and condensation row for a shaped scheme."""
     if config.scheme == "sigma-delta":
-        op = TransferOperator.sigma_delta(config.order, size)
-        alphabet = MidriseAlphabet(config.levels, config.delta)
-        nu = nu_sigma_delta(config.order, block)
-    elif config.scheme == "beta":
-        op = TransferOperator.beta_block(config.beta, size, block)
-        alphabet = MidriseAlphabet(config.levels, config.delta)
-        nu = nu_beta(config.beta, block)
-    else:  # "none": exact measurements through the same condensation path
-        op = TransferOperator.identity(size)
-        alphabet = None
-        nu = nu_beta(2.0, block)
-    return op, alphabet, nu
+        return (
+            TransferOperator.sigma_delta(config.order, size),
+            nu_sigma_delta(config.order, block),
+        )
+    return (
+        TransferOperator.beta_block(config.beta, size, block),
+        nu_beta(config.beta, block),
+    )
+
+
+def _shaped_frame(config: RunConfig, binned, ctx: KernelContext, nu):
+    """Frame of the weighted, condensed, sign-flipped binned samples."""
+    return assemble_frame(
+        sample_matrix(binned.coordinates(), ctx),
+        ctx,
+        weight=build_weight(binned.block_counts, config.R, config.eps),
+        condenser=BlockCondensation(nu=nu, blocks=binned.block_counts[-1]),
+        signs=binned.sign_vector(),
+    )
 
 
 def run_detailed(config: RunConfig, sample_seed=None, signal=None, generator=None):
@@ -276,26 +295,13 @@ def run_detailed(config: RunConfig, sample_seed=None, signal=None, generator=Non
         points = draw_samples(sample_cfg)
         binned = partition_bins(points, sample_cfg)
         coords = binned.coordinates()
-        signs = binned.sign_vector()
-        y = signs * np.asarray(signal.eval(coords), dtype=float)
-        op, alphabet, nu = _quantizer_parts(config, coords.size, binned.block)
-        if alphabet is None:
-            q = y.copy()
-            state = np.zeros_like(y)
-            max_state = 0.0
-        else:
-            result = greedy_noise_shape(y, op, alphabet)
-            q, state, max_state = result.q, result.u, result.max_state
-        condenser = BlockCondensation(nu=nu, blocks=binned.block_counts[-1])
-        weight = build_weight(binned.block_counts, config.R, config.eps)
-        system = assemble_frame(
-            build_sample_matrix(binned, ctx),
-            ctx,
-            weight=weight,
-            condenser=condenser,
-            signs=signs,
-        )
-        coeffs = reconstruct(system, q, weight=weight, condenser=condenser)
+        y = binned.sign_vector() * np.asarray(signal.eval(coords), dtype=float)
+        op, nu = _quantizer_parts(config, coords.size, binned.block)
+        alphabet = MidriseAlphabet(config.levels, config.delta)
+        result = greedy_noise_shape(y, op, alphabet)
+        q, state, max_state = result.q, result.u, result.max_state
+        system = _shaped_frame(config, binned, ctx, nu)
+        coeffs = reconstruct(system, q)
         discarded = binned.discarded
         p_used = config.p
 
@@ -329,6 +335,7 @@ def run_detailed(config: RunConfig, sample_seed=None, signal=None, generator=Non
         state=state,
         binned=binned,
         points=points,
+        system=system,
     )
 
 
@@ -524,22 +531,14 @@ def check_bounds(config: RunConfig):
         )
         try:
             binned = partition_bins(draw_samples(sample_cfg), sample_cfg)
-            _, _, nu = _quantizer_parts(config, binned.total, binned.block)
-            condenser = BlockCondensation(nu=nu, blocks=binned.block_counts[-1])
-            weight = build_weight(binned.block_counts, config.R, config.eps)
-            system = assemble_frame(
-                build_sample_matrix(binned, ctx),
-                ctx,
-                weight=weight,
-                condenser=condenser,
-                signs=binned.sign_vector(),
-            )
+            _, nu = _quantizer_parts(config, binned.total, binned.block)
+            system = _shaped_frame(config, binned, ctx, nu)
         except (FrameFailure, BinningError) as exc:
             lines.append(
                 BoundReport(label=f"frame spectrum ({exc})", lhs=1.0, rhs=0.0)
             )
         else:
-            band = frame_bound_report(system, nu, config.gamma, config.t)
+            band = frame_bound_report(system, config.gamma, config.t)
             lines.append(
                 BoundReport(
                     label="frame spectrum lower edge",

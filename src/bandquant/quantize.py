@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 
 @dataclass(frozen=True)
@@ -93,10 +92,10 @@ def msq(y, alphabet: MsqAlphabet):
 class TransferOperator:
     """Lower-triangular transfer operator acting on state vectors of a fixed size.
 
-    Three kinds: "identity" (plain rounding, no feedback), "difference"
-    (n-fold backward difference, feedback reaching n steps into the past) and
-    "geometric" (single feedback tap of weight beta, restarted at every block
-    boundary so state never crosses condensation blocks).
+    Two kinds: "difference" (n-fold backward difference, feedback reaching n
+    steps into the past) and "geometric" (single feedback tap of weight beta,
+    restarted at every block boundary so state never crosses condensation
+    blocks).
     """
 
     kind: str
@@ -104,10 +103,6 @@ class TransferOperator:
     order: int = 0
     beta: float = 0.0
     block: int = 0
-
-    @classmethod
-    def identity(cls, size):
-        return cls(kind="identity", size=int(size))
 
     @classmethod
     def sigma_delta(cls, order, size):
@@ -132,15 +127,13 @@ class TransferOperator:
         return cls(kind="geometric", size=size, beta=beta, block=block)
 
     def __post_init__(self):
-        if self.kind not in ("identity", "difference", "geometric"):
+        if self.kind not in ("difference", "geometric"):
             raise ValueError(f"unknown transfer operator kind: {self.kind}")
         if self.size < 1:
             raise ValueError(f"size must be positive, got {self.size}")
 
     def feedback_taps(self):
         """Coefficients of H-tilde = I - H: tap[j-1] multiplies u[s-j]."""
-        if self.kind == "identity":
-            return np.zeros(0)
         if self.kind == "difference":
             j = np.arange(1, self.order + 1)
             signs = np.where(j % 2 == 1, 1.0, -1.0)
@@ -151,8 +144,6 @@ class TransferOperator:
 
     def htilde_inf_norm(self):
         """Row-sum norm of the feedback part (2^n - 1 for differences, beta)."""
-        if self.kind == "identity":
-            return 0.0
         if self.kind == "difference":
             return 2.0**self.order - 1.0
         return self.beta
@@ -162,8 +153,6 @@ class TransferOperator:
         u = np.asarray(u, dtype=float)
         if u.shape != (self.size,):
             raise ValueError(f"expected state of shape ({self.size},), got {u.shape}")
-        if self.kind == "identity":
-            return u.copy()
         if self.kind == "difference":
             v = u.copy()
             for _ in range(self.order):
@@ -174,30 +163,13 @@ class TransferOperator:
         out[:, 1:] -= self.beta * blocks[:, :-1]
         return out.ravel()
 
-    def matrix(self, as_sparse=False):
-        """Materialise H (mainly for audits and operator-norm bounds)."""
-        if self.kind == "identity":
-            mat = sparse.identity(self.size, format="csr")
-        elif self.kind == "difference":
-            taps = self.feedback_taps()
-            diagonals = [np.ones(self.size)]
-            offsets = [0]
-            for j, tap in enumerate(taps, start=1):
-                if j >= self.size:
-                    break
-                diagonals.append(np.full(self.size - j, -tap))
-                offsets.append(-j)
-            mat = sparse.diags(diagonals, offsets, format="csr")
-        else:
-            block = sparse.diags(
-                [np.ones(self.block), np.full(self.block - 1, -self.beta)],
-                [0, -1],
-                format="csr",
-            )
-            mat = sparse.kron(
-                sparse.identity(self.size // self.block), block, format="csr"
-            )
-        return mat if as_sparse else mat.toarray()
+    def matrix(self):
+        """Dense H (a reference for tests and audits)."""
+        if self.kind == "difference":
+            step = np.eye(self.size) - np.eye(self.size, k=-1)
+            return np.linalg.matrix_power(step, self.order)
+        block = np.eye(self.block) - self.beta * np.eye(self.block, k=-1)
+        return np.kron(np.eye(self.size // self.block), block)
 
 
 def stability_margin(op: TransferOperator, mu, alphabet: MidriseAlphabet):

@@ -1,5 +1,10 @@
 """CLI tests: exit codes, files written, determinism of artifacts."""
 
+import re
+import shlex
+import sys
+from pathlib import Path
+
 import pytest
 
 import bandquant as bq
@@ -60,9 +65,17 @@ def test_run_msq_skips_samples_file(tmp_path):
 
 
 def test_run_rejects_bad_scheme(tmp_path, capsys):
-    rc = main(["run", "--scheme", "bogus", "--out", str(tmp_path)])
-    assert rc == 2
-    assert "invalid configuration" in capsys.readouterr().err
+    cases = [
+        ("bogus", "unknown scheme"),
+        ("none", "unknown scheme"),
+        # Defaults leave order-7 feedback with margin -116: unbounded state.
+        ("sigma-delta", "stability margin -116 "),
+    ]
+    for scheme, needle in cases:
+        rc = main(["run", "--scheme", scheme, "--out", str(tmp_path)])
+        assert rc == 2, scheme
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and needle in err, err
 
 
 def test_run_reports_frame_failure(tmp_path, capsys):
@@ -92,6 +105,47 @@ def test_check_bounds_exit_code(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "ok" in out and "FAIL" not in out
+
+
+def test_check_bounds_into_closed_pipe_exits_quietly(tmp_path, capsys, monkeypatch):
+    class ClosedPipe:
+        """Standard output whose reader has gone away, seen at write or flush."""
+
+        def __init__(self, fd, buffered):
+            self.fd = fd
+            self.buffered = buffered
+
+        def write(self, text):
+            if self.buffered:
+                return len(text)
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return self.fd
+
+    for buffered in (False, True):
+        with open(tmp_path / "stdout", "w", encoding="utf-8") as sink:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe(sink.fileno(), buffered))
+            rc = main(["check-bounds"])
+            monkeypatch.undo()
+        assert rc == 141
+        assert "Traceback" not in capsys.readouterr().err
+
+
+def test_readme_examples_run(tmp_path):
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = re.search(r"Examples:\n\n```sh\n(.*?)```", readme.read_text("utf-8"), re.S)
+    commands = [
+        shlex.split(line)[1:]
+        for line in block.group(1).splitlines()
+        if line.startswith("bandquant ")
+    ]
+    assert len(commands) == 4
+    for k, argv in enumerate(commands):
+        assert main([*argv, "--out", str(tmp_path / str(k))]) == 0, argv
 
 
 def test_sweep_writes_csv_and_chart(tmp_path, capsys):

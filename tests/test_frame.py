@@ -51,7 +51,7 @@ def test_plain_roundtrip(ctx):
 def test_weighted_condensed_roundtrip(gen, ctx):
     binned = _binned(gen)
     signs = binned.sign_vector()
-    G = bq.build_sample_matrix(binned, ctx)
+    G = bq.sample_matrix(binned.coordinates(), ctx)
     condenser = bq.BlockCondensation(
         nu=bq.nu_beta(2.0, binned.block), blocks=binned.block_counts[-1]
     )
@@ -61,15 +61,18 @@ def test_weighted_condensed_roundtrip(gen, ctx):
     )
     rng = np.random.default_rng(32)
     c = rng.normal(size=ctx.dimension)
+    assert system.condenser is condenser and system.weight is weight
     y = signs * (G @ c)  # signed exact samples of the span element
-    back = bq.reconstruct(system, y, weight=weight, condenser=condenser)
+    back = bq.reconstruct(system, y)
     np.testing.assert_allclose(back, c, atol=1e-9)
+    with pytest.raises(ValueError, match="stacked samples"):
+        bq.reconstruct(system, y[:-1])
 
 
 def test_roundtrip_independent_of_condensation_row(gen, ctx):
     binned = _binned(gen)
     signs = binned.sign_vector()
-    G = bq.build_sample_matrix(binned, ctx)
+    G = bq.sample_matrix(binned.coordinates(), ctx)
     weight = bq.build_weight(binned.block_counts, 5.0, 0.5)
     rng = np.random.default_rng(33)
     c = rng.normal(size=ctx.dimension)
@@ -79,7 +82,7 @@ def test_roundtrip_independent_of_condensation_row(gen, ctx):
         system = bq.assemble_frame(
             G, ctx, weight=weight, condenser=condenser, signs=signs
         )
-        back = bq.reconstruct(system, y, weight=weight, condenser=condenser)
+        back = bq.reconstruct(system, y)
         np.testing.assert_allclose(back, c, atol=1e-9)
 
 
@@ -116,13 +119,13 @@ def test_frame_band_report(gen, ctx):
     condenser = bq.BlockCondensation(nu=nu, blocks=binned.block_counts[-1])
     weight = bq.build_weight(binned.block_counts, 5.0, 0.5)
     system = bq.assemble_frame(
-        bq.build_sample_matrix(binned, ctx),
+        bq.sample_matrix(binned.coordinates(), ctx),
         ctx,
         weight=weight,
         condenser=condenser,
         signs=binned.sign_vector(),
     )
-    band = bq.frame_bound_report(system, nu, gamma=0.125, t=0.6)
+    band = bq.frame_bound_report(system, gamma=0.125, t=0.6)
     ratio = (nu.l2 / nu.l1) ** 2
     assert band.lower == pytest.approx(ratio * (1.0 - 0.125 - 1.8))
     assert band.upper == pytest.approx(ratio * 2.8)
@@ -130,6 +133,9 @@ def test_frame_band_report(gen, ctx):
     assert band.lower_ok == (system.lam_min >= band.lower)
     assert band.upper_ok == (system.lam_max <= band.upper)
     with pytest.raises(ValueError):
-        bq.frame_bound_report(system, nu, gamma=1.5, t=0.6)
+        bq.frame_bound_report(system, gamma=1.5, t=0.6)
     with pytest.raises(ValueError):
-        bq.frame_bound_report(system, nu, gamma=0.125, t=0.0)
+        bq.frame_bound_report(system, gamma=0.125, t=0.0)
+    plain = bq.assemble_frame(bq.sample_matrix(binned.coordinates(), ctx), ctx)
+    with pytest.raises(ValueError, match="condensed"):
+        bq.frame_bound_report(plain, gamma=0.125, t=0.6)

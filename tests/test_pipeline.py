@@ -40,6 +40,8 @@ def test_validate_rejects_bad_configs():
         (dict(grid_points=1), "grid_points"),
         (dict(interval=0.0), "interval"),
         (dict(r=1), "decay exponent"),
+        # Order 7 feedback gain 127 against 2 * 10 levels at sup 0.9 / 0.1.
+        (dict(scheme="sigma-delta"), "stability margin -116 "),
     ]
     for overrides, needle in cases:
         config = dataclasses.replace(bq.RunConfig(), **overrides)
@@ -62,13 +64,19 @@ def test_validate_collects_multiple_problems():
 # --- single runs -------------------------------------------------------------
 
 
-def test_run_exact_roundtrip_for_span_signal(gen, ctx):
-    rng = np.random.default_rng(40)
-    fv = bq.CoefficientVector(values=rng.normal(size=ctx.dimension), context=ctx)
-    report = bq.run_once(_small_beta(scheme="none"), signal=fv, generator=gen)
-    assert report.sup_error < 1e-8
-    assert report.max_state == 0.0
-    assert report.scheme == "none"
+def test_run_exact_roundtrip_for_span_signal(gen, ctx, span_signal):
+    # The run's own measurement map, applied to the unquantized samples.
+    fv = span_signal(np.random.default_rng(40))
+    for config in (
+        _small_beta(),
+        _small_beta(scheme="sigma-delta", order=7, levels=80, delta=0.05),
+    ):
+        art = bq.run_detailed(config, signal=fv, generator=gen)
+        exact = bq.CoefficientVector(
+            values=bq.reconstruct(art.system, art.y), context=ctx
+        )
+        assert np.max(np.abs(exact.eval(art.grid) - art.signal_values)) < 1e-8
+        assert art.report.max_state <= config.delta
 
 
 def test_run_beta_reconstruction_beats_quantizer_floor(gen):

@@ -134,15 +134,6 @@ def test_geometric_operator_blocks():
     np.testing.assert_array_equal(op.feedback_taps(), [2.0])
 
 
-def test_identity_operator():
-    op = bq.TransferOperator.identity(5)
-    u = np.arange(5.0)
-    np.testing.assert_array_equal(op.apply(u), u)
-    np.testing.assert_array_equal(op.matrix(), np.eye(5))
-    assert op.htilde_inf_norm() == 0.0
-    assert op.feedback_taps().size == 0
-
-
 def test_transfer_operator_validation():
     with pytest.raises(ValueError):
         bq.TransferOperator.sigma_delta(0, 10)
@@ -152,7 +143,9 @@ def test_transfer_operator_validation():
         bq.TransferOperator.beta_block(2.0, 10, 3)  # 3 does not divide 10
     with pytest.raises(ValueError):
         bq.TransferOperator(kind="bogus", size=4)
-    op = bq.TransferOperator.identity(4)
+    with pytest.raises(ValueError):
+        bq.TransferOperator(kind="identity", size=4)
+    op = bq.TransferOperator.sigma_delta(1, 4)
     with pytest.raises(ValueError):
         op.apply(np.zeros(5))
 
