@@ -52,11 +52,9 @@ from .pipeline import (
 )
 from .quantize import (
     MidriseAlphabet,
-    MsqAlphabet,
     QuantizationResult,
     TransferOperator,
     greedy_noise_shape,
-    msq,
     stability_margin,
 )
 from .sampling import (

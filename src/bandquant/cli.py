@@ -38,7 +38,7 @@ _CONFIG_FLAGS = (
     ("--p", "p", int, "number of condensation blocks"),
     ("--beta", "beta", float, "geometric feedback weight (beta scheme)"),
     ("--levels", "levels", int, "alphabet levels per sign"),
-    ("--delta", "delta", float, "alphabet half-step (midrise schemes)"),
+    ("--delta", "delta", float, "alphabet half-step (shaped schemes; msq uses 1/(2·levels))"),
     ("--order", "order", int, "difference order (sigma-delta scheme)"),
     ("--seed", "seed", int, "sampling seed"),
     ("--trials", "trials", int, "trials per sweep cell"),

@@ -21,7 +21,6 @@ class CondensationVector:
     """One block row nu, before L1 normalisation."""
 
     entries: np.ndarray
-    kind: str
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=float)
@@ -73,7 +72,7 @@ def nu_sigma_delta(order, block_len):
     base = np.ones(rep, dtype=np.int64)
     for _ in range(order):
         coeffs = np.convolve(coeffs, base)
-    return CondensationVector(entries=coeffs.astype(float), kind="difference")
+    return CondensationVector(entries=coeffs.astype(float))
 
 
 def nu_beta(beta, block_len):
@@ -85,7 +84,7 @@ def nu_beta(beta, block_len):
     if block_len < 1:
         raise ValueError(f"block length must be positive, got {block_len}")
     entries = beta ** -np.arange(1.0, block_len + 1.0)
-    return CondensationVector(entries=entries, kind="geometric")
+    return CondensationVector(entries=entries)
 
 
 @dataclass(frozen=True)

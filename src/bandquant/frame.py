@@ -17,7 +17,8 @@ from scipy import linalg
 from .condense import BlockCondensation
 from .generator import KernelContext
 
-# Smallest bottom eigenvalue of the frame operator considered invertible.
+# Smallest ratio of the frame operator's bottom to top eigenvalue considered
+# invertible; relative, because lambda scales with the weights and the rows.
 LAMBDA_MIN_FLOOR = 1e-10
 
 
@@ -38,7 +39,8 @@ def sample_matrix(points, ctx: KernelContext):
 
 @dataclass(frozen=True)
 class FrameSystem:
-    """Assembled frame: the analysis matrix, frame operator and its spectrum.
+    """Assembled frame: the analysis matrix, the frame operator's Cholesky
+    factor (as returned by scipy.linalg.cho_factor) and its spectrum.
 
     condenser and weight are the block condensation and the weight diagonal
     the analysis matrix was assembled with (None on the plain per-sample
@@ -46,7 +48,7 @@ class FrameSystem:
     """
 
     analysis: np.ndarray
-    operator: np.ndarray
+    factor: tuple
     lam_min: float
     lam_max: float
     context: KernelContext
@@ -63,8 +65,8 @@ def assemble_frame(G, ctx: KernelContext, weight=None, condenser=None, signs=Non
 
     weight (the diagonal of W), condenser (V) and signs default to
     identities, which is the plain per-sample (memoryless) path.  Raises
-    FrameFailure when the frame operator's smallest eigenvalue falls below
-    the invertibility floor.
+    FrameFailure when the frame operator's smallest eigenvalue is at most
+    LAMBDA_MIN_FLOOR times its largest.
     """
     B = np.asarray(G, dtype=float)
     if B.ndim != 2 or B.shape[1] != ctx.dimension:
@@ -92,14 +94,14 @@ def assemble_frame(G, ctx: KernelContext, weight=None, condenser=None, signs=Non
     eigvals = linalg.eigvalsh(S)
     lam_min = float(eigvals[0])
     lam_max = float(eigvals[-1])
-    if lam_min <= LAMBDA_MIN_FLOOR:
+    if lam_min <= LAMBDA_MIN_FLOOR * lam_max:
         raise FrameFailure(
-            f"frame operator is numerically singular: smallest eigenvalue "
-            f"{lam_min:.3e} (rows={B.shape[0]}, dim={ctx.dimension})"
+            f"frame operator is numerically singular: eigenvalues {lam_min:.3e} "
+            f"to {lam_max:.3e} (rows={B.shape[0]}, dim={ctx.dimension})"
         )
     return FrameSystem(
         analysis=B,
-        operator=S,
+        factor=linalg.cho_factor(S),
         lam_min=lam_min,
         lam_max=lam_max,
         context=ctx,
@@ -124,7 +126,7 @@ def reconstruct(system: FrameSystem, q):
             f"expected {system.rows} condensed measurements, got shape {v.shape}"
         )
     rhs = system.analysis.T @ v
-    return linalg.cho_solve(linalg.cho_factor(system.operator), rhs)
+    return linalg.cho_solve(system.factor, rhs)
 
 
 @dataclass(frozen=True)

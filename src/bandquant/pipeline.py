@@ -37,10 +37,8 @@ from .frame import (
 from .generator import Generator, GeneratorParams, KernelContext
 from .quantize import (
     MidriseAlphabet,
-    MsqAlphabet,
     TransferOperator,
     greedy_noise_shape,
-    msq,
     stability_margin,
 )
 from .sampling import BinningError, SampleConfig, draw_samples, partition_bins
@@ -62,7 +60,8 @@ class ConfigError(ValueError):
 class RunConfig:
     """Complete description of one experiment.
 
-    scheme is "msq" (memoryless rounding of every sample) or one of the
+    scheme is "msq" (memoryless rounding of every sample to the midrise
+    alphabet of half-step 1/(2 levels); delta is not used) or one of the
     shaped schemes "sigma-delta" and "beta", whose samples are binned,
     noise-shaped and condensed.  gamma and t are the confidence parameters
     of the frame concentration band used by the bound audit; the default t
@@ -263,6 +262,8 @@ def run_detailed(config: RunConfig, sample_seed=None, signal=None, generator=Non
     sample_seed overrides config.seed for the sampling/sign streams (used by
     sweeps to vary trials while keeping the signal fixed); signal and
     generator override synthesis and construction when already available.
+    validate checks the stability margin at config.target_sup; a shaped run
+    whose samples reach a negative margin raises ValueError.
     """
     validate(config)
     t0 = time.perf_counter()
@@ -279,8 +280,7 @@ def run_detailed(config: RunConfig, sample_seed=None, signal=None, generator=Non
         )
         points = draw_samples(sample_cfg)
         y = np.asarray(signal.eval(points), dtype=float)
-        alphabet = MsqAlphabet(config.levels)
-        q = msq(y, alphabet)
+        q = MidriseAlphabet(config.levels, 1.0 / (2.0 * config.levels)).nearest(y)
         state = np.zeros_like(q)
         max_state = 0.0
         system = assemble_frame(sample_matrix(points, ctx), ctx)
@@ -587,8 +587,13 @@ _CONFIG_LAYOUT = (
 
 
 def load_config(path):
-    """Read an INI file into the keyword overrides it defines."""
-    parser = configparser.ConfigParser()
+    """Read an INI file into the keyword overrides it defines.
+
+    Keys are case-sensitive ([experiment] has both R and r), and a ";"
+    after a value starts a comment.
+    """
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    parser.optionxform = str
     with open(path, "r", encoding="utf-8") as fh:
         parser.read_file(fh)
     fields = {f.name: f.type for f in dataclasses.fields(RunConfig)}

@@ -1,16 +1,19 @@
-"""Quantization alphabets, transfer operators and the greedy noise-shaping loop.
+"""The quantizer alphabet, transfer operators and the greedy noise-shaping loop.
 
-A transfer operator H is a lower-triangular perturbation of the identity;
-the greedy quantizer rounds, at each step, the current input plus feedback
-from past state entries, producing q and a state u with y - q = H u exactly
-(in exact arithmetic).  When the alphabet is wide enough relative to the
-feedback gain, the state stays uniformly bounded by the alphabet half-step.
+Every scheme is one greedy recursion: step s rounds w_s = y_s + sum_j
+taps[j-1] u[s-j] to the nearest element of a midrise alphabet and keeps the
+state u_s = w_s - q_s, so y - q = H u with H = I - H-tilde (in exact
+arithmetic).  The feedback restarts every `block` steps.  The n-th order
+difference scheme (sigma-delta) has binomial taps and never restarts; the
+geometric scheme (beta) has the single tap beta and restarts at every
+condensation block.  Plain rounding (MSQ) is the same alphabet without
+feedback, at half-step 1/(2 levels).  When the alphabet is wide enough
+relative to the feedback gain, the state stays within the alphabet half-step.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,57 +55,17 @@ class MidriseAlphabet:
 
 
 @dataclass(frozen=True)
-class MsqAlphabet:
-    """Uniform alphabet {-1 + (2n + 1) / (2L) : n = 0..2L-1} covering [-1, 1].
-
-    Used for direct per-sample rounding; spacing 1/L, half-step 1/(2L).
-    """
-
-    levels: int
-
-    def __post_init__(self):
-        if self.levels < 1:
-            raise ValueError(f"levels must be at least 1, got {self.levels}")
-
-    @property
-    def half_step(self):
-        return 1.0 / (2.0 * self.levels)
-
-    def elements(self):
-        n = np.arange(2 * self.levels)
-        return -1.0 + (2.0 * n + 1.0) / (2.0 * self.levels)
-
-    def nearest(self, w):
-        """Closest alphabet element; exact ties resolve toward the larger value."""
-        w_arr = np.asarray(w, dtype=float)
-        scalar = w_arr.ndim == 0
-        n = np.clip(
-            np.floor((w_arr + 1.0) * self.levels), 0, 2 * self.levels - 1
-        )
-        q = -1.0 + (2.0 * n + 1.0) / (2.0 * self.levels)
-        return float(q) if scalar else q
-
-
-def msq(y, alphabet: MsqAlphabet):
-    """Memoryless per-sample rounding of y."""
-    return alphabet.nearest(np.asarray(y, dtype=float))
-
-
-@dataclass(frozen=True)
 class TransferOperator:
-    """Lower-triangular transfer operator acting on state vectors of a fixed size.
+    """Lower-triangular H = I - H-tilde on state vectors of a fixed size.
 
-    Two kinds: "difference" (n-fold backward difference, feedback reaching n
-    steps into the past) and "geometric" (single feedback tap of weight beta,
-    restarted at every block boundary so state never crosses condensation
-    blocks).
+    taps[j-1] is the weight of u[s-j] in the feedback at step s; the feedback
+    reaches back at most to the start of the current block of length block,
+    which divides size.
     """
 
-    kind: str
+    taps: tuple
     size: int
-    order: int = 0
-    beta: float = 0.0
-    block: int = 0
+    block: int
 
     @classmethod
     def sigma_delta(cls, order, size):
@@ -110,7 +73,10 @@ class TransferOperator:
         order = int(order)
         if order < 1:
             raise ValueError(f"difference order must be at least 1, got {order}")
-        return cls(kind="difference", size=int(size), order=order)
+        taps = tuple(
+            float((-1) ** (j + 1) * math.comb(order, j)) for j in range(1, order + 1)
+        )
+        return cls(taps=taps, size=int(size), block=int(size))
 
     @classmethod
     def beta_block(cls, beta, size, block):
@@ -118,57 +84,25 @@ class TransferOperator:
         beta = float(beta)
         if beta <= 1:
             raise ValueError(f"geometric weight must exceed 1, got {beta}")
-        size = int(size)
-        block = int(block)
-        if block < 1 or size % block != 0:
-            raise ValueError(
-                f"state size {size} must be a positive multiple of block {block}"
-            )
-        return cls(kind="geometric", size=size, beta=beta, block=block)
+        return cls(taps=(beta,), size=int(size), block=int(block))
 
     def __post_init__(self):
-        if self.kind not in ("difference", "geometric"):
-            raise ValueError(f"unknown transfer operator kind: {self.kind}")
         if self.size < 1:
             raise ValueError(f"size must be positive, got {self.size}")
-
-    def feedback_taps(self):
-        """Coefficients of H-tilde = I - H: tap[j-1] multiplies u[s-j]."""
-        if self.kind == "difference":
-            j = np.arange(1, self.order + 1)
-            signs = np.where(j % 2 == 1, 1.0, -1.0)
-            return signs * np.array(
-                [math.comb(self.order, int(jj)) for jj in j], dtype=float
+        if self.block < 1 or self.size % self.block != 0:
+            raise ValueError(
+                f"state size {self.size} must be a positive multiple of block {self.block}"
             )
-        return np.array([self.beta])
 
     def htilde_inf_norm(self):
-        """Row-sum norm of the feedback part (2^n - 1 for differences, beta)."""
-        if self.kind == "difference":
-            return 2.0**self.order - 1.0
-        return self.beta
-
-    def apply(self, u):
-        """Compute H u without forming the matrix."""
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.size,):
-            raise ValueError(f"expected state of shape ({self.size},), got {u.shape}")
-        if self.kind == "difference":
-            v = u.copy()
-            for _ in range(self.order):
-                v = np.diff(v, prepend=0.0)
-            return v
-        blocks = u.reshape(-1, self.block)
-        out = blocks.copy()
-        out[:, 1:] -= self.beta * blocks[:, :-1]
-        return out.ravel()
+        """Feedback gain sum(|taps|) (2^n - 1 for differences, beta)."""
+        return float(sum(abs(tap) for tap in self.taps))
 
     def matrix(self):
         """Dense H (a reference for tests and audits)."""
-        if self.kind == "difference":
-            step = np.eye(self.size) - np.eye(self.size, k=-1)
-            return np.linalg.matrix_power(step, self.order)
-        block = np.eye(self.block) - self.beta * np.eye(self.block, k=-1)
+        block = np.eye(self.block)
+        for j, tap in enumerate(self.taps, start=1):
+            block -= tap * np.eye(self.block, k=-j)
         return np.kron(np.eye(self.size // self.block), block)
 
 
@@ -201,38 +135,33 @@ class QuantizationResult:
 def greedy_noise_shape(y, op: TransferOperator, alphabet: MidriseAlphabet):
     """Run the greedy noise-shaping recursion on input y.
 
-    Step s rounds w_s = y_s + (feedback from past state) to the nearest
-    alphabet element q_s and stores u_s = w_s - q_s; by construction
-    y - q = H u.  The state is zero-initialised, and the geometric kind
-    restarts its feedback at block boundaries.  A warning is emitted when the
+    Step s rounds w_s = y_s + (feedback from past state in its block) to the
+    nearest alphabet element q_s and stores u_s = w_s - q_s; by construction
+    y - q = H u.  The state is zero-initialised.  Raises ValueError when the
     stability margin for mu = sup|y| is negative, since the bounded-state
     guarantee is then void.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (op.size,):
         raise ValueError(f"expected input of shape ({op.size},), got {y.shape}")
-    margin = stability_margin(op, float(np.max(np.abs(y), initial=0.0)), alphabet)
+    mu = float(np.max(np.abs(y), initial=0.0))
+    margin = stability_margin(op, mu, alphabet)
     if margin < 0:
-        warnings.warn(
-            f"stability margin {margin:.3g} is negative; the greedy state may "
-            "exceed the alphabet half-step",
-            RuntimeWarning,
-            stacklevel=2,
+        raise ValueError(
+            f"stability margin {margin:.6g} at the input's sup {mu:.6g} is "
+            "negative, so the greedy state may grow without bound"
         )
     delta = alphabet.delta
     max_elem = alphabet.max_element
-    taps = op.feedback_taps()
+    taps = op.taps
+    block = op.block
     u = np.zeros(op.size)
     q = np.empty(op.size)
-    block = op.block if op.kind == "geometric" else 0
     for s in range(op.size):
         w = y[s]
-        if op.kind == "difference":
-            reach = min(len(taps), s)
-            for j in range(1, reach + 1):
-                w += taps[j - 1] * u[s - j]
-        elif op.kind == "geometric" and s % block != 0:
-            w += op.beta * u[s - 1]
+        # The slice keeps the taps that reach back within the current block.
+        for j, tap in enumerate(taps[: s % block], start=1):
+            w += tap * u[s - j]
         qs = (2.0 * math.floor(w / (2.0 * delta)) + 1.0) * delta
         if qs > max_elem:
             qs = max_elem

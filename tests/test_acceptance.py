@@ -23,7 +23,7 @@ def _line(number, name, passed, detail):
 
 
 # Scheme configurations with nonnegative stability margin at input level 1:
-# (kind, parameter, levels, delta).
+# (order or beta, levels, delta).
 _SD_CONFIGS = [(1, 2, 0.5), (2, 8, 0.25), (7, 80, 0.05)]
 _BETA_CONFIGS = [(2.0, 3, 0.5), (5.0, 10, 0.1), (20.0, 80, 1.0 / 130.0)]
 
@@ -45,13 +45,14 @@ def test_criterion_1_noise_shaping_identity_and_state_bound():
             (bq.TransferOperator.beta_block(beta, size, block=15), levels, delta)
         )
     for op, levels, delta in ops:
+        mat = op.matrix()
         alphabet = bq.MidriseAlphabet(levels, delta)
         margin = bq.stability_margin(op, 1.0, alphabet)
         min_margin = min(min_margin, margin)
         for _ in range(200):
             y = rng.uniform(-1.0, 1.0, size=size)
             result = bq.greedy_noise_shape(y, op, alphabet)
-            residual = float(np.max(np.abs((y - result.q) - op.apply(result.u))))
+            residual = float(np.max(np.abs((y - result.q) - mat @ result.u)))
             worst_residual = max(worst_residual, residual)
             worst_state_excess = max(
                 worst_state_excess, result.max_state - delta

@@ -5,6 +5,7 @@ import shlex
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bandquant as bq
@@ -100,6 +101,13 @@ def test_run_accepts_config_file(tmp_path, capsys):
     assert row.startswith("beta,1200,80,2,")
 
 
+def test_run_exits_2_when_the_signal_breaks_the_margin(ctx, tmp_path, capsys, monkeypatch):
+    loud = bq.CoefficientVector(np.random.default_rng(41).normal(size=ctx.dimension), ctx)
+    monkeypatch.setattr(bq.pipeline, "synth_test_signal", lambda *args: loud)
+    assert main(["run", *_FAST, "--out", str(tmp_path)]) == 2
+    assert "stability margin -" in capsys.readouterr().err
+
+
 def test_check_bounds_exit_code(capsys):
     rc = main(["check-bounds"])
     assert rc == 0
@@ -137,7 +145,8 @@ def test_check_bounds_into_closed_pipe_exits_quietly(tmp_path, capsys, monkeypat
 
 def test_readme_examples_run(tmp_path):
     readme = Path(__file__).resolve().parent.parent / "README.md"
-    block = re.search(r"Examples:\n\n```sh\n(.*?)```", readme.read_text("utf-8"), re.S)
+    text = readme.read_text("utf-8")
+    block = re.search(r"Examples:\n\n```sh\n(.*?)```", text, re.S)
     commands = [
         shlex.split(line)[1:]
         for line in block.group(1).splitlines()
@@ -146,6 +155,17 @@ def test_readme_examples_run(tmp_path):
     assert len(commands) == 4
     for k, argv in enumerate(commands):
         assert main([*argv, "--out", str(tmp_path / str(k))]) == 0, argv
+    ini = tmp_path / "readme.ini"
+    ini.write_text(re.search(r"```ini\n(.*?)```", text, re.S).group(1), "utf-8")
+    config = bq.build_config(ini)
+    assert len(bq.load_config(ini)) == 20
+    assert (config.R, config.r, config.lam, config.levels) == (5.0, 11, 2.0, 80)
+    bq.validate(config)
+    library = re.search(r"```python\n(.*?)```", text, re.S).group(1)
+    namespace = {}
+    exec(library, namespace)
+    assert namespace["audit"].all_passed
+    assert [row.failures for row in namespace["rows"]] == [0, 0, 0, 0]
 
 
 def test_sweep_writes_csv_and_chart(tmp_path, capsys):

@@ -21,7 +21,6 @@ def test_nu_sigma_delta_frozen():
     assert nu.block_len == 15
     assert nu.entries.sum() == 3.0**7  # repetition factor 3
     np.testing.assert_array_equal(nu.entries, nu.entries[::-1])  # symmetric
-    assert nu.kind == "difference"
     one = bq.nu_sigma_delta(1, 6)
     np.testing.assert_array_equal(one.entries, np.ones(6))
     tiny = bq.nu_sigma_delta(3, 1)
@@ -42,7 +41,6 @@ def test_nu_beta_frozen():
     np.testing.assert_allclose(nu.entries, [0.5, 0.25, 0.125])
     assert nu.l1 == pytest.approx((1.0 - 2.0**-3) / (2.0 - 1.0))
     assert nu.l2 == pytest.approx(math.sqrt(0.25 + 0.0625 + 0.015625))
-    assert nu.kind == "geometric"
     with pytest.raises(ValueError):
         bq.nu_beta(1.0, 3)
     with pytest.raises(ValueError):

@@ -35,11 +35,17 @@ def test_sample_matrix_evaluates_span_elements(ctx):
     )
 
 
-def test_plain_roundtrip(ctx):
+def test_plain_roundtrip(ctx, monkeypatch):
     rng = np.random.default_rng(31)
     points = rng.uniform(-12.5, 12.5, 300)
     c = rng.normal(size=ctx.dimension)
     system = bq.assemble_frame(bq.sample_matrix(points, ctx), ctx)
+    # reconstruct solves with the factor taken at assembly.
+    monkeypatch.setattr(
+        bq.frame.linalg,
+        "cho_factor",
+        lambda *a, **k: pytest.fail("reconstruct factored the frame operator again"),
+    )
     y = bq.sample_matrix(points, ctx) @ c
     back = bq.reconstruct(system, y)
     np.testing.assert_allclose(back, c, atol=1e-10)
@@ -91,6 +97,16 @@ def test_frame_failure_when_underdetermined(ctx):
     points = rng.uniform(-12.5, 12.5, 5)  # far fewer rows than dimensions
     with pytest.raises(bq.FrameFailure, match="singular"):
         bq.assemble_frame(bq.sample_matrix(points, ctx), ctx)
+
+
+def test_frame_floor_is_relative_to_the_spectrum(ctx):
+    # Condition number about 4 at eigenvalues near 2e-12: invertible.
+    rng = np.random.default_rng(37)
+    G = 1e-7 * rng.normal(size=(400, ctx.dimension))
+    system = bq.assemble_frame(G, ctx)
+    assert system.lam_min < 1e-11 and system.lam_max < 5 * system.lam_min
+    c = rng.normal(size=ctx.dimension)
+    np.testing.assert_allclose(bq.reconstruct(system, G @ c), c, atol=1e-10)
 
 
 def test_assemble_frame_validation(ctx):

@@ -79,6 +79,17 @@ def test_run_exact_roundtrip_for_span_signal(gen, ctx, span_signal):
         assert art.report.max_state <= config.delta
 
 
+def test_run_rejects_a_signal_beyond_the_stability_margin(gen, ctx):
+    # validate checks the margin at target_sup only; this unit-variance span
+    # element reaches sup 3.0 at the samples, margin -14.9 under the default
+    # beta quantizer.
+    signal = bq.CoefficientVector(
+        np.random.default_rng(41).normal(size=ctx.dimension), ctx
+    )
+    with pytest.raises(ValueError, match=r"stability margin -\d"):
+        bq.run_detailed(bq.RunConfig(), signal=signal, generator=gen)
+
+
 def test_run_beta_reconstruction_beats_quantizer_floor(gen):
     report = bq.run_once(_small_beta(), generator=gen)
     # Even at this small geometry the error stays near the 0.1-step floor;
@@ -235,6 +246,8 @@ def test_load_config_and_precedence(tmp_path):
         "m = 1500\n"
         "p = 100\n"
         "seed = 9\n"
+        "R = 6.0    ; keys are case-sensitive\n"
+        "r = 9\n"
         "[quantizer]\n"
         "order = 7\n"
         "levels = 80\n"
@@ -250,6 +263,7 @@ def test_load_config_and_precedence(tmp_path):
     assert overrides["scheme"] == "sigma-delta"
     assert overrides["m"] == 1500
     assert overrides["signal_seed"] == 4
+    assert overrides["R"] == 6.0 and overrides["r"] == 9
     config = bq.build_config(ini)
     assert config.m == 1500 and config.seed == 9 and config.grid_points == 50
     # CLI overrides beat the file; untouched keys keep defaults.

@@ -31,42 +31,28 @@ def test_midrise_elements_and_rounding():
     np.testing.assert_allclose(
         alpha.nearest(np.array([0.3, -0.3, 7.0])), [0.5, -0.5, 1.5]
     )
-
-
-def test_midrise_rounding_is_truly_nearest():
-    alpha = bq.MidriseAlphabet(levels=10, delta=0.05)
-    elements = alpha.elements()
-    rng = np.random.default_rng(17)
-    for w in rng.uniform(-1.5, 1.5, 500):
-        got = alpha.nearest(float(w))
-        best = elements[np.argmin(np.abs(elements - w))]
-        assert abs(got - w) <= abs(best - w) + 1e-15
-
-
-def test_msq_elements_and_rounding():
-    alpha = bq.MsqAlphabet(levels=10)
-    elements = alpha.elements()
+    # The plain-rounding alphabet: half-step 1/(2 levels), elements in [-1, 1].
+    msq = bq.MidriseAlphabet(levels=10, delta=0.05)
+    elements = msq.elements()
     assert elements.shape == (20,)
     assert elements[0] == pytest.approx(-0.95)
     assert elements[-1] == pytest.approx(0.95)
-    assert alpha.nearest(0.12) == pytest.approx(0.15)
-    assert alpha.nearest(-0.12) == pytest.approx(-0.15)
-    assert alpha.nearest(1.7) == pytest.approx(0.95)
-    assert alpha.nearest(-1.7) == pytest.approx(-0.95)
-    # Tie at a cell edge resolves toward the larger element.
-    assert alpha.nearest(0.1) == pytest.approx(0.15)
-    out = bq.msq(np.array([0.12, -0.12, 1.7]), alpha)
-    np.testing.assert_allclose(out, [0.15, -0.15, 0.95])
+    assert msq.nearest(0.12) == pytest.approx(0.15)
+    assert msq.nearest(-0.12) == pytest.approx(-0.15)
+    assert msq.nearest(1.7) == pytest.approx(0.95)
+    assert msq.nearest(-1.7) == pytest.approx(-0.95)
+    assert msq.nearest(0.1) == pytest.approx(0.15)  # tie at a cell edge
 
 
-def test_msq_rounding_is_truly_nearest():
-    alpha = bq.MsqAlphabet(levels=80)
-    elements = alpha.elements()
-    rng = np.random.default_rng(18)
-    for w in rng.uniform(-1.2, 1.2, 500):
-        got = alpha.nearest(float(w))
-        best = elements[np.argmin(np.abs(elements - w))]
-        assert abs(got - w) <= abs(best - w) + 1e-15
+def test_midrise_rounding_is_truly_nearest():
+    rng = np.random.default_rng(17)
+    for levels, delta in ((10, 0.05), (80, 1.0 / 160.0)):
+        alpha = bq.MidriseAlphabet(levels=levels, delta=delta)
+        elements = alpha.elements()
+        for w in rng.uniform(-1.5, 1.5, 500):
+            got = alpha.nearest(float(w))
+            best = elements[np.argmin(np.abs(elements - w))]
+            assert abs(got - w) <= abs(best - w) + 1e-15
 
 
 def test_alphabet_validation():
@@ -74,11 +60,14 @@ def test_alphabet_validation():
         bq.MidriseAlphabet(levels=0, delta=0.5)
     with pytest.raises(ValueError):
         bq.MidriseAlphabet(levels=2, delta=0.0)
-    with pytest.raises(ValueError):
-        bq.MsqAlphabet(levels=0)
 
 
 # --- transfer operators ------------------------------------------------------
+
+
+def _gain(op):
+    """Feedback gain read off the stability margin at mu = 0."""
+    return 2.0 - bq.stability_margin(op, 0.0, bq.MidriseAlphabet(1, 1.0))
 
 
 def test_difference_operator_matrix_and_apply():
@@ -92,9 +81,13 @@ def test_difference_operator_matrix_and_apply():
         for j in range(order + 1):
             expected[j] = (-1.0) ** j * math.comb(order, j)
         np.testing.assert_array_equal(mat[:, 0], expected)
+        # H applies the n-fold backward difference.
         u_rand = rng.normal(size=30)
-        np.testing.assert_allclose(op.apply(u_rand), mat @ u_rand, atol=1e-12)
-        assert op.htilde_inf_norm() == 2.0**order - 1.0
+        diffed = u_rand
+        for _ in range(order):
+            diffed = np.diff(diffed, prepend=0.0)
+        np.testing.assert_allclose(mat @ u_rand, diffed, atol=1e-12)
+        assert _gain(op) == 2.0**order - 1.0
 
 
 def test_difference_operator_first_order_matrix():
@@ -103,13 +96,13 @@ def test_difference_operator_first_order_matrix():
         op.matrix(),
         [[1, 0, 0, 0], [-1, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 1]],
     )
-    np.testing.assert_array_equal(op.feedback_taps(), [1.0])
+    assert op.taps == (1.0,) and op.block == 4
     op2 = bq.TransferOperator.sigma_delta(2, 4)
     np.testing.assert_array_equal(
         op2.matrix(),
         [[1, 0, 0, 0], [-2, 1, 0, 0], [1, -2, 1, 0], [0, 1, -2, 1]],
     )
-    np.testing.assert_array_equal(op2.feedback_taps(), [2.0, -1.0])
+    assert op2.taps == (2.0, -1.0)
 
 
 def test_geometric_operator_blocks():
@@ -127,11 +120,8 @@ def test_geometric_operator_blocks():
         dtype=float,
     )
     np.testing.assert_array_equal(mat, expected)
-    rng = np.random.default_rng(20)
-    u = rng.normal(size=6)
-    np.testing.assert_allclose(op.apply(u), mat @ u, atol=1e-14)
-    assert op.htilde_inf_norm() == 2.0
-    np.testing.assert_array_equal(op.feedback_taps(), [2.0])
+    assert _gain(op) == 2.0
+    assert op.taps == (2.0,) and op.block == 3
 
 
 def test_transfer_operator_validation():
@@ -139,15 +129,14 @@ def test_transfer_operator_validation():
         bq.TransferOperator.sigma_delta(0, 10)
     with pytest.raises(ValueError):
         bq.TransferOperator.beta_block(1.0, 10, 5)
-    with pytest.raises(ValueError):
-        bq.TransferOperator.beta_block(2.0, 10, 3)  # 3 does not divide 10
-    with pytest.raises(ValueError):
-        bq.TransferOperator(kind="bogus", size=4)
-    with pytest.raises(ValueError):
-        bq.TransferOperator(kind="identity", size=4)
-    op = bq.TransferOperator.sigma_delta(1, 4)
-    with pytest.raises(ValueError):
-        op.apply(np.zeros(5))
+    with pytest.raises(ValueError, match="multiple of block 3"):
+        bq.TransferOperator.beta_block(2.0, 10, 3)
+    with pytest.raises(ValueError, match="multiple of block 4"):
+        bq.TransferOperator(taps=(1.0,), size=10, block=4)
+    with pytest.raises(ValueError, match="multiple of block 0"):
+        bq.TransferOperator(taps=(1.0,), size=10, block=0)
+    with pytest.raises(ValueError, match="size must be positive"):
+        bq.TransferOperator.sigma_delta(1, 0)
 
 
 # --- stability margin --------------------------------------------------------
@@ -215,10 +204,10 @@ def test_greedy_identity_and_stability_all_schemes():
             assert out.max_state <= alpha.delta
 
 
-def test_greedy_warns_when_unstable():
+def test_greedy_raises_when_unstable():
     op = bq.TransferOperator.beta_block(2.0, 4, 2)
     alpha = bq.MidriseAlphabet(levels=1, delta=0.25)  # margin 2-2-3.2 < 0
-    with pytest.warns(RuntimeWarning, match="stability margin"):
+    with pytest.raises(ValueError, match="stability margin -3.2 "):
         bq.greedy_noise_shape(np.array([0.8, 0.8, 0.8, 0.8]), op, alpha)
 
 
