@@ -128,13 +128,10 @@ def validate(config: RunConfig):
                     problems.append(str(exc))
         if config.scheme == "beta" and config.beta <= 1:
             problems.append(f"geometric weight beta must exceed 1, got {config.beta}")
-    if config.scheme in ("sigma-delta", "beta"):
-        if config.levels < 1:
-            problems.append(f"levels must be >= 1, got {config.levels}")
-        if config.delta <= 0:
-            problems.append(f"delta must be positive, got {config.delta}")
-    if config.scheme == "msq" and config.levels < 1:
+    if config.levels < 1:
         problems.append(f"levels must be >= 1, got {config.levels}")
+    if config.scheme != "msq" and config.delta <= 0:
+        problems.append(f"delta must be positive, got {config.delta}")
     if config.seed < 0 or config.signal_seed < 0:
         problems.append("seeds must be non-negative")
     if config.trials < 1:
