@@ -31,28 +31,47 @@ def test_midrise_elements_and_rounding():
     np.testing.assert_allclose(
         alpha.nearest(np.array([0.3, -0.3, 7.0])), [0.5, -0.5, 1.5]
     )
-    # The plain-rounding alphabet: half-step 1/(2 levels), elements in [-1, 1].
-    msq = bq.MidriseAlphabet(levels=10, delta=0.05)
-    elements = msq.elements()
-    assert elements.shape == (20,)
-    assert elements[0] == pytest.approx(-0.95)
-    assert elements[-1] == pytest.approx(0.95)
-    assert msq.nearest(0.12) == pytest.approx(0.15)
-    assert msq.nearest(-0.12) == pytest.approx(-0.15)
-    assert msq.nearest(1.7) == pytest.approx(0.95)
-    assert msq.nearest(-1.7) == pytest.approx(-0.95)
-    assert msq.nearest(0.1) == pytest.approx(0.15)  # tie at a cell edge
 
 
 def test_midrise_rounding_is_truly_nearest():
+    alpha = bq.MidriseAlphabet(levels=10, delta=0.05)
+    elements = alpha.elements()
     rng = np.random.default_rng(17)
-    for levels, delta in ((10, 0.05), (80, 1.0 / 160.0)):
-        alpha = bq.MidriseAlphabet(levels=levels, delta=delta)
-        elements = alpha.elements()
-        for w in rng.uniform(-1.5, 1.5, 500):
-            got = alpha.nearest(float(w))
-            best = elements[np.argmin(np.abs(elements - w))]
-            assert abs(got - w) <= abs(best - w) + 1e-15
+    for w in rng.uniform(-1.5, 1.5, 500):
+        got = alpha.nearest(float(w))
+        best = elements[np.argmin(np.abs(elements - w))]
+        assert abs(got - w) <= abs(best - w) + 1e-15
+
+
+def _msq_alphabet(levels):
+    """The plain-rounding (MSQ) alphabet: half-step 1/(2 levels), elements in [-1, 1]."""
+    return bq.MidriseAlphabet(levels=levels, delta=1.0 / (2.0 * levels))
+
+
+def test_msq_elements_and_rounding():
+    alpha = _msq_alphabet(10)
+    elements = alpha.elements()
+    assert elements.shape == (20,)
+    assert elements[0] == pytest.approx(-0.95)
+    assert elements[-1] == pytest.approx(0.95)
+    assert alpha.nearest(0.12) == pytest.approx(0.15)
+    assert alpha.nearest(-0.12) == pytest.approx(-0.15)
+    assert alpha.nearest(1.7) == pytest.approx(0.95)
+    assert alpha.nearest(-1.7) == pytest.approx(-0.95)
+    # Tie at a cell edge resolves toward the larger element.
+    assert alpha.nearest(0.1) == pytest.approx(0.15)
+    out = alpha.nearest(np.array([0.12, -0.12, 1.7]))
+    np.testing.assert_allclose(out, [0.15, -0.15, 0.95])
+
+
+def test_msq_rounding_is_truly_nearest():
+    alpha = _msq_alphabet(80)
+    elements = alpha.elements()
+    rng = np.random.default_rng(18)
+    for w in rng.uniform(-1.2, 1.2, 500):
+        got = alpha.nearest(float(w))
+        best = elements[np.argmin(np.abs(elements - w))]
+        assert abs(got - w) <= abs(best - w) + 1e-15
 
 
 def test_alphabet_validation():
