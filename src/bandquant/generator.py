@@ -26,6 +26,10 @@ DECAY_SAFETY = 0.05
 # image lies at least 1.5 tail_cut away (|g| < 1.4e-13 there at the defaults).
 _PERIOD_FACTOR = 2.5
 
+# Points per chunk in Generator.eval.  Each chunk's temporaries take a few
+# hundred kB, so a call's peak memory stays near the size of its output.
+_EVAL_CHUNK = 1 << 15
+
 
 def _bump(x):
     """exp(-1/x) for x > 0 and 0 elsewhere, without overflow warnings."""
@@ -110,9 +114,12 @@ class Generator:
     The inverse transform is tabulated once on a uniform grid over
     [0, tail_cut] by the trapezoid rule, which converges faster than any power
     of the step because ghat is smooth and compactly supported; one FFT
-    evaluates the rule at every grid point.  A cubic spline interpolates the
-    table; evaluation reads it through |t|, so evenness is exact, and returns
-    0 beyond the tail cut.  Instances are immutable apart from the
+    evaluates the rule at every grid point.  A cubic spline is fitted to the
+    table once, and only its piecewise coefficients are used: ``eval`` finds
+    the interval of |t| by direct index on the uniform grid and evaluates
+    that interval's cubic, in bounded chunks, bit-identically to
+    ``CubicSpline.__call__``.  Reading |t| makes evenness exact, and g is 0
+    beyond the tail cut.  Instances are immutable apart from the
     decay-constant cache.
     """
 
@@ -152,15 +159,55 @@ class Generator:
         return dict(self._c_r_table)
 
     def eval(self, t):
-        """Evaluate g at scalar or array t (even, 0 beyond the tail cut)."""
-        t_arr = np.abs(np.asarray(t, dtype=float))
-        scalar = t_arr.ndim == 0
-        t_arr = np.atleast_1d(t_arr)
-        out = np.zeros(t_arr.shape)
-        inside = t_arr <= self.params.tail_cut
-        if np.any(inside):
-            out[inside] = self._spline(t_arr[inside])
-        return float(out[0]) if scalar else out
+        """Evaluate g at scalar or array t (even, 0 beyond the tail cut).
+
+        Returns a float for scalar t and an array of t's shape otherwise;
+        NaN and infinite t give 0.  The interval of |t| is its index on the
+        uniform grid, corrected against the grid nodes to the one
+        ``CubicSpline`` picks, and the value is that interval's cubic in the
+        spline's own coefficients and summation order, so the result is
+        bit-identical to ``CubicSpline.__call__``.  The flattened input is
+        read in chunks of at most ``_EVAL_CHUNK`` points written straight into
+        the output, so the temporaries stay small whatever the input size.
+        """
+        t_arr = np.asarray(t, dtype=float)
+        out = np.empty(t_arr.shape)
+        flat_t = t_arr.reshape(-1)
+        flat_out = out.reshape(-1)
+        for lo in range(0, flat_t.size, _EVAL_CHUNK):
+            hi = lo + _EVAL_CHUNK
+            self._eval_chunk(flat_t[lo:hi], flat_out[lo:hi])
+        return float(out) if out.ndim == 0 else out
+
+    def _eval_chunk(self, t, out):
+        """g at the 1-D points t into out, as ``CubicSpline.__call__`` computes it.
+
+        The interval is x[i] <= |t| < x[i+1], with the last one closed and
+        extended to the tail cut; with s = |t| - x[i] the terms are summed
+        from the constant up, the powers of s built by multiplication.
+        """
+        x = self._spline.x
+        c0, c1, c2, c3 = self._spline.c
+        last = x.size - 2
+        tail_cut = self.params.tail_cut
+        a = np.abs(t)
+        beyond = ~(a <= tail_cut)
+        # NaN, inf and far points are evaluated at the tail cut, then zeroed.
+        np.fmin(a, tail_cut, out=a)
+        # The quotient's rounding can land one interval off at a node.
+        i = (a / self.params.grid_step).astype(np.intp)
+        np.minimum(i, last, out=i)
+        i -= a < x.take(i)
+        i += a >= x[1:].take(i)
+        np.minimum(i, last, out=i)
+        s = a - x.take(i)
+        np.multiply(c2.take(i), s, out=out)
+        out += c3.take(i)
+        power = s * s
+        out += c1.take(i) * power
+        power *= s
+        out += c0.take(i) * power
+        out[beyond] = 0.0
 
     __call__ = eval
 

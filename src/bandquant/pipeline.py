@@ -369,9 +369,13 @@ def sweep(config: RunConfig, ms=None, schemes=None):
     Trial k uses sampling seed config.seed + k with the signal held fixed.
     Frame failures and binning shortfalls are counted per cell and excluded
     from the error mean; a cell where every trial fails reports a NaN mean.
+    An empty list of budgets or schemes raises ConfigError.
     """
     ms = [config.m] if ms is None else [int(v) for v in ms]
     schemes = [config.scheme] if schemes is None else list(schemes)
+    for name, values in (("sample budget", ms), ("scheme", schemes)):
+        if not values:
+            raise ConfigError(f"sweep needs at least one {name}")
     generator = shared_generator(GeneratorParams(lam=config.lam))
     signal = synth_test_signal(config.signal_seed, config.k_range, config.target_sup)
     rows = []

@@ -200,6 +200,14 @@ def test_sweep_all_failures_still_writes_csv(tmp_path, capsys):
     assert "nan" in (tmp_path / "sweep.csv").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("flag", ["--m", "--scheme"])
+def test_sweep_rejects_an_empty_list(tmp_path, capsys, flag):
+    rc = main(["sweep", flag, ",", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "sweep needs at least one" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_flag_is_an_argparse_error():
     with pytest.raises(SystemExit) as exc_info:
         main(["run", "--bogus"])

@@ -7,11 +7,13 @@ interpolation machinery.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import bandquant as bq
+from bandquant.generator import _EVAL_CHUNK
 
 LAM = 2.0
 FLAT = 1.0 / math.sqrt(2.0 * LAM * math.pi)
@@ -121,6 +123,41 @@ def test_eval_handles_array_shapes(gen):
     out = gen.eval(t)
     assert out.shape == (3, 4)
     assert out[0, 0] == gen.eval(t[0, 0])
+
+
+@pytest.mark.parametrize("lam", [1.5, 2.0, 3.0])
+def test_eval_is_bitwise_the_spline(lam):
+    gen = bq.Generator(bq.GeneratorParams(lam=lam))
+    cut = gen.params.tail_cut
+    nodes = gen.grid
+    pos = np.concatenate(
+        [nodes, np.nextafter(nodes, 0.0), np.nextafter(nodes, np.inf), [cut]]
+    )
+    rng = np.random.default_rng(7)
+    # Several chunks, the last one partial.
+    many = rng.uniform(-1.1 * cut, 1.1 * cut, 2 * _EVAL_CHUNK + 123)
+    t = np.concatenate([pos, -pos, [-0.0], many])
+    inside = np.abs(t) <= cut
+    expected = np.where(inside, gen._spline(np.where(inside, np.abs(t), 0.0)), 0.0)
+    np.testing.assert_array_equal(gen.eval(t), expected)
+    beyond = [np.nextafter(cut, np.inf), -np.nextafter(cut, np.inf), np.inf, -np.inf, np.nan]
+    np.testing.assert_array_equal(gen.eval(np.array(beyond)), 0.0)
+    assert type(gen.eval(0.3)) is float
+    assert gen.eval(0.3) == gen._spline(0.3)
+    grid_2d = many[: 6 * 45].reshape(6, 45)
+    np.testing.assert_array_equal(gen.eval(grid_2d), gen.eval(many[: 6 * 45]).reshape(6, 45))
+    assert gen.eval(np.empty(0)).shape == (0,)
+
+
+def test_eval_memory_stays_near_its_output(gen):
+    t = np.random.default_rng(8).uniform(-13.0, 13.0, (20000, 45))
+    tracemalloc.start()
+    try:
+        out = gen.eval(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * out.nbytes
 
 
 def test_shift_orthonormality(gen):
