@@ -16,6 +16,9 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from . import table
 from .frame import FrameFailure
 from .pipeline import (
     ConfigError,
@@ -28,7 +31,6 @@ from .pipeline import (
     write_sweep_csv,
     write_sweep_chart,
 )
-from .quantize import QuantizationResult
 from .sampling import BinningError
 
 _CONFIG_FLAGS = (
@@ -107,32 +109,45 @@ def _overrides(args, *, skip=()):
 
 def _outdir(args):
     path = Path(args.out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"unusable output directory {path}: {exc}") from exc
     return path
 
 
 def cmd_run(args):
     config = build_config(args.config, **_overrides(args))
-    artifacts = run_detailed(config)
+    a = run_detailed(config)
     out = _outdir(args)
-    report = artifacts.report
-    (out / "report.txt").write_text(report.to_text() + "\n", encoding="utf-8")
-    (out / "report.csv").write_text(
-        RunReport.CSV_HEADER + "\n" + report.csv_row() + "\n", encoding="utf-8"
+    text = table.record_text(a.report)
+    (out / "report.txt").write_text(text + "\n", encoding="utf-8")
+    table.write_records(out / "report.csv", RunReport, [a.report])
+    a.signal.to_csv(out / "signal.csv")
+    f, r = a.signal_values, a.recon_values
+    table.write_columns(
+        out / "quantized.csv",
+        [table.meta_line("quantized", max_state=a.report.max_state), "index,input,code,state"],
+        [np.arange(a.q.size), a.y, a.q, a.state],
+        table.row_format_for(int, float, float, float),
     )
-    artifacts.signal.to_csv(out / "signal.csv")
-    if artifacts.binned is not None:
-        artifacts.binned.to_csv(out / "samples.csv")
-    QuantizationResult(
-        q=artifacts.q, u=artifacts.state, max_state=report.max_state
-    ).to_csv(out / "quantized.csv", artifacts.y)
-    with open(out / "reconstruction.csv", "w", encoding="utf-8") as fh:
-        fh.write("t,signal,reconstruction,error\n")
-        for t, f_val, r_val in zip(
-            artifacts.grid, artifacts.signal_values, artifacts.recon_values
-        ):
-            fh.write(f"{t:.17g},{f_val:.17g},{r_val:.17g},{f_val - r_val:.17g}\n")
-    print(report.to_text())
+    table.write_columns(
+        out / "reconstruction.csv",
+        ["t,signal,reconstruction,error"],
+        [a.grid, f, r, f - r],
+        table.row_format_for(float, float, float, float),
+    )
+    if (b := a.binned) is not None:
+        table.write_columns(
+            out / "samples.csv",
+            [table.meta_line("binned-samples", block=b.block, discarded=b.discarded),
+             "bin,index,coordinate,sign"],
+            [np.repeat([1, 2, 3], b.truncated_counts),
+             np.concatenate([np.arange(n) for n in b.truncated_counts]),
+             b.coordinates(), b.sign_vector()],
+            table.row_format_for(int, int, float, int),
+        )
+    print(text)
     print(f"report files written to {out}")
     return 0
 

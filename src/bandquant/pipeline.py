@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import svg
+from . import svg, table
 from .condense import (
     BlockCondensation,
     BoundReport,
@@ -182,33 +182,8 @@ class RunReport:
     lam_max: float
     max_state: float
     discarded: int
-    elapsed_s: float
-
-    CSV_HEADER = "scheme,m,p,seed,sup_error,rms_error,lam_min,lam_max,max_state,discarded,elapsed_s"
-
-    def to_text(self):
-        lines = [
-            f"scheme      = {self.scheme}",
-            f"m           = {self.m}",
-            f"p           = {self.p}",
-            f"seed        = {self.seed}",
-            f"sup_error   = {self.sup_error:.17g}",
-            f"rms_error   = {self.rms_error:.17g}",
-            f"lam_min     = {self.lam_min:.17g}",
-            f"lam_max     = {self.lam_max:.17g}",
-            f"max_state   = {self.max_state:.17g}",
-            f"discarded   = {self.discarded}",
-            f"elapsed_s   = {self.elapsed_s:.3f}",
-        ]
-        return "\n".join(lines)
-
-    def csv_row(self):
-        return (
-            f"{self.scheme},{self.m},{self.p},{self.seed},"
-            f"{self.sup_error:.17g},{self.rms_error:.17g},"
-            f"{self.lam_min:.17g},{self.lam_max:.17g},"
-            f"{self.max_state:.17g},{self.discarded},{self.elapsed_s:.3f}"
-        )
+    # Runtime differs between reruns; three decimals are enough.
+    elapsed_s: float = dataclasses.field(metadata={"conversion": "%.3f"})
 
 
 @dataclass(frozen=True)
@@ -353,15 +328,6 @@ class SweepRow:
     mean_sup_error: float
     failures: int
 
-    def csv_row(self):
-        return (
-            f"{self.scheme},{self.m},{self.p},"
-            f"{self.mean_sup_error:.17g},{self.failures}"
-        )
-
-
-SWEEP_CSV_HEADER = "scheme,m,p,mean_sup_error,failures"
-
 
 def sweep(config: RunConfig, ms=None, schemes=None):
     """Run config.trials trials per (scheme, m) cell and aggregate.
@@ -411,10 +377,7 @@ def sweep(config: RunConfig, ms=None, schemes=None):
 
 
 def write_sweep_csv(path, rows):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(SWEEP_CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(row.csv_row() + "\n")
+    table.write_records(path, SweepRow, rows)
 
 
 def write_sweep_chart(path, rows):
@@ -590,14 +553,20 @@ _CONFIG_LAYOUT = (
 def load_config(path):
     """Read an INI file into the keyword overrides it defines.
 
-    Keys are case-sensitive ([experiment] has both R and r), and a ";"
-    after a value starts a comment.
+    Keys are case-sensitive ([experiment] has both R and r), a ";" after a
+    value starts a comment, and values are read as written (no "%"
+    interpolation).
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
     parser.optionxform = str
-    with open(path, "r", encoding="utf-8") as fh:
-        parser.read_file(fh)
-    fields = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except (OSError, configparser.Error) as exc:
+        raise ConfigError(f"cannot read configuration file {path}: {exc}") from exc
+    # Annotations are postponed, so each field's type is its name.
+    convert = {"int": int, "float": float}
+    types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
     overrides = {}
     known = {(section, key) for _, section, key in _CONFIG_LAYOUT}
     for section in parser.sections():
@@ -607,14 +576,8 @@ def load_config(path):
     for field, section, key in _CONFIG_LAYOUT:
         if parser.has_option(section, key):
             raw = parser.get(section, key)
-            target = fields[field]
             try:
-                if target is int or target == "int":
-                    overrides[field] = int(raw)
-                elif target is float or target == "float":
-                    overrides[field] = float(raw)
-                else:
-                    overrides[field] = raw
+                overrides[field] = convert.get(types[field], str)(raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value for [{section}] {key}: {raw}") from exc
     return overrides

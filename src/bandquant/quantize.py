@@ -123,14 +123,6 @@ class QuantizationResult:
     u: np.ndarray
     max_state: float
 
-    def to_csv(self, path, y):
-        y = np.asarray(y, dtype=float)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"# bandquant-quantized v1 max_state={self.max_state:.17g}\n")
-            fh.write("index,input,code,state\n")
-            for i, (yi, qi, ui) in enumerate(zip(y, self.q, self.u)):
-                fh.write(f"{i},{yi:.17g},{qi:.17g},{ui:.17g}\n")
-
 
 def greedy_noise_shape(y, op: TransferOperator, alphabet: MidriseAlphabet):
     """Run the greedy noise-shaping recursion on input y.

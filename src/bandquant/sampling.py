@@ -123,17 +123,6 @@ class BinnedSamples:
         """Signs aligned with :meth:`coordinates`."""
         return np.concatenate(self.signs)
 
-    def to_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(
-                f"# bandquant-binned-samples v1 block={self.block} "
-                f"discarded={self.discarded}\n"
-            )
-            fh.write("bin,index,coordinate,sign\n")
-            for b, (coords, signs) in enumerate(zip(self.bins, self.signs), start=1):
-                for i, (x, s) in enumerate(zip(coords, signs)):
-                    fh.write(f"{b},{i},{x:.17g},{s:d}\n")
-
 
 def partition_bins(samples, config: SampleConfig):
     """Split samples into the three bins and truncate to block multiples.

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import simpson
 
+from . import table
 from .generator import Generator, KernelContext
 
 # Normalisation grid used when scaling test signals to a target sup norm:
@@ -53,13 +54,9 @@ class SignalModel:
 
     def to_csv(self, path):
         """Write one (k, coefficient) row per term, seed recorded in the header."""
-        seed = "none" if self.seed is None else str(self.seed)
-        sup = "none" if self.target_sup is None else f"{self.target_sup:.17g}"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"# bandquant-signal v1 seed={seed} target_sup={sup}\n")
-            fh.write("k,coefficient\n")
-            for k, a in zip(self.ks, self.coeffs):
-                fh.write(f"{k},{a:.17g}\n")
+        meta = table.meta_line("signal", seed=self.seed, target_sup=self.target_sup)
+        row_format = table.row_format_for(int, float)
+        table.write_columns(path, [meta, "k,coefficient"], [self.ks, self.coeffs], row_format)
 
     @classmethod
     def from_csv(cls, path):

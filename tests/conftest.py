@@ -33,3 +33,16 @@ def span_signal(ctx):
         )
 
     return make
+
+
+@pytest.fixture(scope="session")
+def beta_run(tmp_path_factory):
+    """Output directory of a small ``bandquant run`` of the beta scheme, and
+    the artifacts of run_detailed on the same configuration."""
+    from bandquant.cli import main
+
+    argv = ["--m", "1200", "--p", "80", "--scheme", "beta", "--grid-points", "50"]
+    out = tmp_path_factory.mktemp("beta_run")
+    assert main(["run", *argv, "--out", str(out)]) == 0
+    config = bq.build_config(m=1200, p=80, scheme="beta", grid_points=50)
+    return out, bq.run_detailed(config)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import bandquant as bq
+from bandquant import table
 from bandquant.cli import main
 
 _FAST = ["--m", "1200", "--p", "80", "--scheme", "beta"]
@@ -51,7 +52,7 @@ def test_run_writes_report_files(tmp_path, capsys):
     assert lines[0] == "t,signal,reconstruction,error"
     assert len(lines) == 51
     report_csv = (tmp_path / "report.csv").read_text(encoding="utf-8").splitlines()
-    assert report_csv[0] == bq.RunReport.CSV_HEADER
+    assert report_csv[0] == table.record_header(bq.RunReport)
     assert report_csv[1].startswith("beta,1200,80,")
 
 
@@ -99,6 +100,33 @@ def test_run_accepts_config_file(tmp_path, capsys):
     assert rc == 0
     row = (tmp_path / "report.csv").read_text(encoding="utf-8").splitlines()[1]
     assert row.startswith("beta,1200,80,2,")
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, "scheme = beta\n", "[experiment]\nm = 1200\nm = 2400\n"],
+    ids=["missing", "no-section-header", "repeated-key"],
+)
+def test_run_exits_2_on_an_unreadable_config_file(tmp_path, capsys, content):
+    ini = tmp_path / "run.ini"
+    if content is not None:
+        ini.write_text(content, encoding="utf-8")
+    rc = main(["run", "--config", str(ini), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and str(ini) in err, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [["run", *_FAST], ["gen-signal"]])
+def test_unusable_out_exits_2(tmp_path, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    for out in (blocker, blocker / "sub"):
+        rc = main([*command, "--out", str(out)])
+        assert rc == 2, out
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and str(out) in err, err
 
 
 def test_run_exits_2_when_the_signal_breaks_the_margin(ctx, tmp_path, capsys, monkeypatch):

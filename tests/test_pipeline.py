@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import bandquant as bq
+from bandquant import table
 
 
 def _small_beta(**kw):
@@ -144,10 +145,10 @@ def test_run_uses_sample_seed_override(gen):
 
 def test_report_text_and_csv_roundtrip(gen):
     report = bq.run_once(_small_beta(), generator=gen)
-    text = report.to_text()
+    text = table.record_text(report)
     assert "sup_error" in text and "lam_min" in text
-    row = report.csv_row().split(",")
-    header = bq.RunReport.CSV_HEADER.split(",")
+    row = table.record_row(report).split(",")
+    header = table.record_header(bq.RunReport).split(",")
     assert len(row) == len(header)
     assert row[0] == "beta"
     assert float(row[header.index("sup_error")]) == report.sup_error
@@ -160,7 +161,7 @@ def test_sweep_aggregates_and_is_deterministic(gen):
     config = _small_beta(trials=2, seed=3)
     rows_a = bq.sweep(config, ms=[800, 1600], schemes=["msq", "beta"])
     rows_b = bq.sweep(config, ms=[800, 1600], schemes=["msq", "beta"])
-    assert [r.csv_row() for r in rows_a] == [r.csv_row() for r in rows_b]
+    assert [table.record_row(r) for r in rows_a] == [table.record_row(r) for r in rows_b]
     assert len(rows_a) == 4
     assert rows_a[0].scheme == "msq" and rows_a[0].p == 800
     assert rows_a[3].scheme == "beta" and rows_a[3].m == 1600
@@ -279,9 +280,10 @@ def test_load_config_rejects_unknown_and_bad_values(tmp_path):
     with pytest.raises(bq.ConfigError, match="unknown"):
         bq.load_config(bad_key)
     bad_value = tmp_path / "bad_value.ini"
-    bad_value.write_text("[experiment]\nm = many\n", encoding="utf-8")
-    with pytest.raises(bq.ConfigError, match="bad value"):
-        bq.load_config(bad_value)
+    for value in ("many", "12%"):
+        bad_value.write_text(f"[experiment]\nm = {value}\n", encoding="utf-8")
+        with pytest.raises(bq.ConfigError, match="bad value"):
+            bq.load_config(bad_value)
 
 
 def test_shared_generator_is_cached():

@@ -236,19 +236,16 @@ def test_greedy_shape_check():
         bq.greedy_noise_shape(np.zeros(3), op, bq.MidriseAlphabet(2, 0.5))
 
 
-def test_quantized_csv(tmp_path):
-    op = bq.TransferOperator.sigma_delta(1, 5)
-    alpha = bq.MidriseAlphabet(2, 0.5)
-    y = np.array([0.3, -0.2, 0.1, 0.4, -0.4])
-    out = bq.greedy_noise_shape(y, op, alpha)
-    path = tmp_path / "quantized.csv"
-    out.to_csv(path, y)
-    lines = path.read_text(encoding="utf-8").splitlines()
+def test_quantized_csv(beta_run):
+    # quantized.csv as written by ``bandquant run``, against the same run.
+    out, artifacts = beta_run
+    lines = (out / "quantized.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0].startswith("# bandquant-quantized v1 max_state=")
+    assert float(lines[0].rsplit("=", 1)[1]) == artifacts.report.max_state
     assert lines[1] == "index,input,code,state"
-    assert len(lines) == 7
+    assert len(lines) == 2 + artifacts.q.size
     row = lines[2].split(",")
     assert int(row[0]) == 0
-    assert float(row[1]) == 0.3
-    assert float(row[2]) == out.q[0]
-    assert float(row[3]) == out.u[0]
+    assert float(row[1]) == artifacts.y[0]
+    assert float(row[2]) == artifacts.q[0]
+    assert float(row[3]) == artifacts.state[0]

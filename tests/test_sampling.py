@@ -142,13 +142,13 @@ def test_signs_deterministic_and_balanced():
     assert not np.array_equal(c[0], d[0])
 
 
-def test_binned_csv(tmp_path):
-    cfg = _config(60, 6, seed=9)
-    binned = bq.partition_bins(bq.draw_samples(cfg), cfg)
-    path = tmp_path / "samples.csv"
-    binned.to_csv(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0].startswith("# bandquant-binned-samples v1 block=10")
+def test_binned_csv(beta_run):
+    # samples.csv as written by ``bandquant run`` (block 1200/80), against
+    # the same run.
+    out, artifacts = beta_run
+    binned = artifacts.binned
+    lines = (out / "samples.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0].startswith("# bandquant-binned-samples v1 block=15")
     assert lines[1] == "bin,index,coordinate,sign"
     assert len(lines) == 2 + binned.total
     first = lines[2].split(",")
