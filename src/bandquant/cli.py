@@ -12,6 +12,7 @@ when the reader of standard output goes away early, as in
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from pathlib import Path
@@ -107,46 +108,49 @@ def _overrides(args, *, skip=()):
     return out
 
 
+@contextlib.contextmanager
 def _outdir(args):
+    """Create --out and yield it; an OSError from making it or from writing a
+    file in it becomes ConfigError, whose message names the path that failed."""
     path = Path(args.out)
     try:
         path.mkdir(parents=True, exist_ok=True)
+        yield path
     except OSError as exc:
         raise ConfigError(f"unusable output directory {path}: {exc}") from exc
-    return path
 
 
 def cmd_run(args):
     config = build_config(args.config, **_overrides(args))
     a = run_detailed(config)
-    out = _outdir(args)
     text = table.record_text(a.report)
-    (out / "report.txt").write_text(text + "\n", encoding="utf-8")
-    table.write_records(out / "report.csv", RunReport, [a.report])
-    a.signal.to_csv(out / "signal.csv")
-    f, r = a.signal_values, a.recon_values
-    table.write_columns(
-        out / "quantized.csv",
-        [table.meta_line("quantized", max_state=a.report.max_state), "index,input,code,state"],
-        [np.arange(a.q.size), a.y, a.q, a.state],
-        table.row_format_for(int, float, float, float),
-    )
-    table.write_columns(
-        out / "reconstruction.csv",
-        ["t,signal,reconstruction,error"],
-        [a.grid, f, r, f - r],
-        table.row_format_for(float, float, float, float),
-    )
-    if (b := a.binned) is not None:
+    with _outdir(args) as out:
+        (out / "report.txt").write_text(text + "\n", encoding="utf-8")
+        table.write_records(out / "report.csv", RunReport, [a.report])
+        a.signal.to_csv(out / "signal.csv")
+        f, r = a.signal_values, a.recon_values
         table.write_columns(
-            out / "samples.csv",
-            [table.meta_line("binned-samples", block=b.block, discarded=b.discarded),
-             "bin,index,coordinate,sign"],
-            [np.repeat([1, 2, 3], b.truncated_counts),
-             np.concatenate([np.arange(n) for n in b.truncated_counts]),
-             b.coordinates(), b.sign_vector()],
-            table.row_format_for(int, int, float, int),
+            out / "quantized.csv",
+            [table.meta_line("quantized", max_state=a.report.max_state), "index,input,code,state"],
+            [np.arange(a.q.size), a.y, a.q, a.state],
+            table.row_format_for(int, float, float, float),
         )
+        table.write_columns(
+            out / "reconstruction.csv",
+            ["t,signal,reconstruction,error"],
+            [a.grid, f, r, f - r],
+            table.row_format_for(float, float, float, float),
+        )
+        if (b := a.binned) is not None:
+            table.write_columns(
+                out / "samples.csv",
+                [table.meta_line("binned-samples", block=b.block, discarded=b.discarded),
+                 "bin,index,coordinate,sign"],
+                [np.repeat([1, 2, 3], b.truncated_counts),
+                 np.concatenate([np.arange(n) for n in b.truncated_counts]),
+                 b.coordinates(), b.sign_vector()],
+                table.row_format_for(int, int, float, int),
+            )
     print(text)
     print(f"report files written to {out}")
     return 0
@@ -161,13 +165,13 @@ def cmd_sweep(args):
         schemes = [s for s in args.scheme.split(",") if s]
     config = build_config(args.config, **_overrides(args, skip=("m", "scheme")))
     rows = sweep(config, ms=ms, schemes=schemes)
-    out = _outdir(args)
-    write_sweep_csv(out / "sweep.csv", rows)
     chart_error = None
-    try:
-        write_sweep_chart(out / "sweep.svg", rows)
-    except FrameFailure as exc:
-        chart_error = str(exc)
+    with _outdir(args) as out:
+        write_sweep_csv(out / "sweep.csv", rows)
+        try:
+            write_sweep_chart(out / "sweep.svg", rows)
+        except FrameFailure as exc:
+            chart_error = str(exc)
     for row in rows:
         print(
             f"{row.scheme:>11s}  m={row.m:<6d} p={row.p:<5d} "
@@ -190,9 +194,9 @@ def cmd_check_bounds(args):
 def cmd_gen_signal(args):
     config = build_config(args.config, **_overrides(args))
     model = synth_test_signal(config.signal_seed, config.k_range, config.target_sup)
-    out = _outdir(args)
-    path = out / "signal.csv"
-    model.to_csv(path)
+    with _outdir(args) as out:
+        path = out / "signal.csv"
+        model.to_csv(path)
     print(
         f"signal with {model.ks.size} terms (seed {config.signal_seed}, "
         f"target sup {config.target_sup:g}) written to {path}"

@@ -572,14 +572,14 @@ def load_config(path):
     for section in parser.sections():
         for key in parser[section]:
             if (section, key) not in known:
-                raise ConfigError(f"unknown configuration key [{section}] {key}")
+                raise ConfigError(f"unknown configuration key [{section}] {key} in {path}")
     for field, section, key in _CONFIG_LAYOUT:
         if parser.has_option(section, key):
             raw = parser.get(section, key)
             try:
                 overrides[field] = convert.get(types[field], str)(raw)
             except ValueError as exc:
-                raise ConfigError(f"bad value for [{section}] {key}: {raw}") from exc
+                raise ConfigError(f"bad value for [{section}] {key} in {path}: {raw}") from exc
     return overrides
 
 

@@ -9,14 +9,24 @@ geometric scheme (beta) has the single tap beta and restarts at every
 condensation block.  Plain rounding (MSQ) is the same alphabet without
 feedback, at half-step 1/(2 levels).  When the alphabet is wide enough
 relative to the feedback gain, the state stays within the alphabet half-step.
+
+The recursion runs on one of two paths.  With block < size the blocks are
+independent recursions of length block, so all of them advance together in
+block numpy steps; with block == size it runs step by step on Python floats.
+Each step performs the same double-precision operations in the same order on
+both paths, so their output is bit-identical to a scalar loop.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# Samples converted to Python floats at a time by the unblocked recursion.
+_SEQUENCE_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -129,36 +139,83 @@ def greedy_noise_shape(y, op: TransferOperator, alphabet: MidriseAlphabet):
 
     Step s rounds w_s = y_s + (feedback from past state in its block) to the
     nearest alphabet element q_s and stores u_s = w_s - q_s; by construction
-    y - q = H u.  The state is zero-initialised.  Raises ValueError when the
-    stability margin for mu = sup|y| is negative, since the bounded-state
-    guarantee is then void.
+    y - q = H u.  The state is zero-initialised.  Raises ValueError when y
+    has a non-finite entry, or when the stability margin for mu = sup|y| is
+    negative, since the bounded-state guarantee is then void.
+
+    A blocked operator (block < size, the geometric scheme) restarts its
+    feedback at every block, so its size/block recursions are independent
+    and advance together, one in-block position per numpy step.  An
+    unblocked operator (block == size, the difference scheme) runs one step
+    at a time on Python floats.  Either way each w_s, q_s and u_s comes from
+    the same double-precision operations in the same order as in the scalar
+    recursion (feedback added newest state first, then floor, scale and
+    clip), and numpy and Python floats round those alike, so both paths agree
+    bit for bit with a step-by-step loop.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (op.size,):
         raise ValueError(f"expected input of shape ({op.size},), got {y.shape}")
     mu = float(np.max(np.abs(y), initial=0.0))
+    if not math.isfinite(mu):
+        raise ValueError("input must be finite, got a NaN or infinite sample")
     margin = stability_margin(op, mu, alphabet)
     if margin < 0:
         raise ValueError(
             f"stability margin {margin:.6g} at the input's sup {mu:.6g} is "
             "negative, so the greedy state may grow without bound"
         )
+    if op.block < op.size:
+        q, u = _shape_blocks(y, op, alphabet)
+    else:
+        q, u = _shape_sequence(y, op, alphabet)
+    return QuantizationResult(q=q, u=u, max_state=float(np.max(np.abs(u))))
+
+
+def _shape_blocks(y, op, alphabet):
+    """All blocks at once, one numpy step per in-block position."""
+    ys = y.reshape(-1, op.block)
+    qs = np.empty_like(ys)
+    us = np.empty_like(ys)
+    for t in range(op.block):
+        w = ys[:, t].copy()
+        # The slice keeps the taps that reach back within the block.
+        for j, tap in enumerate(op.taps[:t], start=1):
+            w += tap * us[:, t - j]
+        qs[:, t] = alphabet.nearest(w)
+        us[:, t] = w - qs[:, t]
+    return qs.ravel(), us.ravel()
+
+
+def _shape_sequence(y, op, alphabet):
+    """One recursion in order, on Python floats read _SEQUENCE_CHUNK at a time."""
     delta = alphabet.delta
+    two_delta = 2.0 * delta
     max_elem = alphabet.max_element
     taps = op.taps
-    block = op.block
-    u = np.zeros(op.size)
+    # Newest state first.  Over the first steps it holds fewer values than
+    # there are taps, so zip stops at taps[:s] as the scalar recursion does.
+    past = collections.deque(maxlen=len(taps))
     q = np.empty(op.size)
-    for s in range(op.size):
-        w = y[s]
-        # The slice keeps the taps that reach back within the current block.
-        for j, tap in enumerate(taps[: s % block], start=1):
-            w += tap * u[s - j]
-        qs = (2.0 * math.floor(w / (2.0 * delta)) + 1.0) * delta
-        if qs > max_elem:
-            qs = max_elem
-        elif qs < -max_elem:
-            qs = -max_elem
-        q[s] = qs
-        u[s] = w - qs
-    return QuantizationResult(q=q, u=u, max_state=float(np.max(np.abs(u))))
+    u = np.empty(op.size)
+    for lo in range(0, op.size, _SEQUENCE_CHUNK):
+        hi = lo + _SEQUENCE_CHUNK
+        q_chunk = []
+        u_chunk = []
+        for w in y[lo:hi].tolist():
+            for tap, v in zip(taps, past):
+                w += tap * v
+            # alphabet.nearest inline: a numpy call per step would cost more
+            # than the step.
+            qs = (2.0 * math.floor(w / two_delta) + 1.0) * delta
+            if qs > max_elem:
+                qs = max_elem
+            elif qs < -max_elem:
+                qs = -max_elem
+            us = w - qs
+            q_chunk.append(qs)
+            u_chunk.append(us)
+            past.appendleft(us)
+        q[lo:hi] = q_chunk
+        u[lo:hi] = u_chunk
+    return q, u

@@ -104,8 +104,9 @@ def test_run_accepts_config_file(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "content",
-    [None, "scheme = beta\n", "[experiment]\nm = 1200\nm = 2400\n"],
-    ids=["missing", "no-section-header", "repeated-key"],
+    [None, "scheme = beta\n", "[experiment]\nm = 1200\nm = 2400\n",
+     "[experiment]\nm = many\n", "[experiment]\nbogus = 1\n"],
+    ids=["missing", "no-section-header", "repeated-key", "bad-value", "unknown-key"],
 )
 def test_run_exits_2_on_an_unreadable_config_file(tmp_path, capsys, content):
     ini = tmp_path / "run.ini"
@@ -129,6 +130,22 @@ def test_unusable_out_exits_2(tmp_path, capsys, command):
         assert "invalid configuration" in err and str(out) in err, err
 
 
+@pytest.mark.parametrize(
+    "command, blocked",
+    [(["run", *_FAST], "samples.csv"),
+     (["sweep", *_FAST, "--trials", "1"], "sweep.svg"),
+     (["gen-signal"], "signal.csv")],
+    ids=["run", "sweep", "gen-signal"],
+)
+def test_unwritable_report_file_exits_2(tmp_path, capsys, command, blocked):
+    # A directory in the place of an output file inside a usable --out.
+    (tmp_path / blocked).mkdir()
+    rc = main([*command, "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and str(tmp_path / blocked) in err, err
+
+
 def test_run_exits_2_when_the_signal_breaks_the_margin(ctx, tmp_path, capsys, monkeypatch):
     loud = bq.CoefficientVector(np.random.default_rng(41).normal(size=ctx.dimension), ctx)
     monkeypatch.setattr(bq.pipeline, "synth_test_signal", lambda *args: loud)
@@ -143,32 +160,45 @@ def test_check_bounds_exit_code(capsys):
     assert "ok" in out and "FAIL" not in out
 
 
+class _ClosedPipe:
+    """Standard output whose reader has gone away, seen at write or flush."""
+
+    def __init__(self, fd, buffered):
+        self.fd = fd
+        self.buffered = buffered
+
+    def write(self, text):
+        if self.buffered:
+            return len(text)
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
 def test_check_bounds_into_closed_pipe_exits_quietly(tmp_path, capsys, monkeypatch):
-    class ClosedPipe:
-        """Standard output whose reader has gone away, seen at write or flush."""
-
-        def __init__(self, fd, buffered):
-            self.fd = fd
-            self.buffered = buffered
-
-        def write(self, text):
-            if self.buffered:
-                return len(text)
-            raise BrokenPipeError(32, "Broken pipe")
-
-        def flush(self):
-            raise BrokenPipeError(32, "Broken pipe")
-
-        def fileno(self):
-            return self.fd
-
     for buffered in (False, True):
         with open(tmp_path / "stdout", "w", encoding="utf-8") as sink:
-            monkeypatch.setattr(sys, "stdout", ClosedPipe(sink.fileno(), buffered))
+            monkeypatch.setattr(sys, "stdout", _ClosedPipe(sink.fileno(), buffered))
             rc = main(["check-bounds"])
             monkeypatch.undo()
         assert rc == 141
         assert "Traceback" not in capsys.readouterr().err
+
+
+def test_run_into_closed_pipe_exits_quietly(tmp_path, capsys, monkeypatch):
+    # The report files are written before the summary meets the closed pipe,
+    # whose BrokenPipeError must not be taken for a failed file write.
+    with open(tmp_path / "stdout", "w", encoding="utf-8") as sink:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(sink.fileno(), False))
+        rc = main(["run", *_FAST, "--out", str(tmp_path / "out")])
+        monkeypatch.undo()
+    assert rc == 141
+    assert "Traceback" not in capsys.readouterr().err
+    assert (tmp_path / "out" / "samples.csv").is_file()
 
 
 def test_readme_examples_run(tmp_path):

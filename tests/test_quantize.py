@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import bandquant as bq
+from bandquant.quantize import _SEQUENCE_CHUNK
 
 
 # --- alphabets ---------------------------------------------------------------
@@ -228,6 +229,88 @@ def test_greedy_raises_when_unstable():
     alpha = bq.MidriseAlphabet(levels=1, delta=0.25)  # margin 2-2-3.2 < 0
     with pytest.raises(ValueError, match="stability margin -3.2 "):
         bq.greedy_noise_shape(np.array([0.8, 0.8, 0.8, 0.8]), op, alpha)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "op",
+    [bq.TransferOperator.beta_block(2.0, 4, 2), bq.TransferOperator.sigma_delta(1, 4)],
+    ids=["blocked", "unblocked"],
+)
+def test_greedy_rejects_non_finite_input(op, bad):
+    y = np.array([0.1, bad, 0.2, 0.3])
+    with pytest.raises(ValueError, match="finite"):
+        bq.greedy_noise_shape(y, op, bq.MidriseAlphabet(2, 0.5))
+
+
+def _reference_shape(y, op, alphabet):
+    """The greedy recursion one scalar step at a time."""
+    delta = alphabet.delta
+    max_elem = alphabet.max_element
+    u = np.zeros(op.size)
+    q = np.empty(op.size)
+    for s in range(op.size):
+        w = y[s]
+        for j, tap in enumerate(op.taps[: s % op.block], start=1):
+            w += tap * u[s - j]
+        qs = (2.0 * math.floor(w / (2.0 * delta)) + 1.0) * delta
+        if qs > max_elem:
+            qs = max_elem
+        elif qs < -max_elem:
+            qs = -max_elem
+        q[s] = qs
+        u[s] = w - qs
+    return q, u
+
+
+_NO_FEEDBACK = bq.MidriseAlphabet(2, 0.25)
+
+
+@pytest.mark.parametrize(
+    "op, alphabet",
+    [
+        (bq.TransferOperator.beta_block(2.0, 60, 1), bq.MidriseAlphabet(3, 0.5)),
+        (bq.TransferOperator.beta_block(2.0, 60, 2), bq.MidriseAlphabet(3, 0.5)),
+        (bq.TransferOperator.beta_block(5.0, 120, 15), bq.MidriseAlphabet(10, 0.1)),
+        (bq.TransferOperator.beta_block(20.0, 300, 15), bq.MidriseAlphabet(80, 1.0 / 130.0)),
+        (bq.TransferOperator.beta_block(5.0, 45, 45), bq.MidriseAlphabet(10, 0.1)),
+        (bq.TransferOperator.sigma_delta(1, 120), bq.MidriseAlphabet(2, 0.5)),
+        (bq.TransferOperator.sigma_delta(2, 120), bq.MidriseAlphabet(8, 0.25)),
+        (bq.TransferOperator.sigma_delta(3, 120), bq.MidriseAlphabet(10, 0.1)),
+        (bq.TransferOperator.sigma_delta(7, 120), bq.MidriseAlphabet(80, 0.05)),
+        (bq.TransferOperator.sigma_delta(2, 2 * _SEQUENCE_CHUNK + 123), bq.MidriseAlphabet(8, 0.25)),
+        (bq.TransferOperator(taps=(), size=60, block=4), _NO_FEEDBACK),
+        (bq.TransferOperator(taps=(), size=60, block=60), _NO_FEEDBACK),
+    ],
+    ids=[
+        "beta-block-1", "beta-block-2", "beta-block-15", "beta-20-block-15",
+        "beta-one-block", "sd-1", "sd-2", "sd-3", "sd-7", "sd-2-past-chunk",
+        "no-feedback-blocked", "no-feedback-unblocked",
+    ],
+)
+def test_greedy_is_bit_identical_to_the_scalar_recursion(op, alphabet):
+    # Inputs up to the largest sup with margin 0, with the signed zeros, the
+    # extremes and every cell edge k * 2 delta in range spread among them.
+    mu = (2.0 * alphabet.levels - op.htilde_inf_norm()) * alphabet.delta
+    while bq.stability_margin(op, mu, alphabet) < 0:
+        mu = np.nextafter(mu, 0.0)
+    k = np.arange(-alphabet.levels, alphabet.levels + 1)
+    edges = k[np.abs(k * 2.0 * alphabet.delta) <= mu] * 2.0 * alphabet.delta
+    special = np.concatenate([[0.0, -0.0, mu, -mu], edges])
+    rng = np.random.default_rng(op.size + op.block + len(op.taps))
+    y = rng.uniform(-mu, mu, op.size)
+    y[rng.choice(op.size, special.size, replace=False)] = special
+
+    out = bq.greedy_noise_shape(y, op, alphabet)
+    q_ref, u_ref = _reference_shape(y, op, alphabet)
+    np.testing.assert_array_equal(out.q.view(np.int64), q_ref.view(np.int64))
+    np.testing.assert_array_equal(out.u.view(np.int64), u_ref.view(np.int64))
+    assert out.max_state == float(np.max(np.abs(u_ref)))
+    if not op.taps:
+        # Without feedback the sample at +mu = 2 levels delta rounds to
+        # (2 levels + 1) delta, which the clip brings back to the top element.
+        assert q_ref.max() == alphabet.max_element
+        assert q_ref.min() == -alphabet.max_element
 
 
 def test_greedy_shape_check():
