@@ -18,7 +18,6 @@ from .condense import (
     verify_condensation_bounds,
 )
 from .frame import (
-    FrameBandReport,
     FrameFailure,
     FrameSystem,
     assemble_frame,
@@ -68,7 +67,6 @@ from .sampling import (
 )
 from .signals import (
     CoefficientVector,
-    ProjectionErrorReport,
     SignalModel,
     project,
     projection_error_report,

@@ -235,13 +235,13 @@ def verify_condensation_bounds(block_len, blocks, order=None, beta=None):
             * (8.0 * order) ** (order + 1)
             * float(block_len) ** (-order)
         )
-        label = f"difference order {order}"
+        label = f"condensation norm bound (difference order {order})"
     else:
         if beta <= 1:
             raise ValueError(f"geometric weight must exceed 1, got {beta}")
         row = _geometric_product_row_l1(float(beta), block_len)
         row_l1s = [row] * blocks
         rhs = math.sqrt(blocks) * float(beta) ** (1 - block_len)
-        label = f"geometric weight {beta:g}"
+        label = f"condensation norm bound (geometric weight {beta:g})"
     lhs = math.sqrt(float(sum(r * r for r in row_l1s)))
     return BoundReport(label=label, lhs=lhs, rhs=rhs)

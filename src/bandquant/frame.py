@@ -8,13 +8,12 @@ is a single symmetric solve against the frame operator.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
 
-from .condense import BlockCondensation
+from .condense import BlockCondensation, BoundReport
 from .generator import KernelContext
 
 # Smallest ratio of the frame operator's bottom to top eigenvalue considered
@@ -51,7 +50,6 @@ class FrameSystem:
     factor: tuple
     lam_min: float
     lam_max: float
-    context: KernelContext
     condenser: BlockCondensation | None = None
     weight: np.ndarray | None = None
 
@@ -104,7 +102,6 @@ def assemble_frame(G, ctx: KernelContext, weight=None, condenser=None, signs=Non
         factor=linalg.cho_factor(S),
         lam_min=lam_min,
         lam_max=lam_max,
-        context=ctx,
         condenser=condenser,
         weight=weight,
     )
@@ -129,30 +126,12 @@ def reconstruct(system: FrameSystem, q):
     return linalg.cho_solve(system.factor, rhs)
 
 
-@dataclass(frozen=True)
-class FrameBandReport:
-    """Observed frame-operator spectrum against the concentration band."""
-
-    lam_min: float
-    lam_max: float
-    lower: float
-    upper: float
-
-    @property
-    def lower_ok(self):
-        return self.lam_min >= self.lower
-
-    @property
-    def upper_ok(self):
-        return self.lam_max <= self.upper
-
-
 def frame_bound_report(system: FrameSystem, gamma, t):
     """Concentration band for a condensed frame's spectrum at confidence parameters.
 
     The band is (||nu||_2 / ||nu||_1)^2 * [1 - gamma - 3t, 1 + 3t] for the
-    frame's condensation row nu; the report records whether the observed
-    extreme eigenvalues respect it.
+    frame's condensation row nu; returns the lower edge and the upper edge
+    as lines against the observed extreme eigenvalues.
     """
     if system.condenser is None:
         raise ValueError("the concentration band needs a condensed frame")
@@ -162,9 +141,18 @@ def frame_bound_report(system: FrameSystem, gamma, t):
         raise ValueError(f"t must be positive, got {t}")
     nu = system.condenser.nu
     ratio = (nu.l2 / nu.l1) ** 2
-    return FrameBandReport(
-        lam_min=system.lam_min,
-        lam_max=system.lam_max,
-        lower=ratio * (1.0 - gamma - 3.0 * t),
-        upper=ratio * (1.0 + 3.0 * t),
+    lower = ratio * (1.0 - gamma - 3.0 * t)
+    return (
+        BoundReport(
+            label="frame spectrum lower edge",
+            lhs=lower,
+            rhs=system.lam_min,
+            # The frame operator is positive semidefinite.
+            vacuous=lower <= 0.0,
+        ),
+        BoundReport(
+            label="frame spectrum upper edge",
+            lhs=system.lam_max,
+            rhs=ratio * (1.0 + 3.0 * t),
+        ),
     )

@@ -119,8 +119,7 @@ class Generator:
     the interval of |t| by direct index on the uniform grid and evaluates
     that interval's cubic, in bounded chunks, bit-identically to
     ``CubicSpline.__call__``.  Reading |t| makes evenness exact, and g is 0
-    beyond the tail cut.  Instances are immutable apart from the
-    decay-constant cache.
+    beyond the tail cut.  Instances are immutable.
     """
 
     def __init__(self, params: GeneratorParams):
@@ -129,7 +128,6 @@ class Generator:
         self.grid, self.values = self._build_table(params)
         # Clamping the derivative at t = 0 encodes that g is even.
         self._spline = CubicSpline(self.grid, self.values, bc_type=((1, 0.0), "not-a-knot"))
-        self._c_r_table: dict[int, float] = {}
 
     @staticmethod
     def _build_table(params):
@@ -152,11 +150,6 @@ class Generator:
     @property
     def lam(self):
         return self.params.lam
-
-    @property
-    def c_r_table(self):
-        """Decay constants estimated so far, keyed by exponent."""
-        return dict(self._c_r_table)
 
     def eval(self, t):
         """Evaluate g at scalar or array t (even, 0 beyond the tail cut).
@@ -221,21 +214,23 @@ class Generator:
         r = int(r)
         if r < 2:
             raise ValueError(f"decay exponent must be at least 2, got {r}")
-        if r in self._c_r_table:
-            return self._c_r_table[r]
-        weighted = np.abs(self.values) * (1.0 + self.grid) ** r
+        rising = ValueError(
+            f"weighted profile still rising at the tail cut for exponent {r}; "
+            "increase tail_cut"
+        )
+        # Where (1 + t)^r overflows near the tail cut (r >= 173 on the default
+        # 60-wide table) the profile is infinite there: still rising.
+        try:
+            with np.errstate(over="raise"):
+                weighted = np.abs(self.values) * (1.0 + self.grid) ** r
+        except FloatingPointError:
+            raise rising from None
         peak = float(weighted.max())
         if peak <= 0.0:
             raise ValueError("generator table is identically zero; cannot certify decay")
-        tail = float(weighted[-1])
-        if tail >= peak:
-            raise ValueError(
-                f"weighted profile still rising at the tail cut for exponent {r}; "
-                "increase tail_cut"
-            )
-        c_r = (1.0 + DECAY_SAFETY) * max(1.0, peak)
-        self._c_r_table[r] = c_r
-        return c_r
+        if float(weighted[-1]) >= peak:
+            raise rising
+        return (1.0 + DECAY_SAFETY) * max(1.0, peak)
 
     def shift_inner_product(self, k):
         """Inner product of g with its shift by k / lam, via the table grid.

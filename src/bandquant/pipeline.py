@@ -469,25 +469,11 @@ def check_bounds(config: RunConfig):
             if config.scheme == "sigma-delta"
             else {"beta": config.beta}
         )
-        cond_line = verify_condensation_bounds(block, config.p, **kwargs)
-        lines.append(
-            BoundReport(
-                label=f"condensation norm bound ({cond_line.label})",
-                lhs=cond_line.lhs,
-                rhs=cond_line.rhs,
-            )
-        )
+        lines.append(verify_condensation_bounds(block, config.p, **kwargs))
 
     signal = synth_test_signal(config.signal_seed, config.k_range, config.target_sup)
     pf = project(signal, generator, config.R, config.eps)
-    proj = projection_error_report(signal, pf, config.R, r=config.r)
-    lines.append(
-        BoundReport(
-            label=f"projection truncation bound (r={config.r})",
-            lhs=proj.measured,
-            rhs=proj.bound,
-        )
-    )
+    lines.append(projection_error_report(signal, pf, config.R, r=config.r))
 
     if config.scheme != "msq":
         sample_cfg = SampleConfig(
@@ -502,23 +488,7 @@ def check_bounds(config: RunConfig):
                 BoundReport(label=f"frame spectrum ({exc})", lhs=1.0, rhs=0.0)
             )
         else:
-            band = frame_bound_report(system, config.gamma, config.t)
-            lines.append(
-                BoundReport(
-                    label="frame spectrum lower edge",
-                    lhs=band.lower,
-                    rhs=band.lam_min,
-                    # The frame operator is positive semidefinite.
-                    vacuous=band.lower <= 0.0,
-                )
-            )
-            lines.append(
-                BoundReport(
-                    label="frame spectrum upper edge",
-                    lhs=band.lam_max,
-                    rhs=band.upper,
-                )
-            )
+            lines.extend(frame_bound_report(system, config.gamma, config.t))
 
     return BoundsReport(lines=tuple(lines))
 

@@ -9,6 +9,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from . import table
+from .condense import BoundReport
 from .generator import Generator, KernelContext
 
 # Normalisation grid used when scaling test signals to a target sup norm:
@@ -158,25 +159,12 @@ def project(f, generator: Generator, R, eps):
     return CoefficientVector(values=values, context=ctx)
 
 
-@dataclass(frozen=True)
-class ProjectionErrorReport:
-    """Measured truncation error on [-R1, R1] next to its a-priori bound."""
-
-    measured: float
-    bound: float
-    vacuous: bool
-
-    @property
-    def passed(self):
-        return self.measured <= self.bound
-
-
 def projection_error_report(f, pf: CoefficientVector, R1, r=11):
     """Compare the L2([-R1, R1]) projection error with the decay-based bound.
 
     The bound uses the generator decay constant for exponent r and is only
-    meaningful when the span window extends beyond R1; it is flagged vacuous
-    when it exceeds 1e6.
+    meaningful when the span window extends beyond R1; the line is flagged
+    vacuous when the bound exceeds 1e6.
     """
     ctx = pf.context
     gen = ctx.generator
@@ -200,4 +188,9 @@ def projection_error_report(f, pf: CoefficientVector, R1, r=11):
     t = np.linspace(-R1, R1, n)
     diff = np.asarray(f.eval(t), dtype=float) - pf.eval(t)
     measured = math.sqrt(max(float(simpson(diff * diff, x=t)), 0.0))
-    return ProjectionErrorReport(measured=measured, bound=bound, vacuous=bound > 1e6)
+    return BoundReport(
+        label=f"projection truncation bound (r={r})",
+        lhs=measured,
+        rhs=bound,
+        vacuous=bound > 1e6,
+    )

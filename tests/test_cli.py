@@ -1,6 +1,7 @@
 """CLI tests: exit codes, files written, determinism of artifacts."""
 
 import re
+import runpy
 import shlex
 import sys
 from pathlib import Path
@@ -153,11 +154,18 @@ def test_run_exits_2_when_the_signal_breaks_the_margin(ctx, tmp_path, capsys, mo
     assert "stability margin -" in capsys.readouterr().err
 
 
-def test_check_bounds_exit_code(capsys):
+def test_check_bounds_exit_code(capsys, monkeypatch):
     rc = main(["check-bounds"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "ok" in out and "FAIL" not in out
+    assert out == bq.check_bounds(bq.RunConfig()).to_text() + "\n"
+    # The same audit through `python -m bandquant`.
+    monkeypatch.setattr(sys, "argv", ["bandquant", "check-bounds"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("bandquant", run_name="__main__")
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == out
 
 
 class _ClosedPipe:

@@ -141,13 +141,19 @@ def test_frame_band_report(gen, ctx):
         condenser=condenser,
         signs=binned.sign_vector(),
     )
-    band = bq.frame_bound_report(system, gamma=0.125, t=0.6)
+    lower, upper = bq.frame_bound_report(system, gamma=0.125, t=0.6)
     ratio = (nu.l2 / nu.l1) ** 2
-    assert band.lower == pytest.approx(ratio * (1.0 - 0.125 - 1.8))
-    assert band.upper == pytest.approx(ratio * 2.8)
-    assert band.lam_min == system.lam_min
-    assert band.lower_ok == (system.lam_min >= band.lower)
-    assert band.upper_ok == (system.lam_max <= band.upper)
+    assert lower.label == "frame spectrum lower edge"
+    assert upper.label == "frame spectrum upper edge"
+    assert lower.lhs == pytest.approx(ratio * (1.0 - 0.125 - 1.8))
+    assert upper.rhs == pytest.approx(ratio * 2.8)
+    assert lower.rhs == system.lam_min
+    assert upper.lhs == system.lam_max
+    assert lower.passed == (system.lam_min >= lower.lhs)
+    assert upper.passed == (system.lam_max <= upper.rhs)
+    # 1 - gamma - 3t < 0 here, and the frame operator cannot have a negative
+    # eigenvalue, so the lower edge holds whatever was computed.
+    assert lower.vacuous and not upper.vacuous
     with pytest.raises(ValueError):
         bq.frame_bound_report(system, gamma=1.5, t=0.6)
     with pytest.raises(ValueError):

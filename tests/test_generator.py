@@ -173,8 +173,8 @@ def test_shift_orthonormality(gen):
 def test_decay_constant_certified_on_finer_grid(gen):
     c11 = gen.decay_constant(11)
     assert c11 > 1.0
-    assert gen.c_r_table[11] == c11
-    # 10x finer uniform grid over the whole cached range.
+    assert gen.decay_constant(11) == c11
+    # 10x finer uniform grid over the whole tabulated range.
     t = np.arange(0.0, 60.0, 1e-4)
     weighted = np.abs(gen.eval(t)) * (1.0 + t) ** 11
     assert float(weighted.max()) <= c11
@@ -187,24 +187,31 @@ def test_decay_constant_bounds_independent_quadrature(gen):
         assert abs(_oracle_g(float(t))) * (1.0 + t) ** 11 <= c11
 
 
-def test_decay_constant_caches_and_validates(gen):
+def test_decay_constant_is_repeatable_and_validates(gen):
     assert gen.decay_constant(11) == gen.decay_constant(11)
     with pytest.raises(ValueError):
         gen.decay_constant(1)
 
 
-def test_decay_constant_rejects_zero_cache():
+def test_decay_constant_rejects_zero_table():
     doctored = bq.Generator(bq.GeneratorParams(lam=2.0))
     doctored.values = np.zeros_like(doctored.values)
     with pytest.raises(ValueError, match="zero"):
         doctored.decay_constant(11)
 
 
-def test_decay_constant_rejects_rising_tail():
+def test_decay_constant_rejects_rising_tail(gen):
     doctored = bq.Generator(bq.GeneratorParams(lam=2.0))
     doctored.values = np.full_like(doctored.values, 0.5)
     with pytest.raises(ValueError, match="tail"):
         doctored.decay_constant(11)
+    # Where the weight 61^r leaves the float range, the tail is infinite; no
+    # RuntimeWarning may escape.  The lam = 3 table has exact zeros, where
+    # 0 * inf would make the profile NaN.
+    wide = bq.Generator(bq.GeneratorParams(lam=3.0))
+    for generator in (gen, wide):
+        with pytest.raises(ValueError, match="still rising"):
+            generator.decay_constant(200)
 
 
 # --- lattice sum bound -------------------------------------------------------

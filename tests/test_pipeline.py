@@ -226,6 +226,14 @@ def test_check_bounds_labels_vacuous_lower_edge(gen):
     tight = bq.check_bounds(dataclasses.replace(bq.RunConfig(), t=0.1))
     edge = [line for line in tight.to_text().splitlines() if "lower edge" in line]
     assert edge[0].endswith("-> FAIL")
+    # The projection bound is vacuous above 1e6 (at r = 15, eps = 0.2), and
+    # check-bounds keeps that label.
+    proj = [line for line in report.to_text().splitlines() if "projection" in line]
+    assert proj[0].endswith("-> ok")
+    loose = bq.check_bounds(dataclasses.replace(bq.RunConfig(), r=15, eps=0.2))
+    proj = [line for line in loose.to_text().splitlines() if "projection" in line]
+    assert proj[0].endswith("-> vacuous")
+    assert loose.all_passed
 
 
 def test_check_bounds_msq_skips_condensation(gen):

@@ -167,10 +167,11 @@ def test_projection_error_report_bandlimited(gen):
     model = bq.synth_test_signal(1, 12, 0.9)
     pf = bq.project(model, gen, 5.0, 0.5)
     report = bq.projection_error_report(model, pf, 5.0, r=11)
+    assert report.label == "projection truncation bound (r=11)"
     assert report.passed
     assert not report.vacuous
-    assert report.measured < 1e-2
-    assert report.bound < 1.0
+    assert report.lhs < 1e-2
+    assert report.rhs < 1.0
 
 
 def test_projection_error_report_span_element(gen, ctx):
@@ -178,7 +179,7 @@ def test_projection_error_report_span_element(gen, ctx):
     fv = bq.CoefficientVector(values=rng.normal(size=ctx.dimension), context=ctx)
     pf = bq.project(fv, gen, 5.0, 0.5)
     report = bq.projection_error_report(fv, pf, 5.0, r=11)
-    assert report.measured < 1e-8
+    assert report.lhs < 1e-8
 
 
 def test_projection_error_report_validation(gen):
