@@ -22,7 +22,16 @@ LAMBDA_MIN_FLOOR = 1e-10
 
 
 class FrameFailure(RuntimeError):
-    """Raised when the assembled frame operator is numerically singular."""
+    """Raised when the assembled frame operator is numerically singular.
+
+    lam_min and lam_max are the frame operator's extreme eigenvalues, or None
+    when the failure was raised without forming one.
+    """
+
+    def __init__(self, message, lam_min=None, lam_max=None):
+        super().__init__(message)
+        self.lam_min = lam_min
+        self.lam_max = lam_max
 
 
 def sample_matrix(points, ctx: KernelContext):
@@ -58,26 +67,20 @@ class FrameSystem:
         return self.analysis.shape[0]
 
 
-def assemble_frame(G, ctx: KernelContext, weight=None, condenser=None, signs=None):
-    """Form the analysis matrix W V diag(signs) G and its frame operator.
+def assemble_frame(G, ctx: KernelContext, weight=None, condenser=None):
+    """Form the analysis matrix W V G and its frame operator.
 
-    weight (the diagonal of W), condenser (V) and signs default to
-    identities, which is the plain per-sample (memoryless) path.  Raises
-    FrameFailure when the frame operator's smallest eigenvalue is at most
-    LAMBDA_MIN_FLOOR times its largest.
+    G is the (possibly sign-flipped) sample matrix; weight (the diagonal of
+    W) and condenser (V) default to identities, which is the plain
+    per-sample (memoryless) path.  Raises FrameFailure when the frame
+    operator's smallest eigenvalue is at most LAMBDA_MIN_FLOOR times its
+    largest.
     """
     B = np.asarray(G, dtype=float)
     if B.ndim != 2 or B.shape[1] != ctx.dimension:
         raise ValueError(
             f"sample matrix must have {ctx.dimension} columns, got shape {B.shape}"
         )
-    if signs is not None:
-        signs = np.asarray(signs, dtype=float)
-        if signs.shape != (B.shape[0],):
-            raise ValueError(
-                f"expected {B.shape[0]} signs, got shape {signs.shape}"
-            )
-        B = signs[:, None] * B
     if condenser is not None:
         B = condenser.apply(B)
     if weight is not None:
@@ -95,7 +98,9 @@ def assemble_frame(G, ctx: KernelContext, weight=None, condenser=None, signs=Non
     if lam_min <= LAMBDA_MIN_FLOOR * lam_max:
         raise FrameFailure(
             f"frame operator is numerically singular: eigenvalues {lam_min:.3e} "
-            f"to {lam_max:.3e} (rows={B.shape[0]}, dim={ctx.dimension})"
+            f"to {lam_max:.3e} (rows={B.shape[0]}, dim={ctx.dimension})",
+            lam_min=lam_min,
+            lam_max=lam_max,
         )
     return FrameSystem(
         analysis=B,

@@ -26,9 +26,31 @@ DECAY_SAFETY = 0.05
 # image lies at least 1.5 tail_cut away (|g| < 1.4e-13 there at the defaults).
 _PERIOD_FACTOR = 2.5
 
-# Points per chunk in Generator.eval.  Each chunk's temporaries take a few
-# hundred kB, so a call's peak memory stays near the size of its output.
+# Points per chunk in Generator.eval and per row block in _eval_differences.
+# Each chunk's temporaries take a few hundred kB, so a call's peak memory
+# stays near the size of its output.
 _EVAL_CHUNK = 1 << 15
+
+
+def _eval_differences(fn, x, columns):
+    """fn(x[..., None] - columns) for an elementwise fn, in blocks of rows.
+
+    Returns an array of shape x.shape + (columns.size,).  Each block holds at
+    most _EVAL_CHUNK differences and is written straight into the output, so
+    no full-size difference array or temporary of fn is ever built; the
+    result is bit-identical to the one-shot expression.  Private, so that a
+    traced run counts its time toward the layer that calls it.
+    """
+    x = np.asarray(x, dtype=float)
+    columns = np.asarray(columns)
+    out = np.empty((*x.shape, columns.size))
+    flat_x = x.reshape(-1)
+    flat_out = out.reshape(flat_x.size, columns.size)
+    rows = max(1, _EVAL_CHUNK // max(1, columns.size))
+    for lo in range(0, flat_x.size, rows):
+        hi = lo + rows
+        flat_out[lo:hi] = fn(flat_x[lo:hi, None] - columns)
+    return out
 
 
 def _bump(x):
@@ -284,9 +306,12 @@ class KernelContext:
         return self.index_set / self.generator.lam
 
     def kernel_coefficients(self, x):
-        """Vector (or stack of vectors) g(x - k/lam) over the index window."""
-        x_arr = np.asarray(x, dtype=float)
-        return self.generator.eval(x_arr[..., None] - self.shift_points)
+        """Vector (or stack of vectors) g(x - k/lam) over the index window.
+
+        Filled one block of rows at a time by ``_eval_differences``, each
+        block through ``Generator.eval``.
+        """
+        return _eval_differences(self.generator.eval, x, self.shift_points)
 
     def kernel_eval(self, x, y):
         """Reproducing kernel of the finite span at (x, y)."""

@@ -27,6 +27,7 @@ from .condense import (
     verify_condensation_bounds,
 )
 from .frame import (
+    LAMBDA_MIN_FLOOR,
     FrameFailure,
     FrameSystem,
     assemble_frame,
@@ -218,13 +219,18 @@ def _quantizer_parts(config: RunConfig, size, block):
 
 
 def _shaped_frame(config: RunConfig, binned, ctx: KernelContext, nu):
-    """Frame of the weighted, condensed, sign-flipped binned samples."""
+    """Frame of the weighted, condensed, sign-flipped binned samples.
+
+    The signs are flipped in place in the fresh sample matrix, which is
+    exact for +/-1, so no second matrix of its size is built.
+    """
+    G = sample_matrix(binned.coordinates(), ctx)
+    G *= binned.sign_vector().astype(float)[:, None]
     return assemble_frame(
-        sample_matrix(binned.coordinates(), ctx),
+        G,
         ctx,
         weight=build_weight(binned.block_counts, config.R, config.eps),
         condenser=BlockCondensation(nu=nu, blocks=binned.block_counts[-1]),
-        signs=binned.sign_vector(),
     )
 
 
@@ -436,7 +442,10 @@ def check_bounds(config: RunConfig):
     Checks shift orthonormality and the kernel diagonal bound for the
     generator, the condensation operator-norm bound for the configured
     scheme, the projection truncation bound for the configured signal, and
-    the concentration band for one assembled frame.
+    the concentration band for one assembled frame.  When that frame
+    cannot be formed, its failing line compares LAMBDA_MIN_FLOOR * lam_max
+    with lam_min for a singular frame operator, or the block length with
+    the short bin's sample count for a binning failure.
     """
     validate(config)
     generator = shared_generator(GeneratorParams(lam=config.lam))
@@ -483,9 +492,21 @@ def check_bounds(config: RunConfig):
             binned = partition_bins(draw_samples(sample_cfg), sample_cfg)
             _, nu = _quantizer_parts(config, binned.total, binned.block)
             system = _shaped_frame(config, binned, ctx, nu)
-        except (FrameFailure, BinningError) as exc:
+        except FrameFailure as exc:
             lines.append(
-                BoundReport(label=f"frame spectrum ({exc})", lhs=1.0, rhs=0.0)
+                BoundReport(
+                    label=f"frame spectrum ({exc})",
+                    lhs=LAMBDA_MIN_FLOOR * exc.lam_max,
+                    rhs=exc.lam_min,
+                )
+            )
+        except BinningError as exc:
+            lines.append(
+                BoundReport(
+                    label=f"frame binning ({exc})",
+                    lhs=float(exc.block),
+                    rhs=float(exc.samples),
+                )
             )
         else:
             lines.extend(frame_bound_report(system, config.gamma, config.t))

@@ -15,7 +15,15 @@ import numpy as np
 
 
 class BinningError(ValueError):
-    """Raised when a bin receives fewer samples than one condensation block."""
+    """Raised when a bin receives fewer samples than one condensation block.
+
+    samples is the short bin's sample count and block the block length.
+    """
+
+    def __init__(self, message, samples, block):
+        super().__init__(message)
+        self.samples = samples
+        self.block = block
 
 
 def _stream(seed, channel):
@@ -148,7 +156,9 @@ def partition_bins(samples, config: SampleConfig):
         if kept == 0:
             raise BinningError(
                 f"bin {b} received {len(coords)} samples, fewer than one "
-                f"block of {block}; draw more samples or reduce p"
+                f"block of {block}; draw more samples or reduce p",
+                samples=len(coords),
+                block=block,
             )
         bins.append(coords[:kept])
     signs = draw_signs(config.seed, tuple(len(b) for b in bins))

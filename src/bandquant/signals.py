@@ -10,7 +10,7 @@ from scipy.integrate import simpson
 
 from . import table
 from .condense import BoundReport
-from .generator import Generator, KernelContext
+from .generator import Generator, KernelContext, _eval_differences
 
 # Normalisation grid used when scaling test signals to a target sup norm:
 # node density per unit, margin beyond the coefficient block, and the
@@ -44,11 +44,16 @@ class SignalModel:
         object.__setattr__(self, "coeffs", coeffs)
 
     def eval(self, t):
-        """Evaluate at scalar or array t."""
+        """Evaluate at scalar or array t.
+
+        The sinc basis is filled in blocks of rows by ``_eval_differences``;
+        the product with the coefficients stays one call over all rows,
+        because a threaded BLAS rounds rows near its split points by where
+        the split falls, so a product per block could move values by an ulp.
+        """
         t_arr = np.asarray(t, dtype=float)
         scalar = t_arr.ndim == 0
-        t_arr = np.atleast_1d(t_arr)
-        out = np.sinc(t_arr[..., None] - self.ks) @ self.coeffs
+        out = _eval_differences(np.sinc, np.atleast_1d(t_arr), self.ks) @ self.coeffs
         return float(out[0]) if scalar else out
 
     __call__ = eval

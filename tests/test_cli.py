@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 import bandquant as bq
 from bandquant import table
@@ -166,6 +167,33 @@ def test_check_bounds_exit_code(capsys, monkeypatch):
         runpy.run_module("bandquant", run_name="__main__")
     assert exit_info.value.code == 0
     assert capsys.readouterr().out == out
+
+
+def test_check_bounds_failure_lines_carry_computed_numbers(ctx, capsys):
+    # At m=600, p=40 the condensed frame has 38 rows for 45 dimensions.
+    assert main(["check-bounds", "--m", "600", "--p", "40"]) == 3
+    line = capsys.readouterr().out.splitlines()[-1]
+    cfg = bq.SampleConfig(m=600, p=40, R=5.0, eps=0.5, seed=1)
+    binned = bq.partition_bins(bq.draw_samples(cfg), cfg)
+    signed = binned.sign_vector()[:, None] * bq.sample_matrix(binned.coordinates(), ctx)
+    condenser = bq.BlockCondensation(
+        nu=bq.nu_beta(5.0, binned.block), blocks=binned.block_counts[-1]
+    )
+    B = bq.build_weight(binned.block_counts, 5.0, 0.5)[:, None] * condenser.apply(signed)
+    lam_min, *_, lam_max = linalg.eigvalsh(B.T @ B)
+    assert line.startswith("frame spectrum (frame operator is numerically singular")
+    floor = bq.frame.LAMBDA_MIN_FLOOR * lam_max
+    assert line.endswith(f": {floor:.6g} <= {lam_min:.6g} -> FAIL")
+    # At m=40, p=2 the 20-sample blocks do not fit the shells.
+    assert main(["check-bounds", "--m", "40", "--p", "2"]) == 3
+    line = capsys.readouterr().out.splitlines()[-1]
+    cfg = bq.SampleConfig(m=40, p=2, R=5.0, eps=0.5, seed=1)
+    counts = np.bincount(bq.bin_index(bq.draw_samples(cfg), 5.0, 0.5), minlength=4)
+    short = int(np.flatnonzero(counts[1:] < 20)[0]) + 1
+    assert line == (
+        f"frame binning (bin {short} received {counts[short]} samples, fewer than "
+        f"one block of 20; draw more samples or reduce p): 20 <= {counts[short]} -> FAIL"
+    )
 
 
 class _ClosedPipe:

@@ -56,19 +56,17 @@ def test_plain_roundtrip(ctx, monkeypatch):
 
 def test_weighted_condensed_roundtrip(gen, ctx):
     binned = _binned(gen)
-    signs = binned.sign_vector()
-    G = bq.sample_matrix(binned.coordinates(), ctx)
+    # Sign-flipped rows: G @ c are the signed exact samples of a span element.
+    G = binned.sign_vector()[:, None] * bq.sample_matrix(binned.coordinates(), ctx)
     condenser = bq.BlockCondensation(
         nu=bq.nu_beta(2.0, binned.block), blocks=binned.block_counts[-1]
     )
     weight = bq.build_weight(binned.block_counts, 5.0, 0.5)
-    system = bq.assemble_frame(
-        G, ctx, weight=weight, condenser=condenser, signs=signs
-    )
+    system = bq.assemble_frame(G, ctx, weight=weight, condenser=condenser)
     rng = np.random.default_rng(32)
     c = rng.normal(size=ctx.dimension)
     assert system.condenser is condenser and system.weight is weight
-    y = signs * (G @ c)  # signed exact samples of the span element
+    y = G @ c
     back = bq.reconstruct(system, y)
     np.testing.assert_allclose(back, c, atol=1e-9)
     with pytest.raises(ValueError, match="stacked samples"):
@@ -77,17 +75,14 @@ def test_weighted_condensed_roundtrip(gen, ctx):
 
 def test_roundtrip_independent_of_condensation_row(gen, ctx):
     binned = _binned(gen)
-    signs = binned.sign_vector()
-    G = bq.sample_matrix(binned.coordinates(), ctx)
+    G = binned.sign_vector()[:, None] * bq.sample_matrix(binned.coordinates(), ctx)
     weight = bq.build_weight(binned.block_counts, 5.0, 0.5)
     rng = np.random.default_rng(33)
     c = rng.normal(size=ctx.dimension)
-    y = signs * (G @ c)
+    y = G @ c
     for nu in (bq.nu_beta(5.0, binned.block), bq.nu_sigma_delta(1, binned.block)):
         condenser = bq.BlockCondensation(nu=nu, blocks=binned.block_counts[-1])
-        system = bq.assemble_frame(
-            G, ctx, weight=weight, condenser=condenser, signs=signs
-        )
+        system = bq.assemble_frame(G, ctx, weight=weight, condenser=condenser)
         back = bq.reconstruct(system, y)
         np.testing.assert_allclose(back, c, atol=1e-9)
 
@@ -114,8 +109,6 @@ def test_assemble_frame_validation(ctx):
     G = rng.normal(size=(50, ctx.dimension))
     with pytest.raises(ValueError, match="columns"):
         bq.assemble_frame(G[:, :-1], ctx)
-    with pytest.raises(ValueError, match="signs"):
-        bq.assemble_frame(G, ctx, signs=np.ones(49))
     weight = bq.build_weight((10, 20, 30), 5.0, 0.5)
     with pytest.raises(ValueError, match="weight"):
         bq.assemble_frame(G, ctx, weight=weight)
@@ -135,11 +128,10 @@ def test_frame_band_report(gen, ctx):
     condenser = bq.BlockCondensation(nu=nu, blocks=binned.block_counts[-1])
     weight = bq.build_weight(binned.block_counts, 5.0, 0.5)
     system = bq.assemble_frame(
-        bq.sample_matrix(binned.coordinates(), ctx),
+        binned.sign_vector()[:, None] * bq.sample_matrix(binned.coordinates(), ctx),
         ctx,
         weight=weight,
         condenser=condenser,
-        signs=binned.sign_vector(),
     )
     lower, upper = bq.frame_bound_report(system, gamma=0.125, t=0.6)
     ratio = (nu.l2 / nu.l1) ** 2

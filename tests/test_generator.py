@@ -6,6 +6,7 @@ so agreement validates both the window formulas and the tabulation and
 interpolation machinery.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import bandquant as bq
+from bandquant import pipeline
 from bandquant.generator import _EVAL_CHUNK
 
 LAM = 2.0
@@ -149,15 +151,43 @@ def test_eval_is_bitwise_the_spline(lam):
     assert gen.eval(np.empty(0)).shape == (0,)
 
 
-def test_eval_memory_stays_near_its_output(gen):
-    t = np.random.default_rng(8).uniform(-13.0, 13.0, (20000, 45))
+def _traced_peak(call):
+    """call()'s result and the peak bytes traced while it ran."""
     tracemalloc.start()
     try:
-        out = gen.eval(t)
+        out = call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return out, peak
+
+
+def test_eval_memory_stays_near_its_output(gen):
+    t = np.random.default_rng(8).uniform(-13.0, 13.0, (20000, 45))
+    out, peak = _traced_peak(lambda: gen.eval(t))
     assert peak < 2 * out.nbytes
+
+
+def test_kernel_coefficients_memory_stays_near_its_output(ctx):
+    x = np.random.default_rng(10).uniform(-13.0, 13.0, 20000)
+    out, peak = _traced_peak(lambda: ctx.kernel_coefficients(x))
+    assert peak < 1.5 * out.nbytes
+
+
+def test_signal_eval_memory_stays_near_its_basis():
+    model = bq.synth_test_signal(1, 12, 0.9)
+    t = np.random.default_rng(11).uniform(-13.0, 13.0, 20000)
+    _, peak = _traced_peak(lambda: model.eval(t))
+    assert peak < 1.5 * t.size * model.ks.size * 8
+
+
+def test_shaped_frame_memory_stays_near_its_sample_matrix(ctx):
+    config = dataclasses.replace(bq.RunConfig(), m=24000, p=1600)
+    sample_cfg = bq.SampleConfig(m=24000, p=1600, R=5.0, eps=0.5, seed=1)
+    binned = bq.partition_bins(bq.draw_samples(sample_cfg), sample_cfg)
+    _, nu = pipeline._quantizer_parts(config, binned.total, binned.block)
+    _, peak = _traced_peak(lambda: pipeline._shaped_frame(config, binned, ctx, nu))
+    assert peak < 1.5 * binned.total * ctx.dimension * 8
 
 
 def test_shift_orthonormality(gen):
@@ -246,6 +276,24 @@ def test_kernel_context_window(gen, ctx):
     assert ctx.half_width == pytest.approx(11.25)
     small = bq.KernelContext.from_box(gen, 2.0, 0.5)
     assert small.k_max == math.floor(2.0 * 2.25 * 2.0)
+
+
+def test_kernel_coefficients_blocks_are_bit_identical(ctx):
+    # The one-shot expression the row blocks replace.
+    def one_shot(x):
+        return ctx.generator.eval(np.asarray(x)[..., None] - ctx.shift_points)
+
+    rows = _EVAL_CHUNK // ctx.dimension
+    rng = np.random.default_rng(12)
+    for n in (0, 1, rows - 1, rows, rows + 1, 2 * rows + 3, 48000):
+        x = rng.uniform(-70.0, 70.0, n)
+        got = ctx.kernel_coefficients(x)
+        assert got.shape == (n, ctx.dimension)
+        np.testing.assert_array_equal(got.view(np.int64), one_shot(x).view(np.int64))
+    for x in (0.3, rng.uniform(-13.0, 13.0, (3, rows - 1))):
+        got = ctx.kernel_coefficients(x)
+        assert got.shape == (*np.shape(x), ctx.dimension)
+        np.testing.assert_array_equal(got.view(np.int64), one_shot(x).view(np.int64))
 
 
 def test_kernel_diagonal_bounded(ctx):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import bandquant as bq
-from bandquant import table
+from bandquant import pipeline, table
 
 
 def _small_beta(**kw):
@@ -152,6 +152,39 @@ def test_report_text_and_csv_roundtrip(gen):
     assert len(row) == len(header)
     assert row[0] == "beta"
     assert float(row[header.index("sup_error")]) == report.sup_error
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(),
+        dict(scheme="sigma-delta", m=48000, p=3000, order=3, levels=10, delta=0.1),
+    ],
+)
+def test_shaped_frame_matches_a_signed_copy(ctx, kw):
+    # The shaped frame flips signs in place; the reference flips a copy.
+    config = dataclasses.replace(bq.RunConfig(), **kw)
+    sample_cfg = bq.SampleConfig(
+        m=config.m, p=config.p, R=config.R, eps=config.eps, seed=3
+    )
+    binned = bq.partition_bins(bq.draw_samples(sample_cfg), sample_cfg)
+    _, nu = pipeline._quantizer_parts(config, binned.total, binned.block)
+    got = pipeline._shaped_frame(config, binned, ctx, nu)
+    signs = np.asarray(binned.sign_vector(), dtype=float)
+    want = bq.assemble_frame(
+        signs[:, None] * bq.sample_matrix(binned.coordinates(), ctx),
+        ctx,
+        weight=bq.build_weight(binned.block_counts, config.R, config.eps),
+        condenser=bq.BlockCondensation(nu=nu, blocks=binned.block_counts[-1]),
+    )
+    np.testing.assert_array_equal(
+        got.analysis.view(np.int64), want.analysis.view(np.int64)
+    )
+    np.testing.assert_array_equal(
+        got.factor[0].view(np.int64), want.factor[0].view(np.int64)
+    )
+    assert got.factor[1] == want.factor[1]
+    assert (got.lam_min, got.lam_max) == (want.lam_min, want.lam_max)
 
 
 # --- sweeps ------------------------------------------------------------------

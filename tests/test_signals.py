@@ -15,6 +15,7 @@ import pytest
 from scipy.integrate import simpson
 
 import bandquant as bq
+from bandquant.generator import _EVAL_CHUNK
 
 
 def _oracle_sinc_train(model, t):
@@ -79,6 +80,29 @@ def test_eval_matches_high_precision_oracle():
         assert model.eval(float(t)) == pytest.approx(
             _oracle_sinc_train(model, float(t)), abs=1e-12
         )
+
+
+def test_eval_blocks_are_bit_identical():
+    model = bq.synth_test_signal(1, 12, 0.9)
+
+    # The one-shot expression the row blocks replace.
+    def one_shot(t):
+        return np.sinc(np.atleast_1d(t)[..., None] - model.ks) @ model.coeffs
+
+    rows = _EVAL_CHUNK // model.ks.size
+    rng = np.random.default_rng(13)
+    for n in (0, 1, rows - 1, rows, rows + 1, 2 * rows + 3, 48000):
+        t = rng.uniform(-13.0, 13.0, n)
+        got = model.eval(t)
+        assert got.shape == (n,)
+        np.testing.assert_array_equal(got.view(np.int64), one_shot(t).view(np.int64))
+    t = rng.uniform(-13.0, 13.0, (3, rows - 1))
+    got = model.eval(t)
+    assert got.shape == t.shape
+    np.testing.assert_array_equal(got.view(np.int64), one_shot(t).view(np.int64))
+    value = model.eval(0.3)
+    assert type(value) is float
+    assert np.float64(value).view(np.int64) == one_shot(0.3)[0].view(np.int64)
 
 
 def test_single_sinc_model():
