@@ -23,7 +23,6 @@ from .frame import (
     assemble_frame,
     frame_bound_report,
     reconstruct,
-    sample_matrix,
 )
 from .generator import (
     Generator,

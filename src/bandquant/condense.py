@@ -80,7 +80,7 @@ def nu_beta(beta, block_len):
     beta = float(beta)
     block_len = int(block_len)
     if beta <= 1:
-        raise ValueError(f"geometric weight must exceed 1, got {beta}")
+        raise ValueError(f"geometric weight beta must exceed 1, got {beta}")
     if block_len < 1:
         raise ValueError(f"block length must be positive, got {block_len}")
     entries = beta ** -np.arange(1.0, block_len + 1.0)

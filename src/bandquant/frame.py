@@ -34,17 +34,6 @@ class FrameFailure(RuntimeError):
         self.lam_max = lam_max
 
 
-def sample_matrix(points, ctx: KernelContext):
-    """Rows of generator translates evaluated at the sample points.
-
-    Entry (i, k) is g(points[i] - k/lam) over the context's index window, so
-    row i applied to a coefficient vector evaluates that span element at
-    points[i].
-    """
-    points = np.atleast_1d(np.asarray(points, dtype=float))
-    return ctx.kernel_coefficients(points)
-
-
 @dataclass(frozen=True)
 class FrameSystem:
     """Assembled frame: the analysis matrix, the frame operator's Cholesky

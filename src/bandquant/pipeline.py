@@ -33,7 +33,6 @@ from .frame import (
     assemble_frame,
     frame_bound_report,
     reconstruct,
-    sample_matrix,
 )
 from .generator import Generator, GeneratorParams, KernelContext
 from .quantize import (
@@ -61,10 +60,12 @@ class ConfigError(ValueError):
 class RunConfig:
     """Complete description of one experiment.
 
-    scheme is "msq" (memoryless rounding of every sample to the midrise
-    alphabet of half-step 1/(2 levels); delta is not used) or one of the
-    shaped schemes "sigma-delta" and "beta", whose samples are binned,
-    noise-shaped and condensed.  gamma and t are the confidence parameters
+    scheme picks a member of the greedy quantizer family.  "msq" is the
+    member without feedback: every sample is rounded alone to the midrise
+    alphabet of half-step 1/(2 levels), so delta and p are not used and the
+    quantizer state is the rounding error y - q.  The shaped schemes
+    "sigma-delta" and "beta" bin, sign, noise-shape and condense their
+    samples in p blocks of m // p.  gamma and t are the confidence parameters
     of the frame concentration band used by the bound audit; the default t
     is sized so that typical draws at the default (desk-scale) p sit inside
     the band, and can be tightened for larger block counts.
@@ -93,7 +94,12 @@ class RunConfig:
 
 
 def validate(config: RunConfig):
-    """Raise ConfigError listing every inconsistency in the configuration."""
+    """Raise ConfigError listing the inconsistencies in the configuration.
+
+    Every problem with a value all schemes read is listed; when there is
+    none, the first problem with a value the configured scheme reads, or a
+    negative stability margin at target_sup.
+    """
     problems = []
     if config.scheme not in SCHEMES:
         problems.append(f"unknown scheme {config.scheme!r}; expected one of {SCHEMES}")
@@ -111,28 +117,6 @@ def validate(config: RunConfig):
         problems.append(f"decay exponent r must be at least 2, got {config.r}")
     if config.m < 1:
         problems.append(f"sample budget m must be positive, got {config.m}")
-    if config.scheme != "msq":
-        if config.p < 1:
-            problems.append(f"block count p must be positive, got {config.p}")
-        elif config.m % config.p != 0:
-            problems.append(
-                f"sample budget m={config.m} must be a multiple of p={config.p}"
-            )
-        elif config.scheme == "sigma-delta":
-            block = config.m // config.p
-            if config.order < 1:
-                problems.append(f"difference order must be >= 1, got {config.order}")
-            else:
-                try:
-                    nu_sigma_delta(config.order, block)
-                except ValueError as exc:
-                    problems.append(str(exc))
-        if config.scheme == "beta" and config.beta <= 1:
-            problems.append(f"geometric weight beta must exceed 1, got {config.beta}")
-    if config.levels < 1:
-        problems.append(f"levels must be >= 1, got {config.levels}")
-    if config.scheme != "msq" and config.delta <= 0:
-        problems.append(f"delta must be positive, got {config.delta}")
     if config.seed < 0 or config.signal_seed < 0:
         problems.append("seeds must be non-negative")
     if config.trials < 1:
@@ -149,18 +133,96 @@ def validate(config: RunConfig):
         problems.append(f"gamma must lie in (0, 1), got {config.gamma}")
     if config.t <= 0:
         problems.append(f"t must be positive, got {config.t}")
-    if not problems and config.scheme != "msq":
-        op, _ = _quantizer_parts(config, config.m, config.m // config.p)
-        alphabet = MidriseAlphabet(config.levels, config.delta)
-        margin = stability_margin(op, config.target_sup, alphabet)
-        if margin < 0:
-            problems.append(
-                f"stability margin {margin:.6g} at target_sup={config.target_sup:g} "
-                "is negative, so the greedy state may grow without bound; raise "
-                "levels or delta, or lower the feedback gain"
-            )
+    if config.levels < 1:
+        problems.append(f"levels must be >= 1, got {config.levels}")
+    if not problems:
+        try:
+            _, operator, alphabet, _, _ = _scheme(config)
+            margin = stability_margin(operator(config.m), config.target_sup, alphabet)
+        except ValueError as exc:
+            problems.append(str(exc))
+        else:
+            if margin < 0:
+                problems.append(
+                    f"stability margin {margin:.6g} at target_sup={config.target_sup:g} "
+                    "is negative, so the greedy state may leave the alphabet "
+                    "half-step; raise levels or delta, or lower the feedback gain"
+                )
     if problems:
         raise ConfigError("; ".join(problems))
+
+
+def _scheme(config: RunConfig):
+    """The configured member of the greedy quantizer family.
+
+    Returns (p, operator, alphabet, nu, audit): the block count, the
+    transfer operator as a function of the number of samples it runs over
+    (binning fixes that number), the alphabet, the condensation row nu and
+    the condensation bound audit.  MSQ is the member without feedback, H = I:
+    one block per sample, operator block 1 (so the recursion rounds every
+    sample in one numpy step), half-step 1/(2 levels), and no nu and no
+    audit, so its samples are neither binned, signed, weighted nor
+    condensed.  Raises ValueError when a value the scheme reads is out of
+    range.
+    """
+    if config.scheme == "msq":
+        alphabet = MidriseAlphabet(config.levels, 1.0 / (2.0 * config.levels))
+        operator = functools.partial(TransferOperator, (), block=1)
+        return config.m, operator, alphabet, None, None
+    if config.p < 1 or config.m % config.p != 0:
+        raise ValueError(
+            f"sample budget m={config.m} must be a positive multiple of p={config.p}"
+        )
+    block = config.m // config.p
+    alphabet = MidriseAlphabet(config.levels, config.delta)
+    audit = functools.partial(verify_condensation_bounds, block, config.p)
+    if config.scheme == "sigma-delta":
+        return (
+            config.p,
+            functools.partial(TransferOperator.sigma_delta, config.order),
+            alphabet,
+            nu_sigma_delta(config.order, block),
+            functools.partial(audit, order=config.order),
+        )
+    return (
+        config.p,
+        functools.partial(TransferOperator.beta_block, config.beta, block=block),
+        alphabet,
+        nu_beta(config.beta, block),
+        functools.partial(audit, beta=config.beta),
+    )
+
+
+def _draw(config: RunConfig, seed, p, nu):
+    """Sample coordinates in quantization order, and their bins.
+
+    Without nu the drawn points are used as they come and the bins are None.
+    """
+    sample_cfg = SampleConfig(m=config.m, p=p, R=config.R, eps=config.eps, seed=seed)
+    points = draw_samples(sample_cfg)
+    if nu is None:
+        return points, None
+    binned = partition_bins(points, sample_cfg)
+    return binned.coordinates(), binned
+
+
+def _frame(config: RunConfig, ctx: KernelContext, coords, binned, nu):
+    """Frame of the samples at coords: the plain sample matrix without nu,
+    else the weighted, condensed, sign-flipped one.
+
+    The signs are flipped in place in the fresh sample matrix, which is
+    exact for +/-1, so no second matrix of its size is built.
+    """
+    G = ctx.kernel_coefficients(coords)
+    if nu is None:
+        return assemble_frame(G, ctx)
+    G *= binned.sign_vector().astype(float)[:, None]
+    return assemble_frame(
+        G,
+        ctx,
+        weight=build_weight(binned.block_counts, config.R, config.eps),
+        condenser=BlockCondensation(nu=nu, blocks=binned.block_counts[-1]),
+    )
 
 
 @functools.lru_cache(maxsize=4)
@@ -201,89 +263,39 @@ class RunArtifacts:
     q: np.ndarray
     state: np.ndarray
     binned: object
-    points: np.ndarray
     system: FrameSystem
-
-
-def _quantizer_parts(config: RunConfig, size, block):
-    """Transfer operator and condensation row for a shaped scheme."""
-    if config.scheme == "sigma-delta":
-        return (
-            TransferOperator.sigma_delta(config.order, size),
-            nu_sigma_delta(config.order, block),
-        )
-    return (
-        TransferOperator.beta_block(config.beta, size, block),
-        nu_beta(config.beta, block),
-    )
-
-
-def _shaped_frame(config: RunConfig, binned, ctx: KernelContext, nu):
-    """Frame of the weighted, condensed, sign-flipped binned samples.
-
-    The signs are flipped in place in the fresh sample matrix, which is
-    exact for +/-1, so no second matrix of its size is built.
-    """
-    G = sample_matrix(binned.coordinates(), ctx)
-    G *= binned.sign_vector().astype(float)[:, None]
-    return assemble_frame(
-        G,
-        ctx,
-        weight=build_weight(binned.block_counts, config.R, config.eps),
-        condenser=BlockCondensation(nu=nu, blocks=binned.block_counts[-1]),
-    )
 
 
 def run_detailed(config: RunConfig, sample_seed=None, signal=None, generator=None):
     """Run one experiment and return the full artifact bundle.
 
-    sample_seed overrides config.seed for the sampling/sign streams (used by
-    sweeps to vary trials while keeping the signal fixed); signal and
-    generator override synthesis and construction when already available.
-    validate checks the stability margin at config.target_sup; a shaped run
-    whose samples reach a negative margin raises ValueError.
+    Every scheme takes the same steps: draw, bin, evaluate the signal,
+    quantize with the greedy recursion, assemble the frame, reconstruct and
+    evaluate on the grid; the scheme only chooses the transfer operator, the
+    alphabet and the condensation row (see _scheme).  sample_seed overrides
+    config.seed for the sampling/sign streams (used by sweeps to vary trials
+    while keeping the signal fixed); signal and generator override
+    synthesis and construction when already available, and elapsed_s starts
+    once both exist.  validate checks the stability margin at
+    config.target_sup; samples that reach a negative margin, or that are not
+    finite, raise ValueError.
     """
     validate(config)
-    t0 = time.perf_counter()
     seed = config.seed if sample_seed is None else int(sample_seed)
     if generator is None:
         generator = shared_generator(GeneratorParams(lam=config.lam))
     if signal is None:
         signal = synth_test_signal(config.signal_seed, config.k_range, config.target_sup)
+    t0 = time.perf_counter()
     ctx = KernelContext.from_box(generator, config.R, config.eps)
-
-    if config.scheme == "msq":
-        sample_cfg = SampleConfig(
-            m=config.m, p=config.m, R=config.R, eps=config.eps, seed=seed
-        )
-        points = draw_samples(sample_cfg)
-        y = np.asarray(signal.eval(points), dtype=float)
-        q = MidriseAlphabet(config.levels, 1.0 / (2.0 * config.levels)).nearest(y)
-        state = np.zeros_like(q)
-        max_state = 0.0
-        system = assemble_frame(sample_matrix(points, ctx), ctx)
-        coeffs = reconstruct(system, q)
-        binned = None
-        discarded = 0
-        p_used = config.m
-    else:
-        sample_cfg = SampleConfig(
-            m=config.m, p=config.p, R=config.R, eps=config.eps, seed=seed
-        )
-        points = draw_samples(sample_cfg)
-        binned = partition_bins(points, sample_cfg)
-        coords = binned.coordinates()
-        y = binned.sign_vector() * np.asarray(signal.eval(coords), dtype=float)
-        op, nu = _quantizer_parts(config, coords.size, binned.block)
-        alphabet = MidriseAlphabet(config.levels, config.delta)
-        result = greedy_noise_shape(y, op, alphabet)
-        q, state, max_state = result.q, result.u, result.max_state
-        system = _shaped_frame(config, binned, ctx, nu)
-        coeffs = reconstruct(system, q)
-        discarded = binned.discarded
-        p_used = config.p
-
-    recon = CoefficientVector(values=coeffs, context=ctx)
+    p, operator, alphabet, nu, _ = _scheme(config)
+    coords, binned = _draw(config, seed, p, nu)
+    y = np.asarray(signal.eval(coords), dtype=float)
+    if binned is not None:
+        y = binned.sign_vector() * y
+    result = greedy_noise_shape(y, operator(y.size), alphabet)
+    system = _frame(config, ctx, coords, binned, nu)
+    recon = CoefficientVector(values=reconstruct(system, result.q), context=ctx)
     grid = np.linspace(-config.interval, config.interval, config.grid_points)
     signal_values = np.asarray(signal.eval(grid), dtype=float)
     recon_values = recon.eval(grid)
@@ -291,14 +303,14 @@ def run_detailed(config: RunConfig, sample_seed=None, signal=None, generator=Non
     report = RunReport(
         scheme=config.scheme,
         m=config.m,
-        p=p_used,
+        p=p,
         seed=seed,
         sup_error=float(np.max(np.abs(err))),
         rms_error=float(np.sqrt(np.mean(err**2))),
         lam_min=system.lam_min,
         lam_max=system.lam_max,
-        max_state=max_state,
-        discarded=discarded,
+        max_state=result.max_state,
+        discarded=config.m - y.size,
         elapsed_s=time.perf_counter() - t0,
     )
     return RunArtifacts(
@@ -309,10 +321,9 @@ def run_detailed(config: RunConfig, sample_seed=None, signal=None, generator=Non
         signal_values=signal_values,
         recon_values=recon_values,
         y=y,
-        q=q,
-        state=state,
+        q=result.q,
+        state=result.u,
         binned=binned,
-        points=points,
         system=system,
     )
 
@@ -374,7 +385,7 @@ def sweep(config: RunConfig, ms=None, schemes=None):
                 SweepRow(
                     scheme=scheme,
                     m=m,
-                    p=m if scheme == "msq" else cell.p,
+                    p=_scheme(cell)[0],
                     mean_sup_error=mean,
                     failures=failures,
                 )
@@ -471,27 +482,18 @@ def check_bounds(config: RunConfig):
         )
     )
 
-    if config.scheme in ("sigma-delta", "beta"):
-        block = config.m // config.p
-        kwargs = (
-            {"order": config.order}
-            if config.scheme == "sigma-delta"
-            else {"beta": config.beta}
-        )
-        lines.append(verify_condensation_bounds(block, config.p, **kwargs))
+    p, _, _, nu, audit = _scheme(config)
+    if audit is not None:
+        lines.append(audit())
 
     signal = synth_test_signal(config.signal_seed, config.k_range, config.target_sup)
     pf = project(signal, generator, config.R, config.eps)
     lines.append(projection_error_report(signal, pf, config.R, r=config.r))
 
-    if config.scheme != "msq":
-        sample_cfg = SampleConfig(
-            m=config.m, p=config.p, R=config.R, eps=config.eps, seed=config.seed
-        )
+    if nu is not None:
         try:
-            binned = partition_bins(draw_samples(sample_cfg), sample_cfg)
-            _, nu = _quantizer_parts(config, binned.total, binned.block)
-            system = _shaped_frame(config, binned, ctx, nu)
+            coords, binned = _draw(config, config.seed, p, nu)
+            system = _frame(config, ctx, coords, binned, nu)
         except FrameFailure as exc:
             lines.append(
                 BoundReport(

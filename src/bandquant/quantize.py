@@ -6,8 +6,9 @@ state u_s = w_s - q_s, so y - q = H u with H = I - H-tilde (in exact
 arithmetic).  The feedback restarts every `block` steps.  The n-th order
 difference scheme (sigma-delta) has binomial taps and never restarts; the
 geometric scheme (beta) has the single tap beta and restarts at every
-condensation block.  Plain rounding (MSQ) is the same alphabet without
-feedback, at half-step 1/(2 levels).  When the alphabet is wide enough
+condensation block.  Plain rounding (MSQ) is the recursion without feedback
+(no taps, block 1) at half-step 1/(2 levels), so its state is the rounding
+error y - q.  When the alphabet is wide enough
 relative to the feedback gain, the state stays within the alphabet half-step.
 
 The recursion runs on one of two paths.  With block < size the blocks are
@@ -163,7 +164,8 @@ def greedy_noise_shape(y, op: TransferOperator, alphabet: MidriseAlphabet):
     if margin < 0:
         raise ValueError(
             f"stability margin {margin:.6g} at the input's sup {mu:.6g} is "
-            "negative, so the greedy state may grow without bound"
+            "negative, so the greedy state may leave the alphabet half-step "
+            f"{alphabet.delta:.6g}"
         )
     if op.block < op.size:
         q, u = _shape_blocks(y, op, alphabet)

@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,21 @@ def span_signal(ctx):
         return bq.CoefficientVector(
             values=values * (0.8 / np.max(np.abs(raw))), context=ctx
         )
+
+    return make
+
+
+@pytest.fixture(scope="session")
+def with_nan_sample():
+    """Stand-in for a signal whose first evaluated point reads NaN."""
+
+    def make(signal):
+        def eval(t):
+            values = np.array(signal.eval(t), dtype=float)
+            values.flat[0] = np.nan
+            return values
+
+        return types.SimpleNamespace(eval=eval)
 
     return make
 

@@ -44,6 +44,11 @@ def test_criterion_1_noise_shaping_identity_and_state_bound():
         ops.append(
             (bq.TransferOperator.beta_block(beta, size, block=15), levels, delta)
         )
+    # MSQ, the member without feedback, as the pipeline configures it.
+    _, operator, alphabet, _, _ = bq.pipeline._scheme(
+        dataclasses.replace(_DEFAULTS, scheme="msq", levels=10)
+    )
+    ops.append((operator(size), alphabet.levels, alphabet.delta))
     for op, levels, delta in ops:
         mat = op.matrix()
         alphabet = bq.MidriseAlphabet(levels, delta)

@@ -148,11 +148,20 @@ def test_unwritable_report_file_exits_2(tmp_path, capsys, command, blocked):
     assert "invalid configuration" in err and str(tmp_path / blocked) in err, err
 
 
-def test_run_exits_2_when_the_signal_breaks_the_margin(ctx, tmp_path, capsys, monkeypatch):
+def test_run_exits_2_when_the_signal_breaks_the_margin(
+    ctx, tmp_path, capsys, monkeypatch, with_nan_sample
+):
     loud = bq.CoefficientVector(np.random.default_rng(41).normal(size=ctx.dimension), ctx)
-    monkeypatch.setattr(bq.pipeline, "synth_test_signal", lambda *args: loud)
-    assert main(["run", *_FAST, "--out", str(tmp_path)]) == 2
-    assert "stability margin -" in capsys.readouterr().err
+    nan = with_nan_sample(bq.synth_test_signal(1, 12, 0.9))
+    msq = ["--m", "1200", "--scheme", "msq"]
+    for signal, argv, needle in (
+        (loud, _FAST, "stability margin -"),
+        (loud, msq, "stability margin -"),
+        (nan, msq, "must be finite"),
+    ):
+        monkeypatch.setattr(bq.pipeline, "synth_test_signal", lambda *args: signal)
+        assert main(["run", *argv, "--out", str(tmp_path)]) == 2, needle
+        assert needle in capsys.readouterr().err
 
 
 def test_check_bounds_exit_code(capsys, monkeypatch):
@@ -175,7 +184,7 @@ def test_check_bounds_failure_lines_carry_computed_numbers(ctx, capsys):
     line = capsys.readouterr().out.splitlines()[-1]
     cfg = bq.SampleConfig(m=600, p=40, R=5.0, eps=0.5, seed=1)
     binned = bq.partition_bins(bq.draw_samples(cfg), cfg)
-    signed = binned.sign_vector()[:, None] * bq.sample_matrix(binned.coordinates(), ctx)
+    signed = binned.sign_vector()[:, None] * ctx.kernel_coefficients(binned.coordinates())
     condenser = bq.BlockCondensation(
         nu=bq.nu_beta(5.0, binned.block), blocks=binned.block_counts[-1]
     )

@@ -17,21 +17,13 @@ def _binned(gen, m=1200, p=80, seed=5):
     return bq.partition_bins(bq.draw_samples(cfg), cfg)
 
 
-def test_sample_matrix_rows_are_kernel_coefficients(ctx):
-    points = np.array([-3.0, 0.25, 7.5])
-    G = bq.sample_matrix(points, ctx)
-    assert G.shape == (3, ctx.dimension)
-    for i, x in enumerate(points):
-        np.testing.assert_array_equal(G[i], ctx.kernel_coefficients(x))
-
-
 def test_sample_matrix_evaluates_span_elements(ctx):
     rng = np.random.default_rng(30)
     c = rng.normal(size=ctx.dimension)
     fv = bq.CoefficientVector(values=c, context=ctx)
     points = rng.uniform(-12.0, 12.0, 50)
     np.testing.assert_allclose(
-        bq.sample_matrix(points, ctx) @ c, fv.eval(points), atol=1e-13
+        ctx.kernel_coefficients(points) @ c, fv.eval(points), atol=1e-13
     )
 
 
@@ -39,14 +31,14 @@ def test_plain_roundtrip(ctx, monkeypatch):
     rng = np.random.default_rng(31)
     points = rng.uniform(-12.5, 12.5, 300)
     c = rng.normal(size=ctx.dimension)
-    system = bq.assemble_frame(bq.sample_matrix(points, ctx), ctx)
+    system = bq.assemble_frame(ctx.kernel_coefficients(points), ctx)
     # reconstruct solves with the factor taken at assembly.
     monkeypatch.setattr(
         bq.frame.linalg,
         "cho_factor",
         lambda *a, **k: pytest.fail("reconstruct factored the frame operator again"),
     )
-    y = bq.sample_matrix(points, ctx) @ c
+    y = ctx.kernel_coefficients(points) @ c
     back = bq.reconstruct(system, y)
     np.testing.assert_allclose(back, c, atol=1e-10)
     assert system.lam_min > 0
@@ -57,7 +49,7 @@ def test_plain_roundtrip(ctx, monkeypatch):
 def test_weighted_condensed_roundtrip(gen, ctx):
     binned = _binned(gen)
     # Sign-flipped rows: G @ c are the signed exact samples of a span element.
-    G = binned.sign_vector()[:, None] * bq.sample_matrix(binned.coordinates(), ctx)
+    G = binned.sign_vector()[:, None] * ctx.kernel_coefficients(binned.coordinates())
     condenser = bq.BlockCondensation(
         nu=bq.nu_beta(2.0, binned.block), blocks=binned.block_counts[-1]
     )
@@ -75,7 +67,7 @@ def test_weighted_condensed_roundtrip(gen, ctx):
 
 def test_roundtrip_independent_of_condensation_row(gen, ctx):
     binned = _binned(gen)
-    G = binned.sign_vector()[:, None] * bq.sample_matrix(binned.coordinates(), ctx)
+    G = binned.sign_vector()[:, None] * ctx.kernel_coefficients(binned.coordinates())
     weight = bq.build_weight(binned.block_counts, 5.0, 0.5)
     rng = np.random.default_rng(33)
     c = rng.normal(size=ctx.dimension)
@@ -91,7 +83,7 @@ def test_frame_failure_when_underdetermined(ctx):
     rng = np.random.default_rng(34)
     points = rng.uniform(-12.5, 12.5, 5)  # far fewer rows than dimensions
     with pytest.raises(bq.FrameFailure, match="singular"):
-        bq.assemble_frame(bq.sample_matrix(points, ctx), ctx)
+        bq.assemble_frame(ctx.kernel_coefficients(points), ctx)
 
 
 def test_frame_floor_is_relative_to_the_spectrum(ctx):
@@ -117,7 +109,7 @@ def test_assemble_frame_validation(ctx):
 def test_reconstruct_validation(ctx):
     rng = np.random.default_rng(36)
     points = rng.uniform(-12.5, 12.5, 200)
-    system = bq.assemble_frame(bq.sample_matrix(points, ctx), ctx)
+    system = bq.assemble_frame(ctx.kernel_coefficients(points), ctx)
     with pytest.raises(ValueError, match="measurements"):
         bq.reconstruct(system, np.zeros(199))
 
@@ -128,7 +120,7 @@ def test_frame_band_report(gen, ctx):
     condenser = bq.BlockCondensation(nu=nu, blocks=binned.block_counts[-1])
     weight = bq.build_weight(binned.block_counts, 5.0, 0.5)
     system = bq.assemble_frame(
-        binned.sign_vector()[:, None] * bq.sample_matrix(binned.coordinates(), ctx),
+        binned.sign_vector()[:, None] * ctx.kernel_coefficients(binned.coordinates()),
         ctx,
         weight=weight,
         condenser=condenser,
@@ -150,6 +142,6 @@ def test_frame_band_report(gen, ctx):
         bq.frame_bound_report(system, gamma=1.5, t=0.6)
     with pytest.raises(ValueError):
         bq.frame_bound_report(system, gamma=0.125, t=0.0)
-    plain = bq.assemble_frame(bq.sample_matrix(binned.coordinates(), ctx), ctx)
+    plain = bq.assemble_frame(ctx.kernel_coefficients(binned.coordinates()), ctx)
     with pytest.raises(ValueError, match="condensed"):
         bq.frame_bound_report(plain, gamma=0.125, t=0.6)

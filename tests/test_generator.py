@@ -185,8 +185,10 @@ def test_shaped_frame_memory_stays_near_its_sample_matrix(ctx):
     config = dataclasses.replace(bq.RunConfig(), m=24000, p=1600)
     sample_cfg = bq.SampleConfig(m=24000, p=1600, R=5.0, eps=0.5, seed=1)
     binned = bq.partition_bins(bq.draw_samples(sample_cfg), sample_cfg)
-    _, nu = pipeline._quantizer_parts(config, binned.total, binned.block)
-    _, peak = _traced_peak(lambda: pipeline._shaped_frame(config, binned, ctx, nu))
+    _, _, _, nu, _ = pipeline._scheme(config)
+    _, peak = _traced_peak(
+        lambda: pipeline._frame(config, ctx, binned.coordinates(), binned, nu)
+    )
     assert peak < 1.5 * binned.total * ctx.dimension * 8
 
 

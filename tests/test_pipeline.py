@@ -1,6 +1,7 @@
 """Pipeline tests: validation, runs, sweeps, audits, configuration loading."""
 
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -80,15 +81,33 @@ def test_run_exact_roundtrip_for_span_signal(gen, ctx, span_signal):
         assert art.report.max_state <= config.delta
 
 
-def test_run_rejects_a_signal_beyond_the_stability_margin(gen, ctx):
+def test_run_rejects_a_signal_beyond_the_stability_margin(gen, ctx, with_nan_sample):
     # validate checks the margin at target_sup only; this unit-variance span
-    # element reaches sup 3.0 at the samples, margin -14.9 under the default
-    # beta quantizer.
+    # element reaches sup 3.0 at the samples: margin -14.9 under the default
+    # beta quantizer, and -40 for msq, whose 10-level alphabet ends at 0.95.
     signal = bq.CoefficientVector(
         np.random.default_rng(41).normal(size=ctx.dimension), ctx
     )
-    with pytest.raises(ValueError, match=r"stability margin -\d"):
-        bq.run_detailed(bq.RunConfig(), signal=signal, generator=gen)
+    for scheme in ("beta", "msq"):
+        config = dataclasses.replace(bq.RunConfig(), scheme=scheme)
+        with pytest.raises(ValueError, match=r"stability margin -\d"):
+            bq.run_detailed(config, signal=signal, generator=gen)
+        # Within the margin, but one sample is not a number.
+        with pytest.raises(ValueError, match="finite"):
+            bq.run_detailed(
+                config, signal=with_nan_sample(bq.synth_test_signal(1, 12, 0.9)),
+                generator=gen,
+            )
+
+
+def test_elapsed_s_leaves_out_the_generator_build(gen, monkeypatch):
+    def slow_build(params):
+        time.sleep(0.2)
+        return gen
+
+    monkeypatch.setattr(pipeline, "shared_generator", slow_build)
+    report = bq.run_once(_small_beta())
+    assert report.elapsed_s < 0.2
 
 
 def test_run_beta_reconstruction_beats_quantizer_floor(gen):
@@ -106,6 +125,18 @@ def test_run_msq_levels_scale(gen):
     fine = bq.run_once(_small_beta(scheme="msq", levels=80), generator=gen)
     assert fine.sup_error < coarse.sup_error
     assert coarse.p == 1200  # msq uses every sample individually
+
+
+def test_run_msq_state_is_its_rounding_error(gen):
+    # MSQ is the greedy recursion without feedback: u = y - q, |u| <= delta.
+    config = _small_beta(scheme="msq", levels=10)
+    art = bq.run_detailed(config, generator=gen)
+    np.testing.assert_array_equal(
+        art.state.view(np.int64), (art.y - art.q).view(np.int64)
+    )
+    assert art.report.max_state == float(np.max(np.abs(art.state)))
+    assert 0 < art.report.max_state <= 1 / (2 * config.levels)
+    assert art.binned is None and art.report.discarded == 0
 
 
 def test_run_sigma_delta(gen):
@@ -168,11 +199,11 @@ def test_shaped_frame_matches_a_signed_copy(ctx, kw):
         m=config.m, p=config.p, R=config.R, eps=config.eps, seed=3
     )
     binned = bq.partition_bins(bq.draw_samples(sample_cfg), sample_cfg)
-    _, nu = pipeline._quantizer_parts(config, binned.total, binned.block)
-    got = pipeline._shaped_frame(config, binned, ctx, nu)
+    _, _, _, nu, _ = pipeline._scheme(config)
+    got = pipeline._frame(config, ctx, binned.coordinates(), binned, nu)
     signs = np.asarray(binned.sign_vector(), dtype=float)
     want = bq.assemble_frame(
-        signs[:, None] * bq.sample_matrix(binned.coordinates(), ctx),
+        signs[:, None] * ctx.kernel_coefficients(binned.coordinates()),
         ctx,
         weight=bq.build_weight(binned.block_counts, config.R, config.eps),
         condenser=bq.BlockCondensation(nu=nu, blocks=binned.block_counts[-1]),
