@@ -28,7 +28,6 @@ from .generator import (
     Generator,
     GeneratorParams,
     KernelContext,
-    gamma_r,
     ghat,
     taper,
 )

@@ -1,12 +1,13 @@
 """Command line interface.
 
 Subcommands: run (one reconstruction, full report files), sweep (trials over
-a list of sample budgets, CSV + SVG summary), check-bounds (numerical audits
-of the inequalities behind the method) and gen-signal (write a reproducible
-test signal).  Exit codes: 0 success, 2 invalid configuration, 3 frame or
-binning failure (and failed audits for check-bounds), 141 (128 + SIGPIPE)
-when the reader of standard output goes away early, as in
-``bandquant check-bounds | head``; no traceback is printed then.
+a list of sample budgets, CSV + SVG summary) and check-bounds (numerical
+audits of the inequalities behind the method).  Every configurable value has
+one flag, listed in the order of the INI file.  Exit codes: 0 success, 2
+invalid configuration, 3 frame or binning failure (and failed audits for
+check-bounds), 141 (128 + SIGPIPE) when the reader of standard output goes
+away early, as in ``bandquant check-bounds | head``; no traceback is printed
+then.
 """
 
 from __future__ import annotations
@@ -22,47 +23,26 @@ import numpy as np
 from . import table
 from .frame import FrameFailure
 from .pipeline import (
+    _CONFIG_LAYOUT,
+    _FIELD_TYPE,
     ConfigError,
     RunReport,
     build_config,
     check_bounds,
     run_detailed,
     sweep,
-    synth_test_signal,
     write_sweep_csv,
     write_sweep_chart,
 )
 from .sampling import BinningError
 
-_CONFIG_FLAGS = (
-    # (flag, dest, type, help)
-    ("--scheme", "scheme", str, "quantization scheme: msq | sigma-delta | beta"),
-    ("--m", "m", str, "sample budget (comma list allowed for sweep)"),
-    ("--p", "p", int, "number of condensation blocks"),
-    ("--beta", "beta", float, "geometric feedback weight (beta scheme)"),
-    ("--levels", "levels", int, "alphabet levels per sign"),
-    ("--delta", "delta", float, "alphabet half-step (shaped schemes; msq uses 1/(2·levels))"),
-    ("--order", "order", int, "difference order (sigma-delta scheme)"),
-    ("--seed", "seed", int, "sampling seed"),
-    ("--trials", "trials", int, "trials per sweep cell"),
-    ("--lambda", "lam", float, "oversampling ratio"),
-    ("--eps", "eps", float, "shell width parameter"),
-    ("--R", "R", float, "reconstruction half-width"),
-    ("--r", "r", int, "decay exponent used in bounds"),
-    ("--signal-seed", "signal_seed", int, "test-signal seed"),
-    ("--k-range", "k_range", int, "test-signal coefficient range"),
-    ("--target-sup", "target_sup", float, "test-signal sup-norm target"),
-    ("--grid-points", "grid_points", int, "evaluation grid size"),
-    ("--interval", "interval", float, "evaluation half-width"),
-    ("--gamma", "gamma", float, "frame band confidence parameter"),
-    ("--t", "t", float, "frame band deviation parameter"),
-)
-
 
 def _add_common(parser):
     parser.add_argument("--config", metavar="PATH", help="INI configuration file")
-    for flag, dest, typ, help_text in _CONFIG_FLAGS:
-        parser.add_argument(flag, dest=dest, type=typ, default=None, help=help_text)
+    for field, _, _, flag, help_text in _CONFIG_LAYOUT:
+        # m stays a string, because sweep reads it as a comma list.
+        typ = str if field == "m" else _FIELD_TYPE[field]
+        parser.add_argument(flag, dest=field, type=typ, default=None, help=help_text)
     parser.add_argument(
         "--out", default="out", metavar="DIR", help="output directory (default: out)"
     )
@@ -87,24 +67,15 @@ def build_parser():
     _add_common(p_bounds)
     p_bounds.set_defaults(func=cmd_check_bounds)
 
-    p_gen = sub.add_parser("gen-signal", help="write a reproducible test signal")
-    _add_common(p_gen)
-    p_gen.set_defaults(func=cmd_gen_signal)
-
     return parser
 
 
 def _overrides(args, *, skip=()):
     out = {}
-    for _, dest, _, _ in _CONFIG_FLAGS:
-        if dest in skip:
-            continue
-        value = getattr(args, dest)
-        if value is None:
-            continue
-        if dest == "m":
-            value = int(value)
-        out[dest] = value
+    for field, *_ in _CONFIG_LAYOUT:
+        value = getattr(args, field)
+        if field not in skip and value is not None:
+            out[field] = int(value) if field == "m" else value
     return out
 
 
@@ -189,19 +160,6 @@ def cmd_check_bounds(args):
     report = check_bounds(config)
     print(report.to_text())
     return 0 if report.all_passed else 3
-
-
-def cmd_gen_signal(args):
-    config = build_config(args.config, **_overrides(args))
-    model = synth_test_signal(config.signal_seed, config.k_range, config.target_sup)
-    with _outdir(args) as out:
-        path = out / "signal.csv"
-        model.to_csv(path)
-    print(
-        f"signal with {model.ks.size} terms (seed {config.signal_seed}, "
-        f"target sup {config.target_sup:g}) written to {path}"
-    )
-    return 0
 
 
 def main(argv=None):

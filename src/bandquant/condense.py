@@ -102,14 +102,6 @@ class BlockCondensation:
     def row(self):
         return self.nu.entries / self.nu.l1
 
-    @property
-    def shape(self):
-        return (self.blocks, self.blocks * self.nu.block_len)
-
-    def matrix(self):
-        """Dense block-diagonal matrix (a reference for tests and audits)."""
-        return np.kron(np.eye(self.blocks), self.row)
-
     def apply(self, v):
         """Condense blocks * block_len stacked samples: a vector, or a matrix's rows.
 

@@ -11,7 +11,7 @@ accurate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import simpson
@@ -95,19 +95,6 @@ def ghat(xi, lam):
     return float(out[0]) if scalar else out
 
 
-def gamma_r(r, lam):
-    """Closed-form bound on sums of ``(1 + |x - k/lam|)^-r`` over the lattice.
-
-    Valid for r > 1; grows like lam/(r-1) for moderate r and is used to turn
-    pointwise decay of the generator into summable kernel estimates.
-    """
-    if r <= 1:
-        raise ValueError(f"decay exponent must exceed 1, got {r}")
-    if lam <= 1:
-        raise ValueError(f"oversampling ratio must exceed 1, got {lam}")
-    return 1.0 + (lam / (r - 1.0)) * (1.0 + (lam / (lam - 1.0)) ** (r - 1.0))
-
-
 @dataclass(frozen=True)
 class GeneratorParams:
     """Construction parameters of the generator's table: band and t-grid."""
@@ -146,7 +133,6 @@ class Generator:
 
     def __init__(self, params: GeneratorParams):
         self.params = params
-        self.support_half_width = (2.0 * params.lam - 1.0) * math.pi
         self.grid, self.values = self._build_table(params)
         # Clamping the derivative at t = 0 encodes that g is even.
         self._spline = CubicSpline(self.grid, self.values, bc_type=((1, 0.0), "not-a-knot"))
@@ -312,9 +298,3 @@ class KernelContext:
         block through ``Generator.eval``.
         """
         return _eval_differences(self.generator.eval, x, self.shift_points)
-
-    def kernel_eval(self, x, y):
-        """Reproducing kernel of the finite span at (x, y)."""
-        cx = self.kernel_coefficients(x)
-        cy = self.kernel_coefficients(y)
-        return cx @ cy

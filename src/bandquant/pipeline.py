@@ -88,7 +88,6 @@ class RunConfig:
     k_range: int = 12
     target_sup: float = 0.9
     grid_points: int = 200
-    interval: float = 5.0
     gamma: float = 0.125
     t: float = 0.6
 
@@ -127,8 +126,6 @@ def validate(config: RunConfig):
         problems.append(f"k_range must be non-negative, got {config.k_range}")
     if config.grid_points < 2:
         problems.append(f"grid_points must be >= 2, got {config.grid_points}")
-    if config.interval <= 0:
-        problems.append(f"interval must be positive, got {config.interval}")
     if not 0 < config.gamma < 1:
         problems.append(f"gamma must lie in (0, 1), got {config.gamma}")
     if config.t <= 0:
@@ -266,24 +263,23 @@ class RunArtifacts:
     system: FrameSystem
 
 
-def run_detailed(config: RunConfig, sample_seed=None, signal=None, generator=None):
+def run_detailed(config: RunConfig, sample_seed=None, signal=None):
     """Run one experiment and return the full artifact bundle.
 
     Every scheme takes the same steps: draw, bin, evaluate the signal,
     quantize with the greedy recursion, assemble the frame, reconstruct and
-    evaluate on the grid; the scheme only chooses the transfer operator, the
-    alphabet and the condensation row (see _scheme).  sample_seed overrides
-    config.seed for the sampling/sign streams (used by sweeps to vary trials
-    while keeping the signal fixed); signal and generator override
-    synthesis and construction when already available, and elapsed_s starts
-    once both exist.  validate checks the stability margin at
+    evaluate on grid_points points of [-R, R]; the scheme only chooses the
+    transfer operator, the alphabet and the condensation row (see _scheme).
+    sample_seed overrides config.seed for the sampling/sign streams (used by
+    sweeps to vary trials while keeping the signal fixed); signal overrides
+    synthesis when already available, and elapsed_s starts once the shared
+    generator and the signal exist.  validate checks the stability margin at
     config.target_sup; samples that reach a negative margin, or that are not
     finite, raise ValueError.
     """
     validate(config)
     seed = config.seed if sample_seed is None else int(sample_seed)
-    if generator is None:
-        generator = shared_generator(GeneratorParams(lam=config.lam))
+    generator = shared_generator(GeneratorParams(lam=config.lam))
     if signal is None:
         signal = synth_test_signal(config.signal_seed, config.k_range, config.target_sup)
     t0 = time.perf_counter()
@@ -296,7 +292,7 @@ def run_detailed(config: RunConfig, sample_seed=None, signal=None, generator=Non
     result = greedy_noise_shape(y, operator(y.size), alphabet)
     system = _frame(config, ctx, coords, binned, nu)
     recon = CoefficientVector(values=reconstruct(system, result.q), context=ctx)
-    grid = np.linspace(-config.interval, config.interval, config.grid_points)
+    grid = np.linspace(-config.R, config.R, config.grid_points)
     signal_values = np.asarray(signal.eval(grid), dtype=float)
     recon_values = recon.eval(grid)
     err = signal_values - recon_values
@@ -328,11 +324,9 @@ def run_detailed(config: RunConfig, sample_seed=None, signal=None, generator=Non
     )
 
 
-def run_once(config: RunConfig, sample_seed=None, signal=None, generator=None):
+def run_once(config: RunConfig, sample_seed=None, signal=None):
     """Run one experiment and return its report."""
-    return run_detailed(
-        config, sample_seed=sample_seed, signal=signal, generator=generator
-    ).report
+    return run_detailed(config, sample_seed=sample_seed, signal=signal).report
 
 
 @dataclass(frozen=True)
@@ -359,7 +353,6 @@ def sweep(config: RunConfig, ms=None, schemes=None):
     for name, values in (("sample budget", ms), ("scheme", schemes)):
         if not values:
             raise ConfigError(f"sweep needs at least one {name}")
-    generator = shared_generator(GeneratorParams(lam=config.lam))
     signal = synth_test_signal(config.signal_seed, config.k_range, config.target_sup)
     rows = []
     for scheme in schemes:
@@ -370,12 +363,7 @@ def sweep(config: RunConfig, ms=None, schemes=None):
             failures = 0
             for trial in range(cell.trials):
                 try:
-                    report = run_once(
-                        cell,
-                        sample_seed=cell.seed + trial,
-                        signal=signal,
-                        generator=generator,
-                    )
+                    report = run_once(cell, sample_seed=cell.seed + trial, signal=signal)
                 except (FrameFailure, BinningError):
                     failures += 1
                 else:
@@ -518,29 +506,37 @@ def check_bounds(config: RunConfig):
 
 # --- configuration file handling -------------------------------------------
 
-# (field, section, key in file) for every configurable value.
+# (field, section, key in file, CLI flag, help) for every configurable value.
 _CONFIG_LAYOUT = (
-    ("lam", "experiment", "lambda"),
-    ("eps", "experiment", "eps"),
-    ("R", "experiment", "R"),
-    ("r", "experiment", "r"),
-    ("m", "experiment", "m"),
-    ("p", "experiment", "p"),
-    ("seed", "experiment", "seed"),
-    ("trials", "experiment", "trials"),
-    ("scheme", "experiment", "scheme"),
-    ("levels", "quantizer", "levels"),
-    ("delta", "quantizer", "delta"),
-    ("beta", "quantizer", "beta"),
-    ("order", "quantizer", "order"),
-    ("signal_seed", "signal", "seed"),
-    ("k_range", "signal", "k_range"),
-    ("target_sup", "signal", "target_sup"),
-    ("grid_points", "eval", "grid_points"),
-    ("interval", "eval", "interval"),
-    ("gamma", "bounds", "gamma"),
-    ("t", "bounds", "t"),
+    ("lam", "experiment", "lambda", "--lambda", "oversampling ratio"),
+    ("eps", "experiment", "eps", "--eps", "shell width parameter"),
+    ("R", "experiment", "R", "--R", "reconstruction half-width"),
+    ("r", "experiment", "r", "--r", "decay exponent used in bounds"),
+    ("m", "experiment", "m", "--m", "sample budget (comma list allowed for sweep)"),
+    ("p", "experiment", "p", "--p", "number of condensation blocks"),
+    ("seed", "experiment", "seed", "--seed", "sampling seed"),
+    ("trials", "experiment", "trials", "--trials", "trials per sweep cell"),
+    ("scheme", "experiment", "scheme", "--scheme",
+     "quantization scheme: msq | sigma-delta | beta"),
+    ("levels", "quantizer", "levels", "--levels", "alphabet levels per sign"),
+    ("delta", "quantizer", "delta", "--delta",
+     "alphabet half-step (shaped schemes; msq uses 1/(2·levels))"),
+    ("beta", "quantizer", "beta", "--beta", "geometric feedback weight (beta scheme)"),
+    ("order", "quantizer", "order", "--order", "difference order (sigma-delta scheme)"),
+    ("signal_seed", "signal", "seed", "--signal-seed", "test-signal seed"),
+    ("k_range", "signal", "k_range", "--k-range", "test-signal coefficient range"),
+    ("target_sup", "signal", "target_sup", "--target-sup", "test-signal sup-norm target"),
+    ("grid_points", "eval", "grid_points", "--grid-points",
+     "evaluation grid size on [-R, R]"),
+    ("gamma", "bounds", "gamma", "--gamma", "frame band confidence parameter"),
+    ("t", "bounds", "t", "--t", "frame band deviation parameter"),
 )
+
+# Annotations are postponed, so each field's type is its name.
+_FIELD_TYPE = {
+    f.name: {"int": int, "float": float}.get(f.type, str)
+    for f in dataclasses.fields(RunConfig)
+}
 
 
 def load_config(path):
@@ -557,20 +553,17 @@ def load_config(path):
             parser.read_file(fh)
     except (OSError, configparser.Error) as exc:
         raise ConfigError(f"cannot read configuration file {path}: {exc}") from exc
-    # Annotations are postponed, so each field's type is its name.
-    convert = {"int": int, "float": float}
-    types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
     overrides = {}
-    known = {(section, key) for _, section, key in _CONFIG_LAYOUT}
+    known = {(section, key) for _, section, key, _, _ in _CONFIG_LAYOUT}
     for section in parser.sections():
         for key in parser[section]:
             if (section, key) not in known:
                 raise ConfigError(f"unknown configuration key [{section}] {key} in {path}")
-    for field, section, key in _CONFIG_LAYOUT:
+    for field, section, key, _, _ in _CONFIG_LAYOUT:
         if parser.has_option(section, key):
             raw = parser.get(section, key)
             try:
-                overrides[field] = convert.get(types[field], str)(raw)
+                overrides[field] = _FIELD_TYPE[field](raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value for [{section}] {key} in {path}: {raw}") from exc
     return overrides

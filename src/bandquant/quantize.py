@@ -109,13 +109,6 @@ class TransferOperator:
         """Feedback gain sum(|taps|) (2^n - 1 for differences, beta)."""
         return float(sum(abs(tap) for tap in self.taps))
 
-    def matrix(self):
-        """Dense H (a reference for tests and audits)."""
-        block = np.eye(self.block)
-        for j, tap in enumerate(self.taps, start=1):
-            block -= tap * np.eye(self.block, k=-j)
-        return np.kron(np.eye(self.size // self.block), block)
-
 
 def stability_margin(op: TransferOperator, mu, alphabet: MidriseAlphabet):
     """Slack in the boundedness condition, in units of delta.

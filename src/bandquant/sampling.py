@@ -8,7 +8,6 @@ the block structure of the condensation operator.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,7 +109,6 @@ class BinnedSamples:
 
     bins: tuple
     signs: tuple
-    raw_counts: tuple
     block_counts: tuple
     discarded: int
     block: int
@@ -118,10 +116,6 @@ class BinnedSamples:
     @property
     def truncated_counts(self):
         return tuple(len(b) for b in self.bins)
-
-    @property
-    def total(self):
-        return sum(self.truncated_counts)
 
     def coordinates(self):
         """All retained coordinates, bin 1 then 2 then 3."""
@@ -148,10 +142,8 @@ def partition_bins(samples, config: SampleConfig):
     labels = bin_index(samples, config.R, config.eps)
     block = config.block
     bins = []
-    raw_counts = []
     for b in (1, 2, 3):
         coords = samples[labels == b]
-        raw_counts.append(len(coords))
         kept = (len(coords) // block) * block
         if kept == 0:
             raise BinningError(
@@ -168,7 +160,6 @@ def partition_bins(samples, config: SampleConfig):
     return BinnedSamples(
         bins=tuple(bins),
         signs=signs,
-        raw_counts=tuple(raw_counts),
         block_counts=block_counts,
         discarded=discarded,
         block=block,

@@ -64,26 +64,6 @@ class SignalModel:
         row_format = table.row_format_for(int, float)
         table.write_columns(path, [meta, "k,coefficient"], [self.ks, self.coeffs], row_format)
 
-    @classmethod
-    def from_csv(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            prefix = "# bandquant-signal "
-            if not header.startswith(prefix):
-                raise ValueError(f"not a signal file: {path}")
-            fields = dict(
-                item.split("=", 1) for item in header[len(prefix) :].split()[1:]
-            )
-            column_line = fh.readline().strip()
-            if column_line != "k,coefficient":
-                raise ValueError(f"unexpected signal columns: {column_line}")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        seed = None if fields["seed"] == "none" else int(fields["seed"])
-        sup = None if fields["target_sup"] == "none" else float(fields["target_sup"])
-        return cls(
-            ks=data[:, 0].astype(int), coeffs=data[:, 1], seed=seed, target_sup=sup
-        )
-
 
 def synth_test_signal(seed, k_range, target_sup):
     """Random sinc train with integer nodes in [-k_range, k_range].

@@ -38,6 +38,30 @@ def span_signal(ctx):
 
 
 @pytest.fixture(scope="session")
+def dense_h():
+    """Dense H of a transfer operator, the reference for its recursion: one
+    lower-Toeplitz block I - sum_j taps[j-1] S^j per restart, stacked by kron."""
+
+    def make(op):
+        block = np.eye(op.block)
+        for j, tap in enumerate(op.taps, start=1):
+            block -= tap * np.eye(op.block, k=-j)
+        return np.kron(np.eye(op.size // op.block), block)
+
+    return make
+
+
+@pytest.fixture(scope="session")
+def dense_v():
+    """Dense block-diagonal V of a block condensation, the reference for apply."""
+
+    def make(cond):
+        return np.kron(np.eye(cond.blocks), cond.row)
+
+    return make
+
+
+@pytest.fixture(scope="session")
 def with_nan_sample():
     """Stand-in for a signal whose first evaluated point reads NaN."""
 

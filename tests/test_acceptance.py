@@ -28,7 +28,7 @@ _SD_CONFIGS = [(1, 2, 0.5), (2, 8, 0.25), (7, 80, 0.05)]
 _BETA_CONFIGS = [(2.0, 3, 0.5), (5.0, 10, 0.1), (20.0, 80, 1.0 / 130.0)]
 
 
-def test_criterion_1_noise_shaping_identity_and_state_bound():
+def test_criterion_1_noise_shaping_identity_and_state_bound(dense_h):
     t0 = time.perf_counter()
     size = 120
     rng = np.random.default_rng(2024)
@@ -50,7 +50,7 @@ def test_criterion_1_noise_shaping_identity_and_state_bound():
     )
     ops.append((operator(size), alphabet.levels, alphabet.delta))
     for op, levels, delta in ops:
-        mat = op.matrix()
+        mat = dense_h(op)
         alphabet = bq.MidriseAlphabet(levels, delta)
         margin = bq.stability_margin(op, 1.0, alphabet)
         min_margin = min(min_margin, margin)
@@ -83,7 +83,6 @@ def test_criterion_2_unquantized_round_trip_is_exact(span_signal):
     # R y: the run's own measurement map and canonical dual applied to the
     # unquantized samples, so the condensation rows in use are covered.
     t0 = time.perf_counter()
-    gen = bq.shared_generator(bq.GeneratorParams(lam=_DEFAULTS.lam))
     signal = span_signal(np.random.default_rng(0))
     configs = {
         "beta": dataclasses.replace(_DEFAULTS, scheme="beta"),
@@ -98,9 +97,7 @@ def test_criterion_2_unquantized_round_trip_is_exact(span_signal):
         exact[scheme] = 0
         for seed in range(1, 6):
             try:
-                art = bq.run_detailed(
-                    config, sample_seed=seed, signal=signal, generator=gen
-                )
+                art = bq.run_detailed(config, sample_seed=seed, signal=signal)
             except (bq.FrameFailure, bq.BinningError):
                 failures += 1
                 continue
@@ -196,17 +193,16 @@ def test_criterion_4_generator_validity():
     assert passed
 
 
-def _mean_sup_error(config, gen, signal):
+def _mean_sup_error(config, signal):
     sups = []
     for seed in range(1, 6):
-        report = bq.run_once(config, sample_seed=seed, signal=signal, generator=gen)
+        report = bq.run_once(config, sample_seed=seed, signal=signal)
         sups.append(report.sup_error)
     return float(np.mean(sups))
 
 
 def test_criterion_5_benchmark_beta_beats_msq_and_scales():
     t0 = time.perf_counter()
-    gen = bq.shared_generator(bq.GeneratorParams(lam=2.0))
     signal = bq.synth_test_signal(
         _DEFAULTS.signal_seed, _DEFAULTS.k_range, _DEFAULTS.target_sup
     )
@@ -217,9 +213,7 @@ def test_criterion_5_benchmark_beta_beats_msq_and_scales():
         "msq_3000": dataclasses.replace(_DEFAULTS, scheme="msq", m=3000, levels=80),
         "msq_500": dataclasses.replace(_DEFAULTS, scheme="msq", m=500, levels=80),
     }
-    means = {
-        name: _mean_sup_error(config, gen, signal) for name, config in cells.items()
-    }
+    means = {name: _mean_sup_error(config, signal) for name, config in cells.items()}
     msq_ratio = max(means["msq_3000"], means["msq_500"]) / min(
         means["msq_3000"], means["msq_500"]
     )

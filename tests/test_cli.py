@@ -17,25 +17,6 @@ from bandquant.cli import main
 _FAST = ["--m", "1200", "--p", "80", "--scheme", "beta"]
 
 
-def test_gen_signal_writes_loadable_file(tmp_path, capsys):
-    rc = main(["gen-signal", "--signal-seed", "7", "--out", str(tmp_path)])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "seed 7" in out
-    path = tmp_path / "signal.csv"
-    model = bq.SignalModel.from_csv(path)
-    assert model.seed == 7
-    assert model.ks.size == model.coeffs.size > 0
-
-
-def test_gen_signal_is_deterministic(tmp_path):
-    main(["gen-signal", "--out", str(tmp_path / "a")])
-    main(["gen-signal", "--out", str(tmp_path / "b")])
-    assert (tmp_path / "a/signal.csv").read_bytes() == (
-        tmp_path / "b/signal.csv"
-    ).read_bytes()
-
-
 def test_run_writes_report_files(tmp_path, capsys):
     rc = main(["run", *_FAST, "--grid-points", "50", "--out", str(tmp_path)])
     assert rc == 0
@@ -121,7 +102,7 @@ def test_run_exits_2_on_an_unreadable_config_file(tmp_path, capsys, content):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", [["run", *_FAST], ["gen-signal"]])
+@pytest.mark.parametrize("command", [["run", *_FAST], ["sweep", *_FAST, "--trials", "1"]])
 def test_unusable_out_exits_2(tmp_path, capsys, command):
     blocker = tmp_path / "file"
     blocker.write_text("", encoding="utf-8")
@@ -135,9 +116,8 @@ def test_unusable_out_exits_2(tmp_path, capsys, command):
 @pytest.mark.parametrize(
     "command, blocked",
     [(["run", *_FAST], "samples.csv"),
-     (["sweep", *_FAST, "--trials", "1"], "sweep.svg"),
-     (["gen-signal"], "signal.csv")],
-    ids=["run", "sweep", "gen-signal"],
+     (["sweep", *_FAST, "--trials", "1"], "sweep.svg")],
+    ids=["run", "sweep"],
 )
 def test_unwritable_report_file_exits_2(tmp_path, capsys, command, blocked):
     # A directory in the place of an output file inside a usable --out.
@@ -255,13 +235,13 @@ def test_readme_examples_run(tmp_path):
         for line in block.group(1).splitlines()
         if line.startswith("bandquant ")
     ]
-    assert len(commands) == 4
+    assert len(commands) == 3
     for k, argv in enumerate(commands):
         assert main([*argv, "--out", str(tmp_path / str(k))]) == 0, argv
     ini = tmp_path / "readme.ini"
     ini.write_text(re.search(r"```ini\n(.*?)```", text, re.S).group(1), "utf-8")
     config = bq.build_config(ini)
-    assert len(bq.load_config(ini)) == 20
+    assert len(bq.load_config(ini)) == 19
     assert (config.R, config.r, config.lam, config.levels) == (5.0, 11, 2.0, 80)
     bq.validate(config)
     library = re.search(r"```python\n(.*?)```", text, re.S).group(1)

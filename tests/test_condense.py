@@ -56,11 +56,10 @@ def test_nu_beta_l1_closed_form():
 # --- block condensation ------------------------------------------------------
 
 
-def test_block_condensation_matrix_and_apply():
+def test_block_condensation_matrix_and_apply(dense_v):
     nu = bq.nu_beta(2.0, 3)
     cond = bq.BlockCondensation(nu=nu, blocks=2)
-    assert cond.shape == (2, 6)
-    mat = cond.matrix()
+    mat = dense_v(cond)
     assert mat.shape == (2, 6)
     np.testing.assert_allclose(np.abs(mat).sum(axis=1), [1.0, 1.0])  # L1 rows
     assert mat[0, 3] == 0.0 and mat[1, 0] == 0.0  # block diagonal
@@ -150,7 +149,7 @@ def test_verify_bounds_argument_check():
         bq.verify_condensation_bounds(15, 200, order=7, beta=5.0)
 
 
-def test_verify_bounds_match_float_operators_where_float_is_exact():
+def test_verify_bounds_match_float_operators_where_float_is_exact(dense_h, dense_v):
     """The exact-arithmetic norms agree with a brute float product when the
     scheme values are dyadic (beta = 2 and integer difference rows), which
     cross-checks the two computation routes."""
@@ -159,18 +158,18 @@ def test_verify_bounds_match_float_operators_where_float_is_exact():
     # Geometric, beta = 2: powers of two are exact floats.
     cond = bq.BlockCondensation(nu=bq.nu_beta(2.0, block_len), blocks=blocks)
     op = bq.TransferOperator.beta_block(2.0, size, block_len)
-    float_lhs = bq.inf_to_two_bound(cond.matrix() @ op.matrix())
+    float_lhs = bq.inf_to_two_bound(dense_v(cond) @ dense_h(op))
     exact = bq.verify_condensation_bounds(block_len, blocks, beta=2.0)
     assert float_lhs == pytest.approx(exact.lhs, rel=1e-12)
     # Difference, order 2 on block length 7: integer arithmetic either way.
     cond = bq.BlockCondensation(nu=bq.nu_sigma_delta(2, 7), blocks=blocks)
     op = bq.TransferOperator.sigma_delta(2, 28)
-    float_lhs = bq.inf_to_two_bound(cond.matrix() @ op.matrix())
+    float_lhs = bq.inf_to_two_bound(dense_v(cond) @ dense_h(op))
     exact = bq.verify_condensation_bounds(7, blocks, order=2)
     assert float_lhs == pytest.approx(exact.lhs, rel=1e-12)
 
 
-def test_condensation_kills_shaped_noise_end_to_end():
+def test_condensation_kills_shaped_noise_end_to_end(dense_h, dense_v):
     """Condensed quantization error: ||V(y - q)||_2 tracks the norm bound."""
     rng = np.random.default_rng(25)
     blocks, block_len = 20, 15
@@ -180,7 +179,7 @@ def test_condensation_kills_shaped_noise_end_to_end():
     alpha = bq.MidriseAlphabet(10, 0.1)
     out = bq.greedy_noise_shape(y, op, alpha)
     cond = bq.BlockCondensation(nu=bq.nu_beta(5.0, block_len), blocks=blocks)
-    condensed_error = cond.matrix() @ (y - out.q)
-    bound = bq.inf_to_two_bound(cond.matrix() @ op.matrix())
+    condensed_error = dense_v(cond) @ (y - out.q)
+    bound = bq.inf_to_two_bound(dense_v(cond) @ dense_h(op))
     assert np.linalg.norm(condensed_error) <= bound * alpha.delta
     assert np.linalg.norm(condensed_error) < 1e-8  # 5^-14 scale, tiny

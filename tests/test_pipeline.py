@@ -40,7 +40,6 @@ def test_validate_rejects_bad_configs():
         (dict(gamma=1.5), "gamma"),
         (dict(t=0.0), "t must be positive"),
         (dict(grid_points=1), "grid_points"),
-        (dict(interval=0.0), "interval"),
         (dict(r=1), "decay exponent"),
         # Order 7 feedback gain 127 against 2 * 10 levels at sup 0.9 / 0.1.
         (dict(scheme="sigma-delta"), "stability margin -116 "),
@@ -66,14 +65,14 @@ def test_validate_collects_multiple_problems():
 # --- single runs -------------------------------------------------------------
 
 
-def test_run_exact_roundtrip_for_span_signal(gen, ctx, span_signal):
+def test_run_exact_roundtrip_for_span_signal(ctx, span_signal):
     # The run's own measurement map, applied to the unquantized samples.
     fv = span_signal(np.random.default_rng(40))
     for config in (
         _small_beta(),
         _small_beta(scheme="sigma-delta", order=7, levels=80, delta=0.05),
     ):
-        art = bq.run_detailed(config, signal=fv, generator=gen)
+        art = bq.run_detailed(config, signal=fv)
         exact = bq.CoefficientVector(
             values=bq.reconstruct(art.system, art.y), context=ctx
         )
@@ -81,7 +80,7 @@ def test_run_exact_roundtrip_for_span_signal(gen, ctx, span_signal):
         assert art.report.max_state <= config.delta
 
 
-def test_run_rejects_a_signal_beyond_the_stability_margin(gen, ctx, with_nan_sample):
+def test_run_rejects_a_signal_beyond_the_stability_margin(ctx, with_nan_sample):
     # validate checks the margin at target_sup only; this unit-variance span
     # element reaches sup 3.0 at the samples: margin -14.9 under the default
     # beta quantizer, and -40 for msq, whose 10-level alphabet ends at 0.95.
@@ -91,13 +90,10 @@ def test_run_rejects_a_signal_beyond_the_stability_margin(gen, ctx, with_nan_sam
     for scheme in ("beta", "msq"):
         config = dataclasses.replace(bq.RunConfig(), scheme=scheme)
         with pytest.raises(ValueError, match=r"stability margin -\d"):
-            bq.run_detailed(config, signal=signal, generator=gen)
+            bq.run_detailed(config, signal=signal)
         # Within the margin, but one sample is not a number.
         with pytest.raises(ValueError, match="finite"):
-            bq.run_detailed(
-                config, signal=with_nan_sample(bq.synth_test_signal(1, 12, 0.9)),
-                generator=gen,
-            )
+            bq.run_detailed(config, signal=with_nan_sample(bq.synth_test_signal(1, 12, 0.9)))
 
 
 def test_elapsed_s_leaves_out_the_generator_build(gen, monkeypatch):
@@ -110,8 +106,8 @@ def test_elapsed_s_leaves_out_the_generator_build(gen, monkeypatch):
     assert report.elapsed_s < 0.2
 
 
-def test_run_beta_reconstruction_beats_quantizer_floor(gen):
-    report = bq.run_once(_small_beta(), generator=gen)
+def test_run_beta_reconstruction_beats_quantizer_floor():
+    report = bq.run_once(_small_beta())
     # Even at this small geometry the error stays near the 0.1-step floor;
     # the full-size benchmark in the acceptance suite goes far below it.
     assert report.sup_error < 0.05
@@ -120,17 +116,17 @@ def test_run_beta_reconstruction_beats_quantizer_floor(gen):
     assert report.p == 80
 
 
-def test_run_msq_levels_scale(gen):
-    coarse = bq.run_once(_small_beta(scheme="msq", levels=10), generator=gen)
-    fine = bq.run_once(_small_beta(scheme="msq", levels=80), generator=gen)
+def test_run_msq_levels_scale():
+    coarse = bq.run_once(_small_beta(scheme="msq", levels=10))
+    fine = bq.run_once(_small_beta(scheme="msq", levels=80))
     assert fine.sup_error < coarse.sup_error
     assert coarse.p == 1200  # msq uses every sample individually
 
 
-def test_run_msq_state_is_its_rounding_error(gen):
+def test_run_msq_state_is_its_rounding_error():
     # MSQ is the greedy recursion without feedback: u = y - q, |u| <= delta.
     config = _small_beta(scheme="msq", levels=10)
-    art = bq.run_detailed(config, generator=gen)
+    art = bq.run_detailed(config)
     np.testing.assert_array_equal(
         art.state.view(np.int64), (art.y - art.q).view(np.int64)
     )
@@ -139,18 +135,15 @@ def test_run_msq_state_is_its_rounding_error(gen):
     assert art.binned is None and art.report.discarded == 0
 
 
-def test_run_sigma_delta(gen):
-    report = bq.run_once(
-        _small_beta(scheme="sigma-delta", order=7, levels=80, delta=0.05),
-        generator=gen,
-    )
+def test_run_sigma_delta():
+    report = bq.run_once(_small_beta(scheme="sigma-delta", order=7, levels=80, delta=0.05))
     assert report.sup_error < 0.1
     assert report.max_state <= 0.05
 
 
-def test_run_detailed_artifacts(gen):
+def test_run_detailed_artifacts():
     config = _small_beta(grid_points=101)
-    art = bq.run_detailed(config, generator=gen)
+    art = bq.run_detailed(config)
     assert art.grid.shape == (101,)
     assert art.signal_values.shape == (101,)
     assert art.recon_values.shape == (101,)
@@ -165,17 +158,25 @@ def test_run_detailed_artifacts(gen):
     assert np.all(np.isin(np.round(art.q, 12), np.round(elements, 12)))
 
 
-def test_run_uses_sample_seed_override(gen):
-    a = bq.run_once(_small_beta(), sample_seed=100, generator=gen)
-    b = bq.run_once(_small_beta(), sample_seed=100, generator=gen)
-    c = bq.run_once(_small_beta(), sample_seed=101, generator=gen)
+def test_error_grid_spans_the_reconstruction_interval():
+    config = _small_beta(R=4.0, eps=0.5, grid_points=101)
+    art = bq.run_detailed(config)
+    assert (art.grid[0], art.grid[-1]) == (-4.0, 4.0)
+    assert art.grid.shape == (101,)
+    assert art.report.sup_error == float(np.max(np.abs(art.signal_values - art.recon_values)))
+
+
+def test_run_uses_sample_seed_override():
+    a = bq.run_once(_small_beta(), sample_seed=100)
+    b = bq.run_once(_small_beta(), sample_seed=100)
+    c = bq.run_once(_small_beta(), sample_seed=101)
     assert a.sup_error == b.sup_error
     assert a.sup_error != c.sup_error
     assert a.seed == 100
 
 
-def test_report_text_and_csv_roundtrip(gen):
-    report = bq.run_once(_small_beta(), generator=gen)
+def test_report_text_and_csv_roundtrip():
+    report = bq.run_once(_small_beta())
     text = table.record_text(report)
     assert "sup_error" in text and "lam_min" in text
     row = table.record_row(report).split(",")
@@ -356,6 +357,18 @@ def test_load_config_rejects_unknown_and_bad_values(tmp_path):
         bad_value.write_text(f"[experiment]\nm = {value}\n", encoding="utf-8")
         with pytest.raises(bq.ConfigError, match="bad value"):
             bq.load_config(bad_value)
+    # The error grid always spans [-R, R]; its half-width is not a key.
+    bad_key.write_text("[eval]\ninterval = 5.0\n", encoding="utf-8")
+    with pytest.raises(bq.ConfigError, match="unknown"):
+        bq.load_config(bad_key)
+
+
+def test_config_layout_names_every_field_once():
+    layout = pipeline._CONFIG_LAYOUT
+    fields = [field for field, *_ in layout]
+    assert sorted(fields) == sorted(f.name for f in dataclasses.fields(bq.RunConfig))
+    assert len({(section, key) for _, section, key, _, _ in layout}) == len(layout)
+    assert len({flag for _, _, _, flag, _ in layout}) == len(layout)
 
 
 def test_shared_generator_is_cached():

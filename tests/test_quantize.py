@@ -90,11 +90,11 @@ def _gain(op):
     return 2.0 - bq.stability_margin(op, 0.0, bq.MidriseAlphabet(1, 1.0))
 
 
-def test_difference_operator_matrix_and_apply():
+def test_difference_operator_matrix_and_apply(dense_h):
     rng = np.random.default_rng(19)
     for order in (1, 2, 7):
         op = bq.TransferOperator.sigma_delta(order, 30)
-        mat = op.matrix()
+        mat = dense_h(op)
         assert mat.shape == (30, 30)
         # First column realises the alternating binomial pattern.
         expected = np.zeros(30)
@@ -110,24 +110,24 @@ def test_difference_operator_matrix_and_apply():
         assert _gain(op) == 2.0**order - 1.0
 
 
-def test_difference_operator_first_order_matrix():
+def test_difference_operator_first_order_matrix(dense_h):
     op = bq.TransferOperator.sigma_delta(1, 4)
     np.testing.assert_array_equal(
-        op.matrix(),
+        dense_h(op),
         [[1, 0, 0, 0], [-1, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 1]],
     )
     assert op.taps == (1.0,) and op.block == 4
     op2 = bq.TransferOperator.sigma_delta(2, 4)
     np.testing.assert_array_equal(
-        op2.matrix(),
+        dense_h(op2),
         [[1, 0, 0, 0], [-2, 1, 0, 0], [1, -2, 1, 0], [0, 1, -2, 1]],
     )
     assert op2.taps == (2.0, -1.0)
 
 
-def test_geometric_operator_blocks():
+def test_geometric_operator_blocks(dense_h):
     op = bq.TransferOperator.beta_block(2.0, 6, 3)
-    mat = op.matrix()
+    mat = dense_h(op)
     expected = np.array(
         [
             [1, 0, 0, 0, 0, 0],
@@ -203,7 +203,7 @@ def test_greedy_geometric_state_resets_at_blocks():
     np.testing.assert_array_equal(out.q[:2], out.q[2:])
 
 
-def test_greedy_identity_and_stability_all_schemes():
+def test_greedy_identity_and_stability_all_schemes(dense_h):
     configs = [
         (bq.TransferOperator.sigma_delta(1, 120), bq.MidriseAlphabet(2, 0.5)),
         (bq.TransferOperator.sigma_delta(2, 120), bq.MidriseAlphabet(8, 0.25)),
@@ -214,7 +214,7 @@ def test_greedy_identity_and_stability_all_schemes():
     ]
     rng = np.random.default_rng(21)
     for op, alpha in configs:
-        mat = op.matrix()
+        mat = dense_h(op)
         assert bq.stability_margin(op, 1.0, alpha) >= 0
         for _ in range(20):
             y = rng.uniform(-1.0, 1.0, op.size)

@@ -57,6 +57,11 @@ def test_bin_index_cases():
 # --- partition ---------------------------------------------------------------
 
 
+def _raw_counts(samples, cfg):
+    """Samples per bin before truncation."""
+    return tuple(np.bincount(bq.bin_index(samples, cfg.R, cfg.eps), minlength=4)[1:].tolist())
+
+
 def test_partition_trace():
     samples = np.array([-12.0, 3.0, 8.0, -9.0, 0.5, 11.0])
     cfg = _config(6, 3)
@@ -65,7 +70,7 @@ def test_partition_trace():
     np.testing.assert_array_equal(binned.bins[0], [3.0, 0.5])
     np.testing.assert_array_equal(binned.bins[1], [8.0, -9.0])
     np.testing.assert_array_equal(binned.bins[2], [-12.0, 11.0])
-    assert binned.raw_counts == (2, 2, 2)
+    assert _raw_counts(samples, cfg) == (2, 2, 2)
     assert binned.block_counts == (1, 2, 3)
     assert binned.discarded == 0
     np.testing.assert_array_equal(
@@ -83,13 +88,13 @@ def test_partition_truncates_to_block_multiples():
     )
     cfg = _config(12, 6)
     binned = bq.partition_bins(samples, cfg)
-    assert binned.raw_counts == (5, 4, 3)
+    assert _raw_counts(samples, cfg) == (5, 4, 3)
     assert binned.truncated_counts == (4, 4, 2)
     assert binned.discarded == 2
     assert binned.block_counts == (2, 4, 5)
     np.testing.assert_array_equal(binned.bins[0], [1.0, -2.0, 3.0, 0.5])
     np.testing.assert_array_equal(binned.bins[2], [11.0, -12.0])
-    assert binned.total == 10
+    assert sum(binned.truncated_counts) == 10
     assert [len(s) for s in binned.signs] == [4, 4, 2]
 
 
@@ -117,8 +122,9 @@ def test_partition_shape_check():
 
 def test_bin_concentration_single_seed():
     cfg = _config(10000, 100, seed=42)
-    binned = bq.partition_bins(bq.draw_samples(cfg), cfg)
-    m1 = binned.raw_counts[0]
+    samples = bq.draw_samples(cfg)
+    binned = bq.partition_bins(samples, cfg)
+    m1 = _raw_counts(samples, cfg)[0]
     # Centre bin covers fraction (1+eps)/(1+3eps) = 0.6 of the interval.
     assert abs(m1 - 6000) <= 3000
     assert binned.discarded < 3 * cfg.block
@@ -150,7 +156,7 @@ def test_binned_csv(beta_run):
     lines = (out / "samples.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0].startswith("# bandquant-binned-samples v1 block=15")
     assert lines[1] == "bin,index,coordinate,sign"
-    assert len(lines) == 2 + binned.total
+    assert len(lines) == 2 + sum(binned.truncated_counts)
     first = lines[2].split(",")
     assert first[0] == "1" and first[3] in ("-1", "1")
     assert float(first[2]) == binned.bins[0][0]
