@@ -6,6 +6,11 @@ transform ``g`` has two properties everything downstream leans on: the shifts
 ``g(. - k/lam)`` are orthonormal (up to a fixed normalisation), and ``g``
 decays faster than any polynomial, so finite truncations are quantifiably
 accurate.
+
+``g`` is tabulated once and read between the nodes by a cubic spline whose
+coefficients are ``scipy.interpolate.CubicSpline``'s own, rebuilt here
+through ``scipy.linalg.solve_banded``: evaluation is bit-identical to
+``CubicSpline.__call__`` without importing ``scipy.interpolate``.
 """
 
 from __future__ import annotations
@@ -14,8 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.interpolate import CubicSpline
+from scipy import linalg
 
 # Safety factor applied on top of the measured grid maximum when estimating
 # decay constants, covering values between grid nodes.
@@ -27,9 +31,13 @@ DECAY_SAFETY = 0.05
 _PERIOD_FACTOR = 2.5
 
 # Points per chunk in Generator.eval and per row block in _eval_differences.
-# Each chunk's temporaries take a few hundred kB, so a call's peak memory
-# stays near the size of its output.
-_EVAL_CHUNK = 1 << 15
+# A chunk's temporaries take under 1 MB, so a call's peak memory stays near
+# the size of its output.  The size also keeps a 3000-sample trial's
+# transient memory (2.3 MB) below glibc's heap trim threshold after the
+# generator build (2.9 MB: twice the largest block freed so far).  At 1 << 15
+# a trial peaked at 3.3 MB, and some processes gave the heap top back and
+# faulted it in again on every trial.
+_EVAL_CHUNK = 1 << 14
 
 
 def _eval_differences(fn, x, columns):
@@ -51,6 +59,35 @@ def _eval_differences(fn, x, columns):
         hi = lo + rows
         flat_out[lo:hi] = fn(flat_x[lo:hi, None] - columns)
     return out
+
+
+def _spline_coefficients(x, y):
+    """Piecewise coefficients of the cubic spline through (x, y), shape (4, n-1).
+
+    The spline has s'(x[0]) = 0 and a not-a-knot right end.  The slopes solve
+    ``CubicSpline``'s tridiagonal system, filled in the same banded layout and
+    passed to the same ``solve_banded`` call, and the Hermite coefficients are
+    formed by its formulas in its order, so the table equals
+    ``CubicSpline(x, y, bc_type=((1, 0.0), "not-a-knot")).c`` bit for bit.
+    """
+    n = x.size
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    ab = np.zeros((3, n))
+    ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    ab[0, 2:] = dx[:-1]
+    ab[-1, :-2] = dx[1:]
+    b = np.empty(n)
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    ab[1, 0], ab[0, 1], b[0] = 1, 0, 0.0  # s'(x[0]) = 0
+    d = x[-1] - x[-3]  # not-a-knot: one cubic on the last two intervals
+    ab[1, -1], ab[-1, -2] = dx[-2], d
+    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    s = linalg.solve_banded(
+        (1, 1), ab, b.reshape(n, 1), overwrite_ab=True, overwrite_b=True, check_finite=False
+    ).reshape(n)
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
 
 
 def _bump(x):
@@ -123,8 +160,9 @@ class Generator:
     The inverse transform is tabulated once on a uniform grid over
     [0, tail_cut] by the trapezoid rule, which converges faster than any power
     of the step because ghat is smooth and compactly supported; one FFT
-    evaluates the rule at every grid point.  A cubic spline is fitted to the
-    table once, and only its piecewise coefficients are used: ``eval`` finds
+    evaluates the rule at every grid point.  The table's cubic spline
+    coefficients are computed once by ``_spline_coefficients``: they are
+    ``CubicSpline``'s own, rebuilt through ``solve_banded``.  ``eval`` finds
     the interval of |t| by direct index on the uniform grid and evaluates
     that interval's cubic, in bounded chunks, bit-identically to
     ``CubicSpline.__call__``.  Reading |t| makes evenness exact, and g is 0
@@ -135,7 +173,7 @@ class Generator:
         self.params = params
         self.grid, self.values = self._build_table(params)
         # Clamping the derivative at t = 0 encodes that g is even.
-        self._spline = CubicSpline(self.grid, self.values, bc_type=((1, 0.0), "not-a-knot"))
+        self._coefficients = _spline_coefficients(self.grid, self.values)
 
     @staticmethod
     def _build_table(params):
@@ -165,11 +203,12 @@ class Generator:
         Returns a float for scalar t and an array of t's shape otherwise;
         NaN and infinite t give 0.  The interval of |t| is its index on the
         uniform grid, corrected against the grid nodes to the one
-        ``CubicSpline`` picks, and the value is that interval's cubic in the
-        spline's own coefficients and summation order, so the result is
-        bit-identical to ``CubicSpline.__call__``.  The flattened input is
-        read in chunks of at most ``_EVAL_CHUNK`` points written straight into
-        the output, so the temporaries stay small whatever the input size.
+        ``CubicSpline`` picks, and the value is that interval's cubic in
+        ``CubicSpline``'s coefficients (rebuilt through ``solve_banded``) and
+        summation order, so the result is bit-identical to
+        ``CubicSpline.__call__``.  The flattened input is read in chunks of at
+        most ``_EVAL_CHUNK`` points written straight into the output, so the
+        temporaries stay small whatever the input size.
         """
         t_arr = np.asarray(t, dtype=float)
         out = np.empty(t_arr.shape)
@@ -183,12 +222,14 @@ class Generator:
     def _eval_chunk(self, t, out):
         """g at the 1-D points t into out, as ``CubicSpline.__call__`` computes it.
 
-        The interval is x[i] <= |t| < x[i+1], with the last one closed and
-        extended to the tail cut; with s = |t| - x[i] the terms are summed
-        from the constant up, the powers of s built by multiplication.
+        The nodes are ``self.grid`` and the cubics ``self._coefficients``,
+        equal to the spline's ``x`` and ``c``.  The interval is
+        x[i] <= |t| < x[i+1], with the last one closed and extended to the
+        tail cut; with s = |t| - x[i] the terms are summed from the constant
+        up, the powers of s built by multiplication.
         """
-        x = self._spline.x
-        c0, c1, c2, c3 = self._spline.c
+        x = self.grid
+        c0, c1, c2, c3 = self._coefficients
         last = x.size - 2
         tail_cut = self.params.tail_cut
         a = np.abs(t)
@@ -256,6 +297,8 @@ class Generator:
             return 0.0
         n = int(math.ceil((hi - lo) / self.params.grid_step)) + 1
         t = np.linspace(lo, hi, n)
+        from scipy.integrate import simpson  # only the bound audits need quadrature
+
         return float(simpson(self.eval(t) * self.eval(t - shift), x=t))
 
 

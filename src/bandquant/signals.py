@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from . import table
 from .condense import BoundReport
@@ -172,6 +171,8 @@ def projection_error_report(f, pf: CoefficientVector, R1, r=11):
     n = 2001
     t = np.linspace(-R1, R1, n)
     diff = np.asarray(f.eval(t), dtype=float) - pf.eval(t)
+    from scipy.integrate import simpson  # only the bound audits need quadrature
+
     measured = math.sqrt(max(float(simpson(diff * diff, x=t)), 0.0))
     return BoundReport(
         label=f"projection truncation bound (r={r})",
