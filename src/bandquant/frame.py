@@ -2,8 +2,9 @@
 
 The rows of the condensed, weighted, sign-flipped sample matrix act as a
 random frame for the finite generator span: with enough samples the frame
-operator concentrates around a multiple of the identity, and reconstruction
-is a single symmetric solve against the frame operator.
+operator concentrates around a multiple of the identity.  The frame
+operator is decomposed once, by a symmetric eigendecomposition: its two ends
+are the reported spectrum, and reconstruction is a solve in its eigenbasis.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .condense import BlockCondensation, BoundReport
 from .generator import KernelContext
@@ -36,8 +36,8 @@ class FrameFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class FrameSystem:
-    """Assembled frame: the analysis matrix, the frame operator's Cholesky
-    factor (as returned by scipy.linalg.cho_factor) and its spectrum.
+    """Assembled frame: the analysis matrix and the frame operator's
+    eigendecomposition, eigenvalues ascending with eigenvectors as columns.
 
     condenser and weight are the block condensation and the weight diagonal
     the analysis matrix was assembled with (None on the plain per-sample
@@ -45,15 +45,22 @@ class FrameSystem:
     """
 
     analysis: np.ndarray
-    factor: tuple
-    lam_min: float
-    lam_max: float
+    eigvals: np.ndarray
+    eigvecs: np.ndarray
     condenser: BlockCondensation | None = None
     weight: np.ndarray | None = None
 
     @property
     def rows(self):
         return self.analysis.shape[0]
+
+    @property
+    def lam_min(self):
+        return float(self.eigvals[0])
+
+    @property
+    def lam_max(self):
+        return float(self.eigvals[-1])
 
 
 def assemble_frame(G, ctx: KernelContext, weight=None, condenser=None):
@@ -80,32 +87,26 @@ def assemble_frame(G, ctx: KernelContext, weight=None, condenser=None):
                 f"match {B.shape[0]} condensed rows"
             )
         B = weight[:, None] * B
-    S = B.T @ B
-    eigvals = linalg.eigvalsh(S)
-    lam_min = float(eigvals[0])
-    lam_max = float(eigvals[-1])
-    if lam_min <= LAMBDA_MIN_FLOOR * lam_max:
+    eigvals, eigvecs = np.linalg.eigh(B.T @ B)
+    system = FrameSystem(B, eigvals, eigvecs, condenser=condenser, weight=weight)
+    if system.lam_min <= LAMBDA_MIN_FLOOR * system.lam_max:
         raise FrameFailure(
-            f"frame operator is numerically singular: eigenvalues {lam_min:.3e} "
-            f"to {lam_max:.3e} (rows={B.shape[0]}, dim={ctx.dimension})",
-            lam_min=lam_min,
-            lam_max=lam_max,
+            f"frame operator is numerically singular: eigenvalues {system.lam_min:.3e} "
+            f"to {system.lam_max:.3e} (rows={B.shape[0]}, dim={ctx.dimension})",
+            lam_min=system.lam_min,
+            lam_max=system.lam_max,
         )
-    return FrameSystem(
-        analysis=B,
-        factor=linalg.cho_factor(S),
-        lam_min=lam_min,
-        lam_max=lam_max,
-        condenser=condenser,
-        weight=weight,
-    )
+    return system
 
 
 def reconstruct(system: FrameSystem, q):
     """Canonical-dual coefficients from (possibly quantized) signed samples q.
 
     Applies the frame's own condensation and weighting, then solves the frame
-    operator against the analysis adjoint: c = S^{-1} B^T (W V q).
+    operator S = U diag(lam) U^T against the analysis adjoint in its
+    eigenbasis: c = U (U^T B^T (W V q) / lam).  B^T v is summed by einsum,
+    not a threaded BLAS product, so its bits do not depend on the BLAS
+    thread count.
     """
     v = np.asarray(q, dtype=float)
     if system.condenser is not None:
@@ -116,8 +117,8 @@ def reconstruct(system: FrameSystem, q):
         raise ValueError(
             f"expected {system.rows} condensed measurements, got shape {v.shape}"
         )
-    rhs = system.analysis.T @ v
-    return linalg.cho_solve(system.factor, rhs)
+    rhs = np.einsum("ij,i->j", system.analysis, v)
+    return system.eigvecs @ ((system.eigvecs.T @ rhs) / system.eigvals)
 
 
 def frame_bound_report(system: FrameSystem, gamma, t):

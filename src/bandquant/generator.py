@@ -7,10 +7,9 @@ transform ``g`` has two properties everything downstream leans on: the shifts
 decays faster than any polynomial, so finite truncations are quantifiably
 accurate.
 
-``g`` is tabulated once and read between the nodes by a cubic spline whose
-coefficients are ``scipy.interpolate.CubicSpline``'s own, rebuilt here
-through ``scipy.linalg.solve_banded``: evaluation is bit-identical to
-``CubicSpline.__call__`` without importing ``scipy.interpolate``.
+``g`` and its slope ``g'`` are tabulated once, both by the same trapezoid
+rule evaluated with an FFT, and read between the nodes by the Hermite cubic
+through the node values and slopes.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 # Safety factor applied on top of the measured grid maximum when estimating
 # decay constants, covering values between grid nodes.
@@ -34,7 +32,8 @@ _PERIOD_FACTOR = 2.5
 # A chunk's temporaries take under 1 MB, so a call's peak memory stays near
 # the size of its output.  The size also keeps a 3000-sample trial's
 # transient memory (2.3 MB) below glibc's heap trim threshold after the
-# generator build (2.9 MB: twice the largest block freed so far).  At 1 << 15
+# generator build (2.4 MB: twice the largest block freed so far, the slope
+# FFT's complex spectrum).  At 1 << 15
 # a trial peaked at 3.3 MB, and some processes gave the heap top back and
 # faulted it in again on every trial.
 _EVAL_CHUNK = 1 << 14
@@ -59,35 +58,6 @@ def _eval_differences(fn, x, columns):
         hi = lo + rows
         flat_out[lo:hi] = fn(flat_x[lo:hi, None] - columns)
     return out
-
-
-def _spline_coefficients(x, y):
-    """Piecewise coefficients of the cubic spline through (x, y), shape (4, n-1).
-
-    The spline has s'(x[0]) = 0 and a not-a-knot right end.  The slopes solve
-    ``CubicSpline``'s tridiagonal system, filled in the same banded layout and
-    passed to the same ``solve_banded`` call, and the Hermite coefficients are
-    formed by its formulas in its order, so the table equals
-    ``CubicSpline(x, y, bc_type=((1, 0.0), "not-a-knot")).c`` bit for bit.
-    """
-    n = x.size
-    dx = np.diff(x)
-    slope = np.diff(y) / dx
-    ab = np.zeros((3, n))
-    ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-    ab[0, 2:] = dx[:-1]
-    ab[-1, :-2] = dx[1:]
-    b = np.empty(n)
-    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    ab[1, 0], ab[0, 1], b[0] = 1, 0, 0.0  # s'(x[0]) = 0
-    d = x[-1] - x[-3]  # not-a-knot: one cubic on the last two intervals
-    ab[1, -1], ab[-1, -2] = dx[-2], d
-    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-    s = linalg.solve_banded(
-        (1, 1), ab, b.reshape(n, 1), overwrite_ab=True, overwrite_b=True, check_finite=False
-    ).reshape(n)
-    t = (s[:-1] + s[1:] - 2 * slope) / dx
-    return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
 
 
 def _bump(x):
@@ -160,38 +130,43 @@ class Generator:
     The inverse transform is tabulated once on a uniform grid over
     [0, tail_cut] by the trapezoid rule, which converges faster than any power
     of the step because ghat is smooth and compactly supported; one FFT
-    evaluates the rule at every grid point.  The table's cubic spline
-    coefficients are computed once by ``_spline_coefficients``: they are
-    ``CubicSpline``'s own, rebuilt through ``solve_banded``.  ``eval`` finds
-    the interval of |t| by direct index on the uniform grid and evaluates
-    that interval's cubic, in bounded chunks, bit-identically to
-    ``CubicSpline.__call__``.  Reading |t| makes evenness exact, and g is 0
-    beyond the tail cut.  Instances are immutable.
+    evaluates the rule at every grid point, and a second one evaluates its
+    derivative.  Each interval carries the Hermite cubic through the values
+    and slopes at its two ends.  ``eval`` finds the interval of |t| by direct
+    index on the uniform grid and evaluates that interval's cubic, in
+    bounded chunks.  Reading |t| makes evenness exact, and g is 0 beyond the
+    tail cut.  Instances are immutable.
     """
 
     def __init__(self, params: GeneratorParams):
         self.params = params
-        self.grid, self.values = self._build_table(params)
-        # Clamping the derivative at t = 0 encodes that g is even.
-        self._coefficients = _spline_coefficients(self.grid, self.values)
+        self.grid, self.values, slopes = self._build_table(params)
+        dx = np.diff(self.grid)
+        chord = np.diff(self.values) / dx
+        t = (slopes[:-1] + slopes[1:] - 2 * chord) / dx
+        self._coefficients = np.stack(
+            (t / dx, (chord - slopes[:-1]) / dx - t, slopes[:-1], self.values[:-1])
+        )
 
     @staticmethod
     def _build_table(params):
-        """g on the grid by the trapezoid rule at xi_j = j h, h = 2 pi / period.
+        """g and g' on the grid by the trapezoid rule at xi_j = j h, h = 2 pi / period.
 
-        With the period a whole number n_fft of grid steps, the rule's sum of
-        ghat(xi_j) cos(xi_j t) at t = n * grid_step is the real part of a DFT
-        of length n_fft.
+        With the period a whole number n_fft of grid steps, the rule's sum
+        g(t) = sum_j c_j cos(xi_j t) at t = n * grid_step is the real part of
+        a DFT of length n_fft of the weights c_j, and its exact derivative
+        g'(t) = -sum_j c_j xi_j sin(xi_j t) is the imaginary part of the DFT
+        of c_j xi_j.
         """
         n_grid = int(round(params.tail_cut / params.grid_step)) + 1
         n_fft = int(round(_PERIOD_FACTOR * params.tail_cut / params.grid_step))
         h = 2.0 * math.pi / (n_fft * params.grid_step)
         nodes = np.arange(int((2.0 * params.lam - 1.0) * math.pi / h) + 1) * h
-        coeff = np.zeros(n_fft)
-        coeff[: nodes.size] = ghat(nodes, params.lam) * (2.0 * h / math.sqrt(2.0 * math.pi))
+        coeff = ghat(nodes, params.lam) * (2.0 * h / math.sqrt(2.0 * math.pi))
         coeff[0] *= 0.5  # trapezoid end weight; the far end has ghat = 0
         grid = np.arange(n_grid) * params.grid_step
-        return grid, np.fft.rfft(coeff).real[:n_grid]
+        values = np.fft.rfft(coeff, n_fft).real[:n_grid]
+        return grid, values, np.fft.rfft(coeff * nodes, n_fft).imag[:n_grid]
 
     @property
     def lam(self):
@@ -201,12 +176,8 @@ class Generator:
         """Evaluate g at scalar or array t (even, 0 beyond the tail cut).
 
         Returns a float for scalar t and an array of t's shape otherwise;
-        NaN and infinite t give 0.  The interval of |t| is its index on the
-        uniform grid, corrected against the grid nodes to the one
-        ``CubicSpline`` picks, and the value is that interval's cubic in
-        ``CubicSpline``'s coefficients (rebuilt through ``solve_banded``) and
-        summation order, so the result is bit-identical to
-        ``CubicSpline.__call__``.  The flattened input is read in chunks of at
+        NaN and infinite t give 0, and every grid node but the last gives its
+        table value exactly.  The flattened input is read in chunks of at
         most ``_EVAL_CHUNK`` points written straight into the output, so the
         temporaries stay small whatever the input size.
         """
@@ -220,13 +191,12 @@ class Generator:
         return float(out) if out.ndim == 0 else out
 
     def _eval_chunk(self, t, out):
-        """g at the 1-D points t into out, as ``CubicSpline.__call__`` computes it.
+        """g at the 1-D points t into out.
 
-        The nodes are ``self.grid`` and the cubics ``self._coefficients``,
-        equal to the spline's ``x`` and ``c``.  The interval is
-        x[i] <= |t| < x[i+1], with the last one closed and extended to the
-        tail cut; with s = |t| - x[i] the terms are summed from the constant
-        up, the powers of s built by multiplication.
+        The interval is x[i] <= |t| < x[i+1] of the nodes x = ``self.grid``,
+        with the last one closed and extended to the tail cut; with
+        s = |t| - x[i] the terms of the cubic ``self._coefficients[:, i]`` are
+        summed from the constant up, the powers of s built by multiplication.
         """
         x = self.grid
         c0, c1, c2, c3 = self._coefficients

@@ -95,11 +95,16 @@ class RunConfig:
 def validate(config: RunConfig):
     """Raise ConfigError listing the inconsistencies in the configuration.
 
-    Every problem with a value all schemes read is listed; when there is
-    none, the first problem with a value the configured scheme reads, or a
-    negative stability margin at target_sup.
+    Every problem with a value all schemes read is listed, starting with
+    every float field that is NaN or infinite; when there is none, the first
+    problem with a value the configured scheme reads, or a negative
+    stability margin at target_sup.
     """
-    problems = []
+    problems = [
+        f"{name} must be finite, got {getattr(config, name)}"
+        for name, kind in _FIELD_TYPE.items()
+        if kind is float and not math.isfinite(getattr(config, name))
+    ]
     if config.scheme not in SCHEMES:
         problems.append(f"unknown scheme {config.scheme!r}; expected one of {SCHEMES}")
     if config.lam <= 1:
@@ -346,38 +351,39 @@ def sweep(config: RunConfig, ms=None, schemes=None):
     Trial k uses sampling seed config.seed + k with the signal held fixed.
     Frame failures and binning shortfalls are counted per cell and excluded
     from the error mean; a cell where every trial fails reports a NaN mean.
-    An empty list of budgets or schemes raises ConfigError.
+    An empty list of budgets or schemes, or any cell that fails validate,
+    raises ConfigError before the first trial.
     """
     ms = [config.m] if ms is None else [int(v) for v in ms]
     schemes = [config.scheme] if schemes is None else list(schemes)
     for name, values in (("sample budget", ms), ("scheme", schemes)):
         if not values:
             raise ConfigError(f"sweep needs at least one {name}")
+    cells = [dataclasses.replace(config, scheme=s, m=m) for s in schemes for m in ms]
+    for cell in cells:
+        validate(cell)
     signal = synth_test_signal(config.signal_seed, config.k_range, config.target_sup)
     rows = []
-    for scheme in schemes:
-        for m in ms:
-            cell = dataclasses.replace(config, scheme=scheme, m=m)
-            validate(cell)
-            sups = []
-            failures = 0
-            for trial in range(cell.trials):
-                try:
-                    report = run_once(cell, sample_seed=cell.seed + trial, signal=signal)
-                except (FrameFailure, BinningError):
-                    failures += 1
-                else:
-                    sups.append(report.sup_error)
-            mean = float(np.mean(sups)) if sups else math.nan
-            rows.append(
-                SweepRow(
-                    scheme=scheme,
-                    m=m,
-                    p=_scheme(cell)[0],
-                    mean_sup_error=mean,
-                    failures=failures,
-                )
+    for cell in cells:
+        sups = []
+        failures = 0
+        for trial in range(cell.trials):
+            try:
+                report = run_once(cell, sample_seed=cell.seed + trial, signal=signal)
+            except (FrameFailure, BinningError):
+                failures += 1
+            else:
+                sups.append(report.sup_error)
+        mean = float(np.mean(sups)) if sups else math.nan
+        rows.append(
+            SweepRow(
+                scheme=cell.scheme,
+                m=cell.m,
+                p=_scheme(cell)[0],
+                mean_sup_error=mean,
+                failures=failures,
             )
+        )
     return rows
 
 

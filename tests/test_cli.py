@@ -1,14 +1,15 @@
 """CLI tests: exit codes, files written, determinism of artifacts."""
 
+import os
 import re
 import runpy
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import linalg
 
 import bandquant as bq
 from bandquant import table
@@ -47,6 +48,26 @@ def test_run_msq_skips_samples_file(tmp_path):
     assert rc == 0
     assert not (tmp_path / "samples.csv").exists()
     assert (tmp_path / "quantized.csv").is_file()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--delta", "nan"),
+        ("--beta", "nan"),
+        ("--delta", "inf"),
+        ("--t", "nan"),
+        ("--eps", "inf"),
+        ("--R", "nan"),
+        ("--eps", "nan"),
+        ("--lambda", "nan"),
+    ],
+)
+def test_run_exits_2_on_a_non_finite_float(tmp_path, capsys, flag, value):
+    assert main(["run", flag, value, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    field = {"--lambda": "lam"}.get(flag, flag[2:])
+    assert f"invalid configuration: {field} must be finite, got {value}" in err, err
 
 
 def test_run_rejects_bad_scheme(tmp_path, capsys):
@@ -169,7 +190,7 @@ def test_check_bounds_failure_lines_carry_computed_numbers(ctx, capsys):
         nu=bq.nu_beta(5.0, binned.block), blocks=binned.block_counts[-1]
     )
     B = bq.build_weight(binned.block_counts, 5.0, 0.5)[:, None] * condenser.apply(signed)
-    lam_min, *_, lam_max = linalg.eigvalsh(B.T @ B)
+    lam_min, *_, lam_max = np.linalg.eigh(B.T @ B)[0]
     assert line.startswith("frame spectrum (frame operator is numerically singular")
     floor = bq.frame.LAMBDA_MIN_FLOOR * lam_max
     assert line.endswith(f": {floor:.6g} <= {lam_min:.6g} -> FAIL")
@@ -249,6 +270,40 @@ def test_readme_examples_run(tmp_path):
     exec(library, namespace)
     assert namespace["audit"].all_passed
     assert [row.failures for row in namespace["rows"]] == [0, 0, 0, 0]
+
+
+def _without_elapsed(path):
+    """The file's text with the elapsed_s field removed from report files."""
+    text = path.read_text(encoding="utf-8")
+    if path.name == "report.txt":
+        return [line for line in text.splitlines() if not line.startswith("elapsed_s")]
+    if path.name == "report.csv":
+        assert text.splitlines()[0].endswith(",elapsed_s")
+        return [line.rsplit(",", 1)[0] for line in text.splitlines()]
+    return text
+
+
+def test_msq_run_files_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # At 48 000 samples reconstruct's analysis adjoint is large enough for a
+    # threaded BLAS to split it.  The quantizer input still comes from a BLAS
+    # product in SignalModel.eval, which at this seed gives the same bits at
+    # 1 and 2 threads; in the beta high-resolution run it does not.
+    paths = [str(Path(bq.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    files = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(filter(None, paths)),
+            OPENBLAS_NUM_THREADS=threads,
+        )
+        argv = ["run", "--m", "48000", "--scheme", "msq", "--levels", "80", "--out", str(out)]
+        subprocess.run(
+            [sys.executable, "-m", "bandquant", *argv], env=env, capture_output=True, check=True
+        )
+        files.append({path.name: _without_elapsed(path) for path in sorted(out.iterdir())})
+    assert len(files[0]) >= 5
+    assert files[0] == files[1]
 
 
 def test_sweep_writes_csv_and_chart(tmp_path, capsys):

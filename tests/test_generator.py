@@ -16,11 +16,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline
 
 import bandquant as bq
 from bandquant import pipeline
-from bandquant.generator import _EVAL_CHUNK
+from bandquant.generator import _EVAL_CHUNK, _PERIOD_FACTOR
 
 LAM = 2.0
 FLAT = 1.0 / math.sqrt(2.0 * LAM * math.pi)
@@ -132,6 +131,16 @@ def test_eval_handles_array_shapes(gen):
     assert out[0, 0] == gen.eval(t[0, 0])
 
 
+def _trapezoid_series(params):
+    """Weights c_j and frequencies xi_j of the rule g(t) = sum_j c_j cos(xi_j t)."""
+    n_fft = int(round(_PERIOD_FACTOR * params.tail_cut / params.grid_step))
+    h = 2.0 * math.pi / (n_fft * params.grid_step)
+    xi = np.arange(int((2.0 * params.lam - 1.0) * math.pi / h) + 1) * h
+    c = bq.ghat(xi, params.lam) * (2.0 * h / math.sqrt(2.0 * math.pi))
+    c[0] *= 0.5
+    return c, xi
+
+
 @pytest.mark.parametrize(
     "params",
     [
@@ -142,39 +151,52 @@ def test_eval_handles_array_shapes(gen):
     ],
     ids=["1.5", "2.0", "3.0", "2.0-step2e-3-cut30"],
 )
-def test_eval_is_bitwise_the_spline(params):
+def test_eval_is_a_hermite_cubic_of_the_trapezoid_series(params):
     gen = bq.Generator(params)
-    spline = CubicSpline(gen.grid, gen.values, bc_type=((1, 0.0), "not-a-knot"))
-    np.testing.assert_array_equal(gen._coefficients, spline.c)
     cut = gen.params.tail_cut
     nodes = gen.grid
-    pos = np.concatenate(
-        [nodes, np.nextafter(nodes, 0.0), np.nextafter(nodes, np.inf), [cut]]
-    )
+    # Every node but the last starts its interval, so its cubic gives the value.
+    np.testing.assert_array_equal(gen.eval(nodes[:-1]), gen.values[:-1])
     rng = np.random.default_rng(7)
     # Several chunks, the last one partial.
     many = rng.uniform(-1.1 * cut, 1.1 * cut, 2 * _EVAL_CHUNK + 123)
-    t = np.concatenate([pos, -pos, [-0.0], many])
-    inside = np.abs(t) <= cut
-    expected = np.where(inside, spline(np.where(inside, np.abs(t), 0.0)), 0.0)
-    np.testing.assert_array_equal(gen.eval(t), expected)
+    # The Hermite cubic through exact values and slopes is within
+    # h^4 / 384 * max|g^(4)| of g, and |g^(4)| <= sum_j |c_j| xi_j^4.  The
+    # error peaks at the interval midpoints.
+    c, xi = _trapezoid_series(params)
+    bound = gen.params.grid_step**4 / 384 * np.sum(np.abs(c) * xi**4) + 1e-14
+    inside = np.concatenate([nodes[:-1] + 0.5 * np.diff(nodes), many[np.abs(many) <= cut]])
+    for x in np.array_split(inside, 64):
+        assert np.max(np.abs(gen.eval(x) - np.cos(np.multiply.outer(x, xi)) @ c)) <= bound
+    pos = np.concatenate(
+        [nodes, np.nextafter(nodes, 0.0), np.nextafter(nodes, np.inf), [cut], np.abs(many)]
+    )
+    np.testing.assert_array_equal(gen.eval(-pos), gen.eval(pos))
+    assert gen.eval(-0.0) == gen.eval(0.0) == gen.values[0]
+    got = gen.eval(many)
+    np.testing.assert_array_equal(got[np.abs(many) > cut], 0.0)
+    pieces = [gen.eval(x) for x in np.array_split(many, 7)]
+    np.testing.assert_array_equal(got, np.concatenate(pieces))
     beyond = [np.nextafter(cut, np.inf), -np.nextafter(cut, np.inf), np.inf, -np.inf, np.nan]
     np.testing.assert_array_equal(gen.eval(np.array(beyond)), 0.0)
     assert type(gen.eval(0.3)) is float
-    assert gen.eval(0.3) == spline(0.3)
+    assert gen.eval(0.3) == gen.eval(np.array([0.3]))[0]
     grid_2d = many[: 6 * 45].reshape(6, 45)
-    np.testing.assert_array_equal(gen.eval(grid_2d), gen.eval(many[: 6 * 45]).reshape(6, 45))
+    np.testing.assert_array_equal(gen.eval(grid_2d), got[: 6 * 45].reshape(6, 45))
     assert gen.eval(np.empty(0)).shape == (0,)
 
 
 def test_run_path_imports_no_interpolate_or_integrate():
-    # A fresh interpreter: this test process has imported scipy.interpolate.
+    # A fresh interpreter: this test process has imported scipy.  Only the
+    # check-bounds quadratures load it.
     code = (
-        "import sys\n"
+        "import dataclasses, sys\n"
         "import bandquant, bandquant.cli\n"
         "bandquant.shared_generator(bandquant.GeneratorParams(lam=2.0))\n"
-        "heavy = ('scipy.interpolate', 'scipy.integrate', 'scipy.optimize', 'scipy.special')\n"
-        "print(' '.join(m for m in heavy if m in sys.modules))\n"
+        "bandquant.run_detailed(bandquant.RunConfig())\n"
+        "one = dataclasses.replace(bandquant.RunConfig(), trials=1, order=2)\n"
+        "bandquant.sweep(one, schemes=bandquant.pipeline.SCHEMES)\n"
+        "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     paths = [str(Path(bq.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
@@ -228,12 +250,14 @@ def test_shaped_frame_memory_stays_near_its_sample_matrix(ctx):
 def test_default_trial_stays_under_the_heap_trim_threshold(gen):
     # glibc gives the heap top back once more than twice the largest block
     # freed so far is free there; after the generator build that block is
-    # the 3 x n banded spline system.  A trial whose transient memory exceeds
-    # the threshold faults its pages in again on every trial.
+    # the complex spectrum of the slope FFT, n_fft // 2 + 1 values.  A trial
+    # whose transient memory exceeds the threshold faults its pages in again
+    # on every trial.
     config = bq.RunConfig()
     bq.run_detailed(config, sample_seed=1)
     _, peak = _traced_peak(lambda: bq.run_detailed(config, sample_seed=2))
-    assert peak < 2 * 3 * gen.grid.size * 8
+    n_fft = int(round(_PERIOD_FACTOR * gen.params.tail_cut / gen.params.grid_step))
+    assert peak < 2 * (n_fft // 2 + 1) * 16
 
 
 def test_shift_orthonormality(gen):

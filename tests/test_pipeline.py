@@ -212,11 +212,8 @@ def test_shaped_frame_matches_a_signed_copy(ctx, kw):
     np.testing.assert_array_equal(
         got.analysis.view(np.int64), want.analysis.view(np.int64)
     )
-    np.testing.assert_array_equal(
-        got.factor[0].view(np.int64), want.factor[0].view(np.int64)
-    )
-    assert got.factor[1] == want.factor[1]
-    assert (got.lam_min, got.lam_max) == (want.lam_min, want.lam_max)
+    np.testing.assert_array_equal(got.eigvals.view(np.int64), want.eigvals.view(np.int64))
+    np.testing.assert_array_equal(got.eigvecs.view(np.int64), want.eigvecs.view(np.int64))
 
 
 # --- sweeps ------------------------------------------------------------------
@@ -248,6 +245,16 @@ def test_sweep_rejects_invalid_cell(gen):
     # block length 16 cannot be written as 7*(rep - 1) + 1
     with pytest.raises(bq.ConfigError, match="incompatible"):
         bq.sweep(config, ms=[1280])
+
+
+def test_sweep_validates_every_cell_before_the_first_trial(monkeypatch):
+    # Every beta cell is valid; sigma-delta order 3 fits none of the blocks.
+    monkeypatch.setattr(
+        pipeline, "run_once", lambda *a, **k: pytest.fail("a trial ran before validation")
+    )
+    config = dataclasses.replace(bq.RunConfig(), p=200, order=3, trials=3)
+    with pytest.raises(bq.ConfigError, match="incompatible"):
+        bq.sweep(config, ms=[3000, 12000, 48000], schemes=["beta", "sigma-delta"])
 
 
 def test_sweep_files(gen, tmp_path):
