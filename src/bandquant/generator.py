@@ -9,7 +9,11 @@ accurate.
 
 ``g`` and its slope ``g'`` are tabulated once, both by the same trapezoid
 rule evaluated with an FFT, and read between the nodes by the Hermite cubic
-through the node values and slopes.
+through the node values and slopes.  The cubics of every interval from
+-tail_cut to tail_cut sit in one table ordered by node residue: when the shift
+1/lam is a whole number M of grid steps, the intervals that one sample point
+meets under all the shifts k/lam lie M nodes apart, share the point's offset
+inside them, and fill one contiguous run of the table.
 """
 
 from __future__ import annotations
@@ -28,14 +32,16 @@ DECAY_SAFETY = 0.05
 # image lies at least 1.5 tail_cut away (|g| < 1.4e-13 there at the defaults).
 _PERIOD_FACTOR = 2.5
 
-# Points per chunk in Generator.eval and per row block in _eval_differences.
-# A chunk's temporaries take under 1 MB, so a call's peak memory stays near
-# the size of its output.  The size also keeps a 3000-sample trial's
-# transient memory (2.3 MB) below glibc's heap trim threshold after the
-# generator build (2.4 MB: twice the largest block freed so far, the slope
-# FFT's complex spectrum).  At 1 << 15
-# a trial peaked at 3.3 MB, and some processes gave the heap top back and
-# faulted it in again on every trial.
+# Points per chunk in Generator.eval and per row block in _eval_differences,
+# and cubic coefficients per row block of the sample matrix on the shift
+# lattice (4 per entry, so 91 rows of 45 entries).  A chunk's temporaries
+# take under 1 MB, so a call's peak memory stays near the size of its output.
+# The size also keeps a 3000-sample trial's transient memory (1.7 MB) below
+# glibc's heap trim threshold after the generator build (2.4 MB: twice the
+# largest block freed so far, the slope FFT's complex spectrum).  Above it
+# some processes give the heap top back and fault it in again on every
+# trial: eval chunks of 1 << 15 points peaked at 3.3 MB, and lattice blocks
+# of 364 rows at 2.5 MB.
 _EVAL_CHUNK = 1 << 14
 
 
@@ -58,6 +64,18 @@ def _eval_differences(fn, x, columns):
         hi = lo + rows
         flat_out[lo:hi] = fn(flat_x[lo:hi, None] - columns)
     return out
+
+
+def _hermite_cubics(nodes, values, slopes):
+    """Coefficients of s^3, s^2, s and 1 of the Hermite cubic on each interval.
+
+    s is the offset from the interval's left node; the cubic takes the
+    values and slopes given at both ends.
+    """
+    dx = np.diff(nodes)
+    chord = np.diff(values) / dx
+    t = (slopes[:-1] + slopes[1:] - 2 * chord) / dx
+    return t / dx, (chord - slopes[:-1]) / dx - t, slopes[:-1], values[:-1]
 
 
 def _bump(x):
@@ -131,22 +149,41 @@ class Generator:
     [0, tail_cut] by the trapezoid rule, which converges faster than any power
     of the step because ghat is smooth and compactly supported; one FFT
     evaluates the rule at every grid point, and a second one evaluates its
-    derivative.  Each interval carries the Hermite cubic through the values
-    and slopes at its two ends.  ``eval`` finds the interval of |t| by direct
-    index on the uniform grid and evaluates that interval's cubic, in
+    derivative.  Each interval of the signed grid over [-tail_cut, tail_cut]
+    carries the Hermite cubic through the values and slopes at its two ends.
+    ``eval`` finds the interval of |t| by direct index on the uniform grid
+    and evaluates that interval's cubic from the non-negative half, in
     bounded chunks.  Reading |t| makes evenness exact, and g is 0 beyond the
-    tail cut.  Instances are immutable.
+    tail cut.  ``KernelContext`` reads the sample matrix from the whole signed
+    table on the shift lattice instead.  Instances are immutable.
     """
 
     def __init__(self, params: GeneratorParams):
         self.params = params
         self.grid, self.values, slopes = self._build_table(params)
-        dx = np.diff(self.grid)
-        chord = np.diff(self.values) / dx
-        t = (slopes[:-1] + slopes[1:] - 2 * chord) / dx
-        self._coefficients = np.stack(
-            (t / dx, (chord - slopes[:-1]) / dx - t, slopes[:-1], self.values[:-1])
+        # Grid steps per shift 1/lam when that is a whole number, else None.
+        steps = 1.0 / (params.lam * params.grid_step)
+        self._shift_steps = round(steps) if abs(steps - round(steps)) < 1e-9 * steps else None
+        residues = self._shift_steps or 1
+        last = self.grid.size - 1
+        # Row r * columns + c of the table holds the cubic (coefficients of
+        # s^3, s^2, s, 1) of the interval that starts at node
+        # r + (zero_column - c) * residues: ascending rows of one residue meet
+        # nodes descending by residues.  The intervals start at nodes
+        # -last ... last - 1; one zero column at each end and the cells past
+        # the ends stay 0.  The halves are built apart, the negative one
+        # mirrored, so that no temporary outgrows a half table.
+        self._zero_column = (last - 1) // residues + 1
+        self._columns = self._zero_column + -(-last // residues) + 2
+        self._cubics = np.zeros((residues * self._columns, 4))
+        halves = (
+            (np.arange(last), self.grid, self.values, slopes),
+            (np.arange(-last, 0), -self.grid[::-1], self.values[::-1], -slopes[::-1]),
         )
+        for starts, nodes, values, node_slopes in halves:
+            cells = self._cell(starts)
+            for power, coefficient in enumerate(_hermite_cubics(nodes, values, node_slopes)):
+                self._cubics[cells, power] = coefficient
 
     @staticmethod
     def _build_table(params):
@@ -195,11 +232,10 @@ class Generator:
 
         The interval is x[i] <= |t| < x[i+1] of the nodes x = ``self.grid``,
         with the last one closed and extended to the tail cut; with
-        s = |t| - x[i] the terms of the cubic ``self._coefficients[:, i]`` are
-        summed from the constant up, the powers of s built by multiplication.
+        s = |t| - x[i] the terms of the interval's cubic are summed from the
+        constant up, the powers of s built by multiplication.
         """
         x = self.grid
-        c0, c1, c2, c3 = self._coefficients
         last = x.size - 2
         tail_cut = self.params.tail_cut
         a = np.abs(t)
@@ -213,15 +249,91 @@ class Generator:
         i += a >= x[1:].take(i)
         np.minimum(i, last, out=i)
         s = a - x.take(i)
-        np.multiply(c2.take(i), s, out=out)
-        out += c3.take(i)
+        c0, c1, c2, c3 = self._cubics.take(self._cell(i), axis=0).T
+        np.multiply(c2, s, out=out)
+        out += c3
         power = s * s
-        out += c1.take(i) * power
+        out += c1 * power
         power *= s
-        out += c0.take(i) * power
+        out += c0 * power
         out[beyond] = 0.0
 
     __call__ = eval
+
+    def _cell(self, start):
+        """Row of ``self._cubics`` holding the interval that starts at node ``start``."""
+        quotient, cell = np.divmod(start, self._shift_steps or 1)
+        cell *= self._columns
+        cell += self._zero_column
+        cell -= quotient
+        return cell
+
+    def _shift_rows(self, x, k_max):
+        """g(x - k/lam) for |k| <= k_max at every point of x, on the shift lattice.
+
+        Needs a whole number M of grid steps per shift 1/lam.  Each point
+        finds its node n <= x / step < n + 1 and offset s = x - n step once;
+        column k then lies at offset s in the interval starting at node
+        n - k M, and with n = q M + r those intervals fill the contiguous
+        cells of residue r from column z - q - k_max on, z being the column
+        of the interval at node r.  A block of rows copies
+        its runs of cubics and evaluates them at the rows' offsets.  A run
+        that leaves the table is read cell by cell, each cell past the table
+        replaced by the zero column at that end.
+        """
+        x = np.asarray(x, dtype=float)
+        width = 2 * k_max + 1
+        out = np.empty((*x.shape, width))
+        flat_out = out.reshape(-1, width)
+        step = self.params.grid_step
+        shift_steps = self._shift_steps
+        last = self.grid.size - 1
+        # Beyond this every shift lies off the table; NaN and inf become finite.
+        limit = self.params.tail_cut + (k_max + 2) * shift_steps * step
+        a = np.fmax(np.fmin(x.reshape(-1), limit), -limit)
+        node = np.floor(a / step)
+        # On a node the quotient can round one node low.
+        node += a >= (node + 1) * step
+        offset = a - node * step
+        # The rounded node misses n step by up to half an ulp of x, which
+        # would shift every column.  Measured from n step itself, each column
+        # is off only by its own node's rounding, as in eval; node * high is
+        # exact for a 24-bit high part of step.  A point on a rounded node
+        # keeps offset 0 and reads the node values.
+        high = float(np.float32(step))
+        node_error = node * high - node * step + node * (step - high)
+        offset -= np.where(offset == 0.0, 0.0, node_error)
+        q, r = np.divmod(node.astype(np.intp), shift_steps)
+        base = r * self._columns
+        column = self._zero_column - k_max - q
+        inside = (column >= 0) & (column <= self._columns - width)
+        start = np.where(inside, base + column, 0)
+        runs = np.lib.stride_tricks.sliding_window_view(self._cubics, width, axis=0)
+        runs = runs.transpose(0, 2, 1)
+        rows = max(1, _EVAL_CHUNK // (4 * width))
+        edges = not inside.all()
+        for lo in range(0, a.size, rows):
+            hi = lo + rows
+            cubic = runs[start[lo:hi]]
+            if edges and not inside[lo:hi].all():
+                off = np.flatnonzero(~inside[lo:hi])
+                cells = np.clip(column[lo:hi][off, None] + np.arange(width), 0, self._columns - 1)
+                cubic[off] = self._cubics.take(base[lo:hi][off, None] + cells, axis=0)
+            s = offset[lo:hi, None]
+            block = flat_out[lo:hi]
+            np.multiply(cubic[..., 0], s, out=block)
+            block += cubic[..., 1]
+            block *= s
+            block += cubic[..., 2]
+            block *= s
+            block += cubic[..., 3]
+        # The last node closes the last interval, so |t| = tail_cut keeps its
+        # value; on the lattice that node starts a zero cell instead.
+        at_last = np.flatnonzero((offset == 0.0) & (r == last % shift_steps))
+        col = q[at_last] - last // shift_steps + k_max
+        keep = (col >= 0) & (col < width)
+        flat_out[at_last[keep], col[keep]] = self.values[-1]
+        return out
 
     def decay_constant(self, r):
         """Smallest certified C with |g(t)| <= C / (1 + |t|)^r on the table grid.
@@ -307,7 +419,10 @@ class KernelContext:
     def kernel_coefficients(self, x):
         """Vector (or stack of vectors) g(x - k/lam) over the index window.
 
-        Filled one block of rows at a time by ``_eval_differences``, each
-        block through ``Generator.eval``.
+        On a shift lattice (a whole number of grid steps per 1/lam) each row
+        reads its cubics from one run of the generator's table; otherwise the
+        rows are filled one block at a time by ``Generator.eval``.
         """
-        return _eval_differences(self.generator.eval, x, self.shift_points)
+        if self.generator._shift_steps is None:
+            return _eval_differences(self.generator.eval, x, self.shift_points)
+        return self.generator._shift_rows(x, self.k_max)

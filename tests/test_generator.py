@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 import bandquant as bq
-from bandquant import pipeline
+from bandquant import generator, pipeline
+from bandquant.cli import main
 from bandquant.generator import _EVAL_CHUNK, _PERIOD_FACTOR
 
 LAM = 2.0
@@ -326,22 +327,119 @@ def test_kernel_context_window(gen, ctx):
     assert small.k_max == math.floor(2.0 * 2.25 * 2.0)
 
 
-def test_kernel_coefficients_blocks_are_bit_identical(ctx):
-    # The one-shot expression the row blocks replace.
-    def one_shot(x):
-        return ctx.generator.eval(np.asarray(x)[..., None] - ctx.shift_points)
+def _eval_kernel(ctx, x):
+    """The one-shot reference: Generator.eval at every difference x - k/lam."""
+    return ctx.generator.eval(np.asarray(x)[..., None] - ctx.shift_points)
 
-    rows = _EVAL_CHUNK // ctx.dimension
+
+def test_kernel_coefficients_blocks_are_bit_identical(ctx, monkeypatch):
+    # Row blocks against one block over all rows, and both against eval.
+    rows = _EVAL_CHUNK // (4 * ctx.dimension)
     rng = np.random.default_rng(12)
-    for n in (0, 1, rows - 1, rows, rows + 1, 2 * rows + 3, 48000):
-        x = rng.uniform(-70.0, 70.0, n)
-        got = ctx.kernel_coefficients(x)
-        assert got.shape == (n, ctx.dimension)
-        np.testing.assert_array_equal(got.view(np.int64), one_shot(x).view(np.int64))
-    for x in (0.3, rng.uniform(-13.0, 13.0, (3, rows - 1))):
-        got = ctx.kernel_coefficients(x)
+    cases = [rng.uniform(-70.0, 70.0, n) for n in (0, 1, rows - 1, rows, rows + 1, 2 * rows + 3)]
+    cases += [rng.uniform(-13.0, 13.0, 5000), 0.3, rng.uniform(-13.0, 13.0, (3, rows - 1))]
+    blocked = [ctx.kernel_coefficients(x) for x in cases]
+    monkeypatch.setattr(generator, "_EVAL_CHUNK", 1 << 20)
+    for x, got in zip(cases, blocked):
         assert got.shape == (*np.shape(x), ctx.dimension)
-        np.testing.assert_array_equal(got.view(np.int64), one_shot(x).view(np.int64))
+        one_block = ctx.kernel_coefficients(x)
+        np.testing.assert_array_equal(got.view(np.int64), one_block.view(np.int64))
+        np.testing.assert_allclose(got, _eval_kernel(ctx, x), rtol=0, atol=1e-14)
+
+
+# lam = 2.5 puts 400 steps in a shift, which does not divide the 60 100 steps
+# to the tail cut: the last column of the table is only partly filled.
+_LATTICES = [bq.GeneratorParams(lam=2.0), bq.GeneratorParams(lam=2.5, tail_cut=60.1)]
+
+
+@pytest.mark.parametrize("params", _LATTICES, ids=["2.0", "2.5-cut60.1"])
+def test_kernel_coefficients_follow_eval_at_the_table_edges(params):
+    gen = bq.shared_generator(params)
+    ctx = bq.KernelContext.from_box(gen, 5.0, 0.5)
+    cut = gen.params.tail_cut
+    far = np.array([np.nan, np.inf, -np.inf, 1e300, -1e300])
+    np.testing.assert_array_equal(ctx.kernel_coefficients(far), 0.0)
+    rng = np.random.default_rng(15)
+    # Row k puts shift k on an end of the table, or one ulp past it.
+    ends = [end + ctx.shift_points for end in (cut, -cut)]
+    ends += [np.nextafter(x, 2 * x) for x in ends]
+    for x in [*ends, rng.uniform(-70.0, 70.0, 6000), rng.uniform(-200.0, 200.0, 6000)]:
+        np.testing.assert_allclose(
+            ctx.kernel_coefficients(x), _eval_kernel(ctx, x), rtol=0, atol=1e-14
+        )
+
+
+def test_kernel_coefficients_close_the_last_interval(gen, ctx):
+    # As in eval, |t| = tail_cut gives the last node's value and anything
+    # past it 0; with lam = 2 every x - k/lam below is exact.
+    diagonal = (np.arange(ctx.dimension),) * 2
+    for end in (gen.params.tail_cut, -gen.params.tail_cut):
+        x = end + ctx.shift_points
+        np.testing.assert_array_equal(ctx.kernel_coefficients(x)[diagonal], gen.values[-1])
+        past = ctx.kernel_coefficients(np.nextafter(x, 2 * x))
+        np.testing.assert_array_equal(past[diagonal], 0.0)
+
+
+def test_kernel_coefficients_follow_eval_across_a_wide_run(gen):
+    # run --R 15 --eps 0.5: 135 shifts, and |x - k/lam| reaches 71, past the
+    # tail cut, so rows run off the table.
+    config = dataclasses.replace(bq.RunConfig(), R=15.0, eps=0.5)
+    ctx = bq.KernelContext.from_box(gen, config.R, config.eps)
+    p, _, _, nu, _ = pipeline._scheme(config)
+    coords, _ = pipeline._draw(config, config.seed, p, nu)
+    grid = np.linspace(-config.R, config.R, config.grid_points)
+    assert np.max(np.abs(coords[:, None] - ctx.shift_points)) > 70.0
+    for x in (coords, grid):
+        np.testing.assert_allclose(
+            ctx.kernel_coefficients(x), _eval_kernel(ctx, x), rtol=0, atol=1e-14
+        )
+
+
+def test_kernel_coefficients_are_exact_on_the_nodes(gen, ctx):
+    # On node n the offset is 0, so entry k is the table value at node
+    # |n - M k|, M = 500 steps per shift: this pins the residue and column map.
+    steps = 500
+    last = gen.grid.size - 1
+    reach = last + steps * ctx.k_max + 2 * steps
+    rng = np.random.default_rng(16)
+    # The nodes of the last node's residue also hit |t| = tail_cut.
+    on_last = last + steps * np.arange(-2 * ctx.k_max - 2, 3)
+    n = np.concatenate([rng.integers(-reach, reach, 4000), on_last, -on_last, [0, 1, -1]])
+    got = ctx.kernel_coefficients(n * gen.params.grid_step)
+    j = np.abs(n[:, None] - steps * ctx.index_set)
+    want = np.where(j <= last, gen.values[np.minimum(j, last)], 0.0)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_kernel_coefficients_off_the_lattice_keep_the_eval_path(tmp_path):
+    # 1 / (1.5 * 1e-3) steps per shift is not whole.
+    gen = bq.shared_generator(bq.GeneratorParams(lam=1.5))
+    ctx = bq.KernelContext.from_box(gen, 5.0, 0.5)
+    x = np.random.default_rng(17).uniform(-70.0, 70.0, 3000)
+    reference = generator._eval_differences(gen.eval, x, ctx.shift_points)
+    np.testing.assert_array_equal(ctx.kernel_coefficients(x).view(np.int64), reference.view(np.int64))
+    assert main(["run", "--lambda", "1.5", "--m", "3000", "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize(
+    "params",
+    [*_LATTICES, bq.GeneratorParams(lam=1.5), bq.GeneratorParams(lam=3.0)],
+    ids=["2.0", "2.5-cut60.1", "1.5", "3.0"],
+)
+def test_cubic_table_holds_the_signed_grid_cubics(params):
+    # Hermite cubics of the signed grid, g even and g' odd; eval reads the
+    # non-negative half, and every other cell is 0.
+    gen = bq.Generator(params)
+    _, values, slopes = gen._build_table(params)
+    last = gen.grid.size - 1
+    nodes = np.arange(-last, last + 1) * params.grid_step
+    signed = np.concatenate((values[:0:-1], values)), np.concatenate((-slopes[:0:-1], slopes))
+    cells = gen._cell(np.arange(-last, last))
+    want = np.stack(generator._hermite_cubics(nodes, *signed), axis=1)
+    np.testing.assert_array_equal(gen._cubics[cells].view(np.int64), want.view(np.int64))
+    rest = np.ones(len(gen._cubics), dtype=bool)
+    rest[cells] = False
+    assert not gen._cubics[rest].any()
 
 
 def test_kernel_diagonal_bounded(ctx):
