@@ -9,11 +9,14 @@ accurate.
 
 ``g`` and its slope ``g'`` are tabulated once, both by the same trapezoid
 rule evaluated with an FFT, and read between the nodes by the Hermite cubic
-through the node values and slopes.  The cubics of every interval from
--tail_cut to tail_cut sit in one table ordered by node residue: when the shift
-1/lam is a whole number M of grid steps, the intervals that one sample point
-meets under all the shifts k/lam lie M nodes apart, share the point's offset
-inside them, and fill one contiguous run of the table.
+through the node values and slopes.  The grid step divides the shift 1/lam
+into a whole number M of steps, so the intervals that one sample point meets
+under all the shifts k/lam lie M nodes apart and share the point's offset
+inside them.  The cubics of every interval between -tail_cut and tail_cut
+sit in one table ordered by node residue modulo M, where those intervals fill
+one contiguous run.  Every read of g goes through that table: a row of the
+sample matrix reads its run, and ``Generator.eval`` the run of the single
+shift 0.
 """
 
 from __future__ import annotations
@@ -32,38 +35,17 @@ DECAY_SAFETY = 0.05
 # image lies at least 1.5 tail_cut away (|g| < 1.4e-13 there at the defaults).
 _PERIOD_FACTOR = 2.5
 
-# Points per chunk in Generator.eval and per row block in _eval_differences,
-# and cubic coefficients per row block of the sample matrix on the shift
-# lattice (4 per entry, so 91 rows of 45 entries).  A chunk's temporaries
-# take under 1 MB, so a call's peak memory stays near the size of its output.
-# The size also keeps a 3000-sample trial's transient memory (1.7 MB) below
-# glibc's heap trim threshold after the generator build (2.4 MB: twice the
-# largest block freed so far, the slope FFT's complex spectrum).  Above it
-# some processes give the heap top back and fault it in again on every
-# trial: eval chunks of 1 << 15 points peaked at 3.3 MB, and lattice blocks
-# of 364 rows at 2.5 MB.
+# Points per chunk in Generator.eval, cubic coefficients per row block of
+# Generator._shift_rows (4 per entry, so 91 rows of 45 entries), and
+# differences per row block of the sinc basis in signals._eval_differences.
+# An eval chunk's temporaries take 1.7 MB, so a call's peak memory stays near
+# the size of its output.  The size also keeps a 3000-sample trial's
+# transient memory (1.7 MB) below glibc's heap trim threshold after the
+# generator build (2.4 MB: twice the largest block freed so far, the slope
+# FFT's complex spectrum).  Above it some processes give the heap top back
+# and fault it in again on every trial: eval chunks of 1 << 15 points
+# peaked at 3.3 MB, and lattice blocks of 364 rows at 2.5 MB.
 _EVAL_CHUNK = 1 << 14
-
-
-def _eval_differences(fn, x, columns):
-    """fn(x[..., None] - columns) for an elementwise fn, in blocks of rows.
-
-    Returns an array of shape x.shape + (columns.size,).  Each block holds at
-    most _EVAL_CHUNK differences and is written straight into the output, so
-    no full-size difference array or temporary of fn is ever built; the
-    result is bit-identical to the one-shot expression.  Private, so that a
-    traced run counts its time toward the layer that calls it.
-    """
-    x = np.asarray(x, dtype=float)
-    columns = np.asarray(columns)
-    out = np.empty((*x.shape, columns.size))
-    flat_x = x.reshape(-1)
-    flat_out = out.reshape(flat_x.size, columns.size)
-    rows = max(1, _EVAL_CHUNK // max(1, columns.size))
-    for lo in range(0, flat_x.size, rows):
-        hi = lo + rows
-        flat_out[lo:hi] = fn(flat_x[lo:hi, None] - columns)
-    return out
 
 
 def _hermite_cubics(nodes, values, slopes):
@@ -122,7 +104,11 @@ def ghat(xi, lam):
 
 @dataclass(frozen=True)
 class GeneratorParams:
-    """Construction parameters of the generator's table: band and t-grid."""
+    """Construction parameters of the generator's table: band and t-grid.
+
+    ``grid_step`` holds the largest step at most the requested one that
+    divides the shift 1/lam: 1/(lam M) for a whole number M of steps.
+    """
 
     lam: float
     grid_step: float = 1e-3
@@ -140,6 +126,10 @@ class GeneratorParams:
             )
         if self.tail_cut < 10.0:
             raise ValueError(f"tail_cut too small to certify decay: {self.tail_cut}")
+        # The 1e-12 guard keeps a step that divides 1/lam up to rounding, so
+        # the default step at lam = 2 stays exactly 1e-3 (M = 500).
+        steps = math.ceil(1.0 / (self.lam * self.grid_step) * (1.0 - 1e-12))
+        object.__setattr__(self, "grid_step", 1.0 / (self.lam * steps))
 
 
 class Generator:
@@ -149,22 +139,20 @@ class Generator:
     [0, tail_cut] by the trapezoid rule, which converges faster than any power
     of the step because ghat is smooth and compactly supported; one FFT
     evaluates the rule at every grid point, and a second one evaluates its
-    derivative.  Each interval of the signed grid over [-tail_cut, tail_cut]
+    derivative.  The last node is the largest one at most tail_cut.  Each
+    interval of the signed grid between the last nodes on either side
     carries the Hermite cubic through the values and slopes at its two ends.
-    ``eval`` finds the interval of |t| by direct index on the uniform grid
-    and evaluates that interval's cubic from the non-negative half, in
-    bounded chunks.  Reading |t| makes evenness exact, and g is 0 beyond the
-    tail cut.  ``KernelContext`` reads the sample matrix from the whole signed
-    table on the shift lattice instead.  Instances are immutable.
+    ``_shift_rows`` reads g(x - k/lam) for a window of shifts from that
+    table; ``KernelContext`` reads the sample matrix through it, and
+    ``eval`` reads |t| with the single shift 0.  Reading |t| makes evenness
+    exact, and g is 0 beyond the last node.  Instances are immutable.
     """
 
     def __init__(self, params: GeneratorParams):
         self.params = params
         self.grid, self.values, slopes = self._build_table(params)
-        # Grid steps per shift 1/lam when that is a whole number, else None.
-        steps = 1.0 / (params.lam * params.grid_step)
-        self._shift_steps = round(steps) if abs(steps - round(steps)) < 1e-9 * steps else None
-        residues = self._shift_steps or 1
+        # Grid steps per shift 1/lam, whole by the choice of grid_step.
+        self._shift_steps = residues = round(1.0 / (params.lam * params.grid_step))
         last = self.grid.size - 1
         # Row r * columns + c of the table holds the cubic (coefficients of
         # s^3, s^2, s, 1) of the interval that starts at node
@@ -195,7 +183,11 @@ class Generator:
         g'(t) = -sum_j c_j xi_j sin(xi_j t) is the imaginary part of the DFT
         of c_j xi_j.
         """
-        n_grid = int(round(params.tail_cut / params.grid_step)) + 1
+        last = math.floor(params.tail_cut / params.grid_step)
+        # The quotient's rounding can land one node off the last node <= tail_cut.
+        last += (last + 1) * params.grid_step <= params.tail_cut
+        last -= last * params.grid_step > params.tail_cut
+        n_grid = last + 1
         n_fft = int(round(_PERIOD_FACTOR * params.tail_cut / params.grid_step))
         h = 2.0 * math.pi / (n_fft * params.grid_step)
         nodes = np.arange(int((2.0 * params.lam - 1.0) * math.pi / h) + 1) * h
@@ -210,12 +202,12 @@ class Generator:
         return self.params.lam
 
     def eval(self, t):
-        """Evaluate g at scalar or array t (even, 0 beyond the tail cut).
+        """Evaluate g at scalar or array t (even, 0 beyond the last node).
 
         Returns a float for scalar t and an array of t's shape otherwise;
-        NaN and infinite t give 0, and every grid node but the last gives its
-        table value exactly.  The flattened input is read in chunks of at
-        most ``_EVAL_CHUNK`` points written straight into the output, so the
+        NaN and infinite t give 0, and every grid node gives its table value
+        exactly.  The flattened input is read in chunks of at most
+        ``_EVAL_CHUNK`` points written straight into the output, so the
         temporaries stay small whatever the input size.
         """
         t_arr = np.asarray(t, dtype=float)
@@ -224,45 +216,14 @@ class Generator:
         flat_out = out.reshape(-1)
         for lo in range(0, flat_t.size, _EVAL_CHUNK):
             hi = lo + _EVAL_CHUNK
-            self._eval_chunk(flat_t[lo:hi], flat_out[lo:hi])
+            flat_out[lo:hi] = self._shift_rows(np.abs(flat_t[lo:hi]), 0)[:, 0]
         return float(out) if out.ndim == 0 else out
-
-    def _eval_chunk(self, t, out):
-        """g at the 1-D points t into out.
-
-        The interval is x[i] <= |t| < x[i+1] of the nodes x = ``self.grid``,
-        with the last one closed and extended to the tail cut; with
-        s = |t| - x[i] the terms of the interval's cubic are summed from the
-        constant up, the powers of s built by multiplication.
-        """
-        x = self.grid
-        last = x.size - 2
-        tail_cut = self.params.tail_cut
-        a = np.abs(t)
-        beyond = ~(a <= tail_cut)
-        # NaN, inf and far points are evaluated at the tail cut, then zeroed.
-        np.fmin(a, tail_cut, out=a)
-        # The quotient's rounding can land one interval off at a node.
-        i = (a / self.params.grid_step).astype(np.intp)
-        np.minimum(i, last, out=i)
-        i -= a < x.take(i)
-        i += a >= x[1:].take(i)
-        np.minimum(i, last, out=i)
-        s = a - x.take(i)
-        c0, c1, c2, c3 = self._cubics.take(self._cell(i), axis=0).T
-        np.multiply(c2, s, out=out)
-        out += c3
-        power = s * s
-        out += c1 * power
-        power *= s
-        out += c0 * power
-        out[beyond] = 0.0
 
     __call__ = eval
 
     def _cell(self, start):
         """Row of ``self._cubics`` holding the interval that starts at node ``start``."""
-        quotient, cell = np.divmod(start, self._shift_steps or 1)
+        quotient, cell = np.divmod(start, self._shift_steps)
         cell *= self._columns
         cell += self._zero_column
         cell -= quotient
@@ -271,15 +232,15 @@ class Generator:
     def _shift_rows(self, x, k_max):
         """g(x - k/lam) for |k| <= k_max at every point of x, on the shift lattice.
 
-        Needs a whole number M of grid steps per shift 1/lam.  Each point
-        finds its node n <= x / step < n + 1 and offset s = x - n step once;
-        column k then lies at offset s in the interval starting at node
-        n - k M, and with n = q M + r those intervals fill the contiguous
-        cells of residue r from column z - q - k_max on, z being the column
-        of the interval at node r.  A block of rows copies
-        its runs of cubics and evaluates them at the rows' offsets.  A run
-        that leaves the table is read cell by cell, each cell past the table
-        replaced by the zero column at that end.
+        With M grid steps per shift 1/lam, each point finds its node
+        n <= x / step < n + 1 and offset s = x - n step once; column k then
+        lies at offset s in the interval starting at node n - k M, and with
+        n = q M + r those intervals fill the contiguous cells of residue r
+        from column z - q - k_max on, z being the column of the interval at
+        node r.  A block of rows copies its runs of cubics and evaluates them
+        at the rows' offsets.  A run that leaves the table is read cell by
+        cell, each cell past the table replaced by the zero column at that
+        end.
         """
         x = np.asarray(x, dtype=float)
         width = 2 * k_max + 1
@@ -327,8 +288,8 @@ class Generator:
             block += cubic[..., 2]
             block *= s
             block += cubic[..., 3]
-        # The last node closes the last interval, so |t| = tail_cut keeps its
-        # value; on the lattice that node starts a zero cell instead.
+        # The last node closes the last interval, so |t| on it keeps its
+        # value; in the table that node starts a zero cell instead.
         at_last = np.flatnonzero((offset == 0.0) & (r == last % shift_steps))
         col = q[at_last] - last // shift_steps + k_max
         keep = (col >= 0) & (col < width)
@@ -367,21 +328,19 @@ class Generator:
         """Inner product of g with its shift by k / lam, via the table grid.
 
         Returns a value close to 1 for k = 0 and close to 0 otherwise; used to
-        audit orthonormality of the lattice shifts.
+        audit orthonormality of the lattice shifts.  The shift is |k| M grid
+        steps, so the product g(t) g(t - shift) is read at the signed nodes
+        from the table values alone.
         """
-        k = int(k)
-        shift = abs(k) / self.params.lam
-        # g is supported (numerically) on [-tail_cut, tail_cut]; the product
-        # g(t) g(t - shift) lives on [shift - tail_cut, tail_cut].
-        lo = shift - self.params.tail_cut
-        hi = self.params.tail_cut
-        if lo >= hi:
+        lag = abs(int(k)) * self._shift_steps
+        signed = np.concatenate((self.values[:0:-1], self.values))
+        # g is 0 beyond the last nodes, so the product needs two common nodes.
+        if lag >= signed.size - 1:
             return 0.0
-        n = int(math.ceil((hi - lo) / self.params.grid_step)) + 1
-        t = np.linspace(lo, hi, n)
         from scipy.integrate import simpson  # only the bound audits need quadrature
 
-        return float(simpson(self.eval(t) * self.eval(t - shift), x=t))
+        product = signed[lag:] * signed[: signed.size - lag]
+        return float(simpson(product, dx=self.params.grid_step))
 
 
 @dataclass(frozen=True)
@@ -419,10 +378,6 @@ class KernelContext:
     def kernel_coefficients(self, x):
         """Vector (or stack of vectors) g(x - k/lam) over the index window.
 
-        On a shift lattice (a whole number of grid steps per 1/lam) each row
-        reads its cubics from one run of the generator's table; otherwise the
-        rows are filled one block at a time by ``Generator.eval``.
+        Each row reads its cubics from one run of the generator's table.
         """
-        if self.generator._shift_steps is None:
-            return _eval_differences(self.generator.eval, x, self.shift_points)
         return self.generator._shift_rows(x, self.k_max)

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -149,15 +150,19 @@ def _trapezoid_series(params):
         bq.GeneratorParams(lam=2.0),
         bq.GeneratorParams(lam=3.0),
         bq.GeneratorParams(lam=2.0, grid_step=2e-3, tail_cut=30.0),
+        # 60 / step is 60 058.8: the last node falls short of the tail cut.
+        bq.GeneratorParams(lam=2.01),
     ],
-    ids=["1.5", "2.0", "3.0", "2.0-step2e-3-cut30"],
+    ids=["1.5", "2.0", "3.0", "2.0-step2e-3-cut30", "2.01"],
 )
 def test_eval_is_a_hermite_cubic_of_the_trapezoid_series(params):
     gen = bq.Generator(params)
     cut = gen.params.tail_cut
     nodes = gen.grid
-    # Every node but the last starts its interval, so its cubic gives the value.
-    np.testing.assert_array_equal(gen.eval(nodes[:-1]), gen.values[:-1])
+    # Every node but the last starts its interval, so its cubic gives the
+    # value; the last one closes the last interval.
+    assert nodes[-1] <= cut < nodes[-1] + gen.params.grid_step
+    np.testing.assert_array_equal(gen.eval(nodes), gen.values)
     rng = np.random.default_rng(7)
     # Several chunks, the last one partial.
     many = rng.uniform(-1.1 * cut, 1.1 * cut, 2 * _EVAL_CHUNK + 123)
@@ -261,11 +266,15 @@ def test_default_trial_stays_under_the_heap_trim_threshold(gen):
     assert peak < 2 * (n_fft // 2 + 1) * 16
 
 
-def test_shift_orthonormality(gen):
+@pytest.mark.parametrize("lam", [1.5, 2.0, 3.0])
+def test_shift_orthonormality(lam, capsys):
+    gen = bq.shared_generator(bq.GeneratorParams(lam=lam))
     assert gen.shift_inner_product(0) == pytest.approx(1.0, abs=1e-10)
     for k in range(1, 21):
         assert abs(gen.shift_inner_product(k)) < 1e-10, f"k={k}"
     assert gen.shift_inner_product(-3) == gen.shift_inner_product(3)
+    assert main(["check-bounds", "--lambda", str(lam)]) == 0
+    assert "shift orthonormality defect" in capsys.readouterr().out
 
 
 # --- decay constants ---------------------------------------------------------
@@ -411,20 +420,34 @@ def test_kernel_coefficients_are_exact_on_the_nodes(gen, ctx):
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def test_kernel_coefficients_off_the_lattice_keep_the_eval_path(tmp_path):
-    # 1 / (1.5 * 1e-3) steps per shift is not whole.
-    gen = bq.shared_generator(bq.GeneratorParams(lam=1.5))
-    ctx = bq.KernelContext.from_box(gen, 5.0, 0.5)
-    x = np.random.default_rng(17).uniform(-70.0, 70.0, 3000)
-    reference = generator._eval_differences(gen.eval, x, ctx.shift_points)
-    np.testing.assert_array_equal(ctx.kernel_coefficients(x).view(np.int64), reference.view(np.int64))
+def test_every_lambda_lands_on_the_shift_lattice(tmp_path):
+    # The step is the largest one <= the requested 1e-3 that divides 1/lam.
+    assert bq.GeneratorParams(lam=2.0).grid_step == 1e-3
+    assert bq.shared_generator(bq.GeneratorParams(lam=2.0))._shift_steps == 500
+    rng = np.random.default_rng(17)
+    for lam in (1.5, 2.0, 2.01, 2.5, 3.0):
+        gen = bq.shared_generator(bq.GeneratorParams(lam=lam))
+        steps = gen._shift_steps
+        step = gen.params.grid_step
+        assert step <= 1e-3 < 1.0 / (lam * (steps - 1))
+        assert abs(lam * step * steps - 1.0) <= np.spacing(1.0)
+        ctx = bq.KernelContext.from_box(gen, 5.0, 0.5)
+        x = rng.uniform(-70.0, 70.0, 3000)
+        # eval at x - k/lam to an ulp of the difference: shift_points rounds
+        # k/lam, so its remainder is subtracted too; where g' reaches 8.7
+        # (lam = 3) that rounding alone moves eval by 5e-15.  The lattice
+        # shifts by k M steps, k/lam to an ulp of the step: up to 8.2e-15.
+        exact = [Fraction(int(k)) / Fraction(lam) for k in ctx.index_set]
+        rest = np.array([float(q - Fraction(s)) for q, s in zip(exact, ctx.shift_points)])
+        want = gen.eval(x[:, None] - ctx.shift_points - rest)
+        np.testing.assert_allclose(ctx.kernel_coefficients(x), want, rtol=0, atol=1e-14)
     assert main(["run", "--lambda", "1.5", "--m", "3000", "--out", str(tmp_path)]) == 0
 
 
 @pytest.mark.parametrize(
     "params",
-    [*_LATTICES, bq.GeneratorParams(lam=1.5), bq.GeneratorParams(lam=3.0)],
-    ids=["2.0", "2.5-cut60.1", "1.5", "3.0"],
+    [*_LATTICES, *(bq.GeneratorParams(lam=lam) for lam in (1.5, 2.01, 3.0))],
+    ids=["2.0", "2.5-cut60.1", "1.5", "2.01", "3.0"],
 )
 def test_cubic_table_holds_the_signed_grid_cubics(params):
     # Hermite cubics of the signed grid, g even and g' odd; eval reads the
