@@ -1,8 +1,10 @@
 """Random frame assembly, canonical dual reconstruction and spectrum diagnostics.
 
-The rows of the condensed, weighted, sign-flipped sample matrix act as a
-random frame for the finite generator span: with enough samples the frame
-operator concentrates around a multiple of the identity.  The frame
+The rows of the analysis matrix (the condensed, weighted, sign-flipped
+sample matrix, or the plain one) act as a random frame for the finite
+generator span: with enough samples the frame operator concentrates around a
+multiple of the identity.  Each row takes one measurement of a span element,
+and reconstruction maps the measurements back to coefficients.  The frame
 operator is decomposed once, by a symmetric eigendecomposition: its two ends
 are the reported spectrum, and reconstruction is a solve in its eigenbasis.
 """
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .condense import BlockCondensation, BoundReport
+from .condense import BoundReport
 from .generator import KernelContext
 
 # Smallest ratio of the frame operator's bottom to top eigenvalue considered
@@ -36,23 +38,14 @@ class FrameFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class FrameSystem:
-    """Assembled frame: the analysis matrix and the frame operator's
-    eigendecomposition, eigenvalues ascending with eigenvectors as columns.
-
-    condenser and weight are the block condensation and the weight diagonal
-    the analysis matrix was assembled with (None on the plain per-sample
-    path); reconstruct applies the same measurement map to the samples.
+    """Assembled frame: the analysis matrix, one row per measurement, and the
+    frame operator's eigendecomposition, eigenvalues ascending with
+    eigenvectors as columns.
     """
 
     analysis: np.ndarray
     eigvals: np.ndarray
     eigvecs: np.ndarray
-    condenser: BlockCondensation | None = None
-    weight: np.ndarray | None = None
-
-    @property
-    def rows(self):
-        return self.analysis.shape[0]
 
     @property
     def lam_min(self):
@@ -63,32 +56,19 @@ class FrameSystem:
         return float(self.eigvals[-1])
 
 
-def assemble_frame(G, ctx: KernelContext, weight=None, condenser=None):
-    """Form the analysis matrix W V G and its frame operator.
+def assemble_frame(B, ctx: KernelContext):
+    """Decompose the frame operator B^T B of the analysis matrix B.
 
-    G is the (possibly sign-flipped) sample matrix; weight (the diagonal of
-    W) and condenser (V) default to identities, which is the plain
-    per-sample (memoryless) path.  Raises FrameFailure when the frame
-    operator's smallest eigenvalue is at most LAMBDA_MIN_FLOOR times its
-    largest.
+    Raises FrameFailure when the frame operator's smallest eigenvalue is at
+    most LAMBDA_MIN_FLOOR times its largest.
     """
-    B = np.asarray(G, dtype=float)
+    B = np.asarray(B, dtype=float)
     if B.ndim != 2 or B.shape[1] != ctx.dimension:
         raise ValueError(
-            f"sample matrix must have {ctx.dimension} columns, got shape {B.shape}"
+            f"analysis matrix must have {ctx.dimension} columns, got shape {B.shape}"
         )
-    if condenser is not None:
-        B = condenser.apply(B)
-    if weight is not None:
-        weight = np.asarray(weight, dtype=float)
-        if weight.shape != (B.shape[0],):
-            raise ValueError(
-                f"weight diagonal of shape {weight.shape} does not "
-                f"match {B.shape[0]} condensed rows"
-            )
-        B = weight[:, None] * B
     eigvals, eigvecs = np.linalg.eigh(B.T @ B)
-    system = FrameSystem(B, eigvals, eigvecs, condenser=condenser, weight=weight)
+    system = FrameSystem(B, eigvals, eigvecs)
     if system.lam_min <= LAMBDA_MIN_FLOOR * system.lam_max:
         raise FrameFailure(
             f"frame operator is numerically singular: eigenvalues {system.lam_min:.3e} "
@@ -99,42 +79,33 @@ def assemble_frame(G, ctx: KernelContext, weight=None, condenser=None):
     return system
 
 
-def reconstruct(system: FrameSystem, q):
-    """Canonical-dual coefficients from (possibly quantized) signed samples q.
+def reconstruct(system: FrameSystem, v):
+    """Canonical-dual coefficients from measurements v, one per analysis row.
 
-    Applies the frame's own condensation and weighting, then solves the frame
-    operator S = U diag(lam) U^T against the analysis adjoint in its
-    eigenbasis: c = U (U^T B^T (W V q) / lam).  B^T v is summed by einsum,
-    not a threaded BLAS product, so its bits do not depend on the BLAS
-    thread count.
+    Solves the frame operator S = U diag(lam) U^T against the analysis
+    adjoint in its eigenbasis: c = U (U^T B^T v / lam).  B^T v is summed by
+    einsum, not a threaded BLAS product, so its bits do not depend on the
+    BLAS thread count.
     """
-    v = np.asarray(q, dtype=float)
-    if system.condenser is not None:
-        v = system.condenser.apply(v)
-    if system.weight is not None:
-        v = system.weight * v
-    if v.shape != (system.rows,):
-        raise ValueError(
-            f"expected {system.rows} condensed measurements, got shape {v.shape}"
-        )
+    v = np.asarray(v, dtype=float)
+    rows = system.analysis.shape[0]
+    if v.shape != (rows,):
+        raise ValueError(f"expected {rows} measurements, got shape {v.shape}")
     rhs = np.einsum("ij,i->j", system.analysis, v)
     return system.eigvecs @ ((system.eigvecs.T @ rhs) / system.eigvals)
 
 
-def frame_bound_report(system: FrameSystem, gamma, t):
+def frame_bound_report(system: FrameSystem, nu, gamma, t):
     """Concentration band for a condensed frame's spectrum at confidence parameters.
 
     The band is (||nu||_2 / ||nu||_1)^2 * [1 - gamma - 3t, 1 + 3t] for the
-    frame's condensation row nu; returns the lower edge and the upper edge
-    as lines against the observed extreme eigenvalues.
+    condensation row nu the frame was assembled with; returns the lower edge
+    and the upper edge as lines against the observed extreme eigenvalues.
     """
-    if system.condenser is None:
-        raise ValueError("the concentration band needs a condensed frame")
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
-    nu = system.condenser.nu
     ratio = (nu.l2 / nu.l1) ** 2
     lower = ratio * (1.0 - gamma - 3.0 * t)
     return (

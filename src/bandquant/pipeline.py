@@ -208,23 +208,36 @@ def _draw(config: RunConfig, seed, p, nu):
     return binned.coordinates(), binned
 
 
-def _frame(config: RunConfig, ctx: KernelContext, coords, binned, nu):
-    """Frame of the samples at coords: the plain sample matrix without nu,
-    else the weighted, condensed, sign-flipped one.
+# Sample rows per chunk of the shaped frame, rounded down to whole blocks:
+# 4096 kernel rows of 45 values are 1.5 MB, so the frame holds its p x d
+# analysis rows and one chunk instead of the m x d sample matrix.
+_FRAME_CHUNK_ROWS = 1 << 12
 
-    The signs are flipped in place in the fresh sample matrix, which is
-    exact for +/-1, so no second matrix of its size is built.
+
+def _frame(config: RunConfig, ctx: KernelContext, coords, binned, nu):
+    """Frame of the samples at coords, and the measurement map it was built for.
+
+    Without nu the analysis matrix is the plain sample matrix and the map is
+    the identity.  Otherwise the analysis matrix is W V S G, for signs S,
+    condensation V and weights W, and the map W V takes signed samples to one
+    measurement per block.  Its rows are read, signed and condensed a chunk
+    of whole blocks at a time; condensation sums within a block and the rest
+    is elementwise, so the chunks give the bits of one pass over G.
     """
-    G = ctx.kernel_coefficients(coords)
     if nu is None:
-        return assemble_frame(G, ctx)
-    G *= binned.sign_vector().astype(float)[:, None]
-    return assemble_frame(
-        G,
-        ctx,
-        weight=build_weight(binned.block_counts, config.R, config.eps),
-        condenser=BlockCondensation(nu=nu, blocks=binned.block_counts[-1]),
-    )
+        return assemble_frame(ctx.kernel_coefficients(coords), ctx), np.asarray
+    block, signs = nu.block_len, binned.sign_vector()
+    step = max(1, _FRAME_CHUNK_ROWS // block)
+    B = np.empty((binned.block_counts[-1], ctx.dimension))
+    for lo in range(0, B.shape[0], step):
+        rows = slice(lo * block, (lo + step) * block)
+        G = ctx.kernel_coefficients(coords[rows])
+        G *= signs[rows, None]
+        B[lo : lo + step] = BlockCondensation(nu, G.shape[0] // block).apply(G)
+    weight = build_weight(binned.block_counts, config.R, config.eps)
+    B *= weight[:, None]
+    condenser = BlockCondensation(nu, B.shape[0])
+    return assemble_frame(B, ctx), lambda q: weight * condenser.apply(q)
 
 
 @functools.lru_cache(maxsize=4)
@@ -253,7 +266,11 @@ class RunReport:
 
 @dataclass(frozen=True)
 class RunArtifacts:
-    """Everything produced by one run, for report files and inspection."""
+    """Everything produced by one run, for report files and inspection.
+
+    measure is the run's measurement map: it takes signed samples, y or q,
+    to the measurements reconstruct reads against system.
+    """
 
     report: RunReport
     signal: object
@@ -266,6 +283,7 @@ class RunArtifacts:
     state: np.ndarray
     binned: object
     system: FrameSystem
+    measure: object
 
 
 def run_detailed(config: RunConfig, sample_seed=None, signal=None):
@@ -295,8 +313,8 @@ def run_detailed(config: RunConfig, sample_seed=None, signal=None):
     if binned is not None:
         y = binned.sign_vector() * y
     result = greedy_noise_shape(y, operator(y.size), alphabet)
-    system = _frame(config, ctx, coords, binned, nu)
-    recon = CoefficientVector(values=reconstruct(system, result.q), context=ctx)
+    system, measure = _frame(config, ctx, coords, binned, nu)
+    recon = CoefficientVector(values=reconstruct(system, measure(result.q)), context=ctx)
     grid = np.linspace(-config.R, config.R, config.grid_points)
     signal_values = np.asarray(signal.eval(grid), dtype=float)
     recon_values = recon.eval(grid)
@@ -326,6 +344,7 @@ def run_detailed(config: RunConfig, sample_seed=None, signal=None):
         state=result.u,
         binned=binned,
         system=system,
+        measure=measure,
     )
 
 
@@ -487,7 +506,7 @@ def check_bounds(config: RunConfig):
     if nu is not None:
         try:
             coords, binned = _draw(config, config.seed, p, nu)
-            system = _frame(config, ctx, coords, binned, nu)
+            system, _ = _frame(config, ctx, coords, binned, nu)
         except FrameFailure as exc:
             lines.append(
                 BoundReport(
@@ -505,7 +524,7 @@ def check_bounds(config: RunConfig):
                 )
             )
         else:
-            lines.extend(frame_bound_report(system, config.gamma, config.t))
+            lines.extend(frame_bound_report(system, nu, config.gamma, config.t))
 
     return BoundsReport(lines=tuple(lines))
 

@@ -169,7 +169,8 @@ def projection_error_report(f, pf: CoefficientVector, R1, r=11):
 
     The bound uses the generator decay constant for exponent r and is only
     meaningful when the span window extends beyond R1; the line is flagged
-    vacuous when the bound exceeds 1e6.
+    vacuous when the bound is at least ||f||_L2([-R1, R1]), since a bound
+    that large says nothing about how close Pf comes to f there.
     """
     ctx = pf.context
     gen = ctx.generator
@@ -191,13 +192,15 @@ def projection_error_report(f, pf: CoefficientVector, R1, r=11):
     )
     n = 2001
     t = np.linspace(-R1, R1, n)
-    diff = np.asarray(f.eval(t), dtype=float) - pf.eval(t)
+    fv = np.asarray(f.eval(t), dtype=float)
+    diff = fv - pf.eval(t)
     from scipy.integrate import simpson  # only the bound audits need quadrature
 
     measured = math.sqrt(max(float(simpson(diff * diff, x=t)), 0.0))
+    norm = math.sqrt(max(float(simpson(fv * fv, x=t)), 0.0))
     return BoundReport(
         label=f"projection truncation bound (r={r})",
         lhs=measured,
         rhs=bound,
-        vacuous=bound > 1e6,
+        vacuous=bound >= norm,
     )

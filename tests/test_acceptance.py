@@ -102,7 +102,8 @@ def test_criterion_2_unquantized_round_trip_is_exact(span_signal):
                 failures += 1
                 continue
             ry = bq.CoefficientVector(
-                values=bq.reconstruct(art.system, art.y), context=signal.context
+                values=bq.reconstruct(art.system, art.measure(art.y)),
+                context=signal.context,
             )
             sup = float(np.max(np.abs(ry.eval(art.grid) - art.signal_values)))
             sups.append(sup)

@@ -17,6 +17,11 @@ def _binned(gen, m=1200, p=80, seed=5):
     return bq.partition_bins(bq.draw_samples(cfg), cfg)
 
 
+def _measure(condenser, weight, v):
+    """W V v for signed samples v, or for each column of a sample matrix."""
+    return (weight * condenser.apply(v).T).T
+
+
 def test_sample_matrix_evaluates_span_elements(ctx):
     rng = np.random.default_rng(30)
     c = rng.normal(size=ctx.dimension)
@@ -43,7 +48,7 @@ def test_plain_roundtrip(ctx, monkeypatch):
     np.testing.assert_allclose(back, c, atol=1e-10)
     assert system.lam_min > 0
     assert system.lam_max >= system.lam_min
-    assert system.rows == 300
+    assert system.analysis.shape == (300, ctx.dimension)
 
 
 def test_weighted_condensed_roundtrip(gen, ctx):
@@ -54,15 +59,14 @@ def test_weighted_condensed_roundtrip(gen, ctx):
         nu=bq.nu_beta(2.0, binned.block), blocks=binned.block_counts[-1]
     )
     weight = bq.build_weight(binned.block_counts, 5.0, 0.5)
-    system = bq.assemble_frame(G, ctx, weight=weight, condenser=condenser)
+    system = bq.assemble_frame(_measure(condenser, weight, G), ctx)
     rng = np.random.default_rng(32)
     c = rng.normal(size=ctx.dimension)
-    assert system.condenser is condenser and system.weight is weight
-    y = G @ c
-    back = bq.reconstruct(system, y)
+    v = _measure(condenser, weight, G @ c)
+    back = bq.reconstruct(system, v)
     np.testing.assert_allclose(back, c, atol=1e-9)
-    with pytest.raises(ValueError, match="stacked samples"):
-        bq.reconstruct(system, y[:-1])
+    with pytest.raises(ValueError, match="measurements"):
+        bq.reconstruct(system, v[:-1])
 
 
 def test_roundtrip_independent_of_condensation_row(gen, ctx):
@@ -74,8 +78,8 @@ def test_roundtrip_independent_of_condensation_row(gen, ctx):
     y = G @ c
     for nu in (bq.nu_beta(5.0, binned.block), bq.nu_sigma_delta(1, binned.block)):
         condenser = bq.BlockCondensation(nu=nu, blocks=binned.block_counts[-1])
-        system = bq.assemble_frame(G, ctx, weight=weight, condenser=condenser)
-        back = bq.reconstruct(system, y)
+        system = bq.assemble_frame(_measure(condenser, weight, G), ctx)
+        back = bq.reconstruct(system, _measure(condenser, weight, y))
         np.testing.assert_allclose(back, c, atol=1e-9)
 
 
@@ -101,9 +105,6 @@ def test_assemble_frame_validation(ctx):
     G = rng.normal(size=(50, ctx.dimension))
     with pytest.raises(ValueError, match="columns"):
         bq.assemble_frame(G[:, :-1], ctx)
-    weight = bq.build_weight((10, 20, 30), 5.0, 0.5)
-    with pytest.raises(ValueError, match="weight"):
-        bq.assemble_frame(G, ctx, weight=weight)
 
 
 def test_reconstruct_validation(ctx):
@@ -119,13 +120,9 @@ def test_frame_band_report(gen, ctx):
     nu = bq.nu_beta(2.0, binned.block)
     condenser = bq.BlockCondensation(nu=nu, blocks=binned.block_counts[-1])
     weight = bq.build_weight(binned.block_counts, 5.0, 0.5)
-    system = bq.assemble_frame(
-        binned.sign_vector()[:, None] * ctx.kernel_coefficients(binned.coordinates()),
-        ctx,
-        weight=weight,
-        condenser=condenser,
-    )
-    lower, upper = bq.frame_bound_report(system, gamma=0.125, t=0.6)
+    G = binned.sign_vector()[:, None] * ctx.kernel_coefficients(binned.coordinates())
+    system = bq.assemble_frame(_measure(condenser, weight, G), ctx)
+    lower, upper = bq.frame_bound_report(system, nu, gamma=0.125, t=0.6)
     ratio = (nu.l2 / nu.l1) ** 2
     assert lower.label == "frame spectrum lower edge"
     assert upper.label == "frame spectrum upper edge"
@@ -139,9 +136,6 @@ def test_frame_band_report(gen, ctx):
     # eigenvalue, so the lower edge holds whatever was computed.
     assert lower.vacuous and not upper.vacuous
     with pytest.raises(ValueError):
-        bq.frame_bound_report(system, gamma=1.5, t=0.6)
+        bq.frame_bound_report(system, nu, gamma=1.5, t=0.6)
     with pytest.raises(ValueError):
-        bq.frame_bound_report(system, gamma=0.125, t=0.0)
-    plain = bq.assemble_frame(ctx.kernel_coefficients(binned.coordinates()), ctx)
-    with pytest.raises(ValueError, match="condensed"):
-        bq.frame_bound_report(plain, gamma=0.125, t=0.6)
+        bq.frame_bound_report(system, nu, gamma=0.125, t=0.0)

@@ -242,15 +242,16 @@ def test_signal_eval_memory_stays_near_its_basis():
     assert peak < 1.5 * t.size * model.ks.size * 8
 
 
-def test_shaped_frame_memory_stays_near_its_sample_matrix(ctx):
-    config = dataclasses.replace(bq.RunConfig(), m=24000, p=1600)
-    sample_cfg = bq.SampleConfig(m=24000, p=1600, R=5.0, eps=0.5, seed=1)
+def test_shaped_frame_memory_stays_below_its_sample_matrix(ctx):
+    # The shaped frame holds its p x d rows and one chunk of kernel rows,
+    # never the m x d sample matrix.
+    config = dataclasses.replace(bq.RunConfig(), m=96000, p=6400)
+    sample_cfg = bq.SampleConfig(m=96000, p=6400, R=5.0, eps=0.5, seed=1)
     binned = bq.partition_bins(bq.draw_samples(sample_cfg), sample_cfg)
+    coords = binned.coordinates()
     _, _, _, nu, _ = pipeline._scheme(config)
-    _, peak = _traced_peak(
-        lambda: pipeline._frame(config, ctx, binned.coordinates(), binned, nu)
-    )
-    assert peak < 1.5 * sum(binned.truncated_counts) * ctx.dimension * 8
+    _, peak = _traced_peak(lambda: pipeline._frame(config, ctx, coords, binned, nu))
+    assert peak < 0.25 * coords.size * ctx.dimension * 8
 
 
 def test_default_trial_stays_under_the_heap_trim_threshold(gen):

@@ -74,7 +74,7 @@ def test_run_exact_roundtrip_for_span_signal(ctx, span_signal):
     ):
         art = bq.run_detailed(config, signal=fv)
         exact = bq.CoefficientVector(
-            values=bq.reconstruct(art.system, art.y), context=ctx
+            values=bq.reconstruct(art.system, art.measure(art.y)), context=ctx
         )
         assert np.max(np.abs(exact.eval(art.grid) - art.signal_values)) < 1e-8
         assert art.report.max_state <= config.delta
@@ -193,27 +193,32 @@ def test_report_text_and_csv_roundtrip():
         dict(scheme="sigma-delta", m=48000, p=3000, order=3, levels=10, delta=0.1),
     ],
 )
-def test_shaped_frame_matches_a_signed_copy(ctx, kw):
-    # The shaped frame flips signs in place; the reference flips a copy.
+def test_shaped_frame_matches_a_signed_copy(ctx, kw, monkeypatch):
+    # The shaped frame reads, signs and condenses its rows a chunk of whole
+    # blocks at a time; the reference flips a copy of the whole sample matrix.
     config = dataclasses.replace(bq.RunConfig(), **kw)
     sample_cfg = bq.SampleConfig(
         m=config.m, p=config.p, R=config.R, eps=config.eps, seed=3
     )
     binned = bq.partition_bins(bq.draw_samples(sample_cfg), sample_cfg)
     _, _, _, nu, _ = pipeline._scheme(config)
-    got = pipeline._frame(config, ctx, binned.coordinates(), binned, nu)
+    blocks = binned.block_counts[-1]
+    step = pipeline._FRAME_CHUNK_ROWS // nu.block_len
+    # The defaults fit one chunk; the sigma-delta frame ends on a ragged one.
+    assert blocks % step != 0 if kw else blocks < step
     signs = np.asarray(binned.sign_vector(), dtype=float)
-    want = bq.assemble_frame(
-        signs[:, None] * ctx.kernel_coefficients(binned.coordinates()),
-        ctx,
-        weight=bq.build_weight(binned.block_counts, config.R, config.eps),
-        condenser=bq.BlockCondensation(nu=nu, blocks=binned.block_counts[-1]),
-    )
-    np.testing.assert_array_equal(
-        got.analysis.view(np.int64), want.analysis.view(np.int64)
-    )
-    np.testing.assert_array_equal(got.eigvals.view(np.int64), want.eigvals.view(np.int64))
-    np.testing.assert_array_equal(got.eigvecs.view(np.int64), want.eigvecs.view(np.int64))
+    G = signs[:, None] * ctx.kernel_coefficients(binned.coordinates())
+    weight = bq.build_weight(binned.block_counts, config.R, config.eps)
+    B = weight[:, None] * bq.BlockCondensation(nu=nu, blocks=blocks).apply(G)
+    want = bq.assemble_frame(B, ctx)
+    # A budget of 10 rows is shorter than one block: one block per chunk.
+    for budget in (pipeline._FRAME_CHUNK_ROWS, 10):
+        monkeypatch.setattr(pipeline, "_FRAME_CHUNK_ROWS", budget)
+        got, _ = pipeline._frame(config, ctx, binned.coordinates(), binned, nu)
+        for name in ("analysis", "eigvals", "eigvecs"):
+            np.testing.assert_array_equal(
+                getattr(got, name).view(np.int64), getattr(want, name).view(np.int64)
+            )
 
 
 # --- sweeps ------------------------------------------------------------------
@@ -298,14 +303,24 @@ def test_check_bounds_labels_vacuous_lower_edge(gen):
     tight = bq.check_bounds(dataclasses.replace(bq.RunConfig(), t=0.1))
     edge = [line for line in tight.to_text().splitlines() if "lower edge" in line]
     assert edge[0].endswith("-> FAIL")
-    # The projection bound is vacuous above 1e6 (at r = 15, eps = 0.2), and
-    # check-bounds keeps that label.
+    # The projection bound is vacuous at or above ||f||_L2([-R, R]) (at
+    # r = 15, eps = 0.2), and check-bounds keeps that label.
     proj = [line for line in report.to_text().splitlines() if "projection" in line]
     assert proj[0].endswith("-> ok")
     loose = bq.check_bounds(dataclasses.replace(bq.RunConfig(), r=15, eps=0.2))
     proj = [line for line in loose.to_text().splitlines() if "projection" in line]
     assert proj[0].endswith("-> vacuous")
     assert loose.all_passed
+
+
+def test_check_bounds_labels_a_projection_bound_above_the_signal_norm_vacuous(gen):
+    # The default signal has ||f||_L2([-5, 5]) = 1.27.  At lambda = 1.1 the
+    # bound is 9.2e5, below 1e6 but far above that norm, so it says nothing;
+    # at the defaults it is 0.0395.
+    for lam, status in ((1.1, "vacuous"), (2.0, "ok")):
+        report = bq.check_bounds(dataclasses.replace(bq.RunConfig(), lam=lam))
+        proj = [line for line in report.to_text().splitlines() if "projection" in line]
+        assert proj[0].endswith(f"-> {status}")
 
 
 def test_check_bounds_msq_skips_condensation(gen):
