@@ -8,10 +8,9 @@ resulting random frame.
 """
 
 from .condense import (
-    BlockCondensation,
     BoundReport,
-    CondensationVector,
     build_weight,
+    condense,
     inf_to_two_bound,
     nu_beta,
     nu_sigma_delta,

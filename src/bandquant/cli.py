@@ -119,7 +119,7 @@ def cmd_run(args):
                  "bin,index,coordinate,sign"],
                 [np.repeat([1, 2, 3], b.truncated_counts),
                  np.concatenate([np.arange(n) for n in b.truncated_counts]),
-                 b.coordinates(), b.sign_vector()],
+                 b.coordinates, b.signs],
                 table.row_format_for(int, int, float, int),
             )
     print(text)

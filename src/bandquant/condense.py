@@ -4,7 +4,9 @@ Condensation compresses each block of quantized samples into one number with
 a row vector chosen so that the composition with the transfer operator has a
 small sup-to-L2 operator norm — exponentially small in the block length for
 the geometric scheme, polynomially small of high order for the difference
-scheme.
+scheme.  A row nu is a plain array whose size is the block length, and
+condense(nu, v) applies the block-diagonal stack of nu / ||nu||_1, one copy
+per block.
 """
 
 from __future__ import annotations
@@ -14,31 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class CondensationVector:
-    """One block row nu, before L1 normalisation."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        if entries.ndim != 1 or entries.size < 1:
-            raise ValueError("condensation vector must be a non-empty 1-d array")
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def block_len(self):
-        return self.entries.size
-
-    @property
-    def l1(self):
-        return float(np.abs(self.entries).sum())
-
-    @property
-    def l2(self):
-        return float(np.sqrt((self.entries**2).sum()))
 
 
 def nu_sigma_delta(order, block_len):
@@ -72,7 +49,7 @@ def nu_sigma_delta(order, block_len):
     base = np.ones(rep, dtype=np.int64)
     for _ in range(order):
         coeffs = np.convolve(coeffs, base)
-    return CondensationVector(entries=coeffs.astype(float))
+    return coeffs.astype(float)
 
 
 def nu_beta(beta, block_len):
@@ -83,43 +60,31 @@ def nu_beta(beta, block_len):
         raise ValueError(f"geometric weight beta must exceed 1, got {beta}")
     if block_len < 1:
         raise ValueError(f"block length must be positive, got {block_len}")
-    entries = beta ** -np.arange(1.0, block_len + 1.0)
-    return CondensationVector(entries=entries)
+    return beta ** -np.arange(1.0, block_len + 1.0)
 
 
-@dataclass(frozen=True)
-class BlockCondensation:
-    """Block-diagonal stack of one L1-normalised condensation row per block."""
+def condense(nu, v):
+    """Condense stacked blocks of nu.size samples: a vector, or a matrix's rows.
 
-    nu: CondensationVector
-    blocks: int
-
-    def __post_init__(self):
-        if self.blocks < 1:
-            raise ValueError(f"need at least one block, got {self.blocks}")
-
-    @property
-    def row(self):
-        return self.nu.entries / self.nu.l1
-
-    def apply(self, v):
-        """Condense blocks * block_len stacked samples: a vector, or a matrix's rows.
-
-        Row i of the result is the row-weighted sum over block i, accumulated
-        from zero in in-block order, so a vector and each column of a matrix
-        condense to the same bits.
-        """
-        v = np.asarray(v, dtype=float)
-        expected = self.blocks * self.nu.block_len
-        if v.ndim not in (1, 2) or v.shape[0] != expected:
-            raise ValueError(
-                f"expected {expected} stacked samples along axis 0, got shape {v.shape}"
-            )
-        stacked = v.reshape(self.blocks, self.nu.block_len, *v.shape[1:])
-        out = np.zeros((self.blocks, *v.shape[1:]))
-        for j, w in enumerate(self.row):
-            out += w * stacked[:, j]
-        return out
+    Applies the block-diagonal V with one row nu / ||nu||_1 per block: row i
+    of the result is the weighted sum over block i, accumulated from zero in
+    in-block order, so a vector and each column of a matrix condense to the
+    same bits.
+    """
+    nu = np.asarray(nu, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if nu.ndim != 1 or nu.size < 1:
+        raise ValueError("condensation row must be a non-empty 1-d array")
+    if v.ndim not in (1, 2) or v.shape[0] == 0 or v.shape[0] % nu.size:
+        raise ValueError(
+            f"expected whole blocks of {nu.size} stacked samples along axis 0, "
+            f"got shape {v.shape}"
+        )
+    stacked = v.reshape(-1, nu.size, *v.shape[1:])
+    out = np.zeros((stacked.shape[0], *v.shape[1:]))
+    for j, w in enumerate(nu / np.abs(nu).sum()):
+        out += w * stacked[:, j]
+    return out
 
 
 def build_weight(block_counts, R, eps):
@@ -177,7 +142,7 @@ def _difference_product_row_l1s(order, block_len, blocks):
     the product reaches `order` entries into the previous block; row 0 is
     clipped at the start of the vector and interior rows share one pattern.
     """
-    nu = nu_sigma_delta(order, block_len).entries.astype(np.int64)
+    nu = nu_sigma_delta(order, block_len).astype(np.int64)
     dn = np.array(
         [(-1) ** j * math.comb(order, j) for j in range(order + 1)], dtype=np.int64
     )

@@ -106,7 +106,9 @@ def frame_bound_report(system: FrameSystem, nu, gamma, t):
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
-    ratio = (nu.l2 / nu.l1) ** 2
+    nu = np.asarray(nu, dtype=float)
+    l1, l2 = float(np.abs(nu).sum()), float(np.sqrt((nu**2).sum()))
+    ratio = (l2 / l1) ** 2
     lower = ratio * (1.0 - gamma - 3.0 * t)
     return (
         BoundReport(

@@ -33,6 +33,10 @@ DECAY_SAFETY = 0.05
 # Period of the trapezoid rule in t, in units of tail_cut.  The rule returns
 # g summed over shifts by the period, so on [0, tail_cut] the nearest alias
 # image lies at least 1.5 tail_cut away (|g| < 1.4e-13 there at the defaults).
+# g itself is cut at the last node: max |g| over the last unit below
+# tail_cut = 60 is 5.42e-10 at lam = 1.5, 1.97e-13 at lam = 2 and 5.72e-17 at
+# lam = 3, and at lam = 1.5 g is -1.104e-10 at the last node, so it jumps by
+# that much to 0 there.
 _PERIOD_FACTOR = 2.5
 
 # Points per chunk in Generator.eval, cubic coefficients per row block of

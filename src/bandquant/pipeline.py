@@ -19,9 +19,9 @@ import numpy as np
 
 from . import svg, table
 from .condense import (
-    BlockCondensation,
     BoundReport,
     build_weight,
+    condense,
     nu_beta,
     nu_sigma_delta,
     verify_condensation_bounds,
@@ -160,12 +160,13 @@ def _scheme(config: RunConfig):
     Returns (p, operator, alphabet, nu, audit): the block count, the
     transfer operator as a function of the number of samples it runs over
     (binning fixes that number), the alphabet, the condensation row nu and
-    the condensation bound audit.  MSQ is the member without feedback, H = I:
-    one block per sample, operator block 1 (so the recursion rounds every
-    sample in one numpy step), half-step 1/(2 levels), and no nu and no
-    audit, so its samples are neither binned, signed, weighted nor
-    condensed.  Raises ValueError when a value the scheme reads is out of
-    range.
+    the condensation bound audit.  This is the one place that checks and
+    splits m into p blocks; everything downstream reads the block length as
+    nu.size.  MSQ is the member without feedback, H = I: one block per
+    sample, operator block 1 (so the recursion rounds every sample in one
+    numpy step), half-step 1/(2 levels), and no nu and no audit, so its
+    samples are neither binned, signed, weighted nor condensed.  Raises
+    ValueError when a value the scheme reads is out of range.
     """
     if config.scheme == "msq":
         alphabet = MidriseAlphabet(config.levels, 1.0 / (2.0 * config.levels))
@@ -195,17 +196,18 @@ def _scheme(config: RunConfig):
     )
 
 
-def _draw(config: RunConfig, seed, p, nu):
+def _draw(config: RunConfig, seed, nu):
     """Sample coordinates in quantization order, and their bins.
 
-    Without nu the drawn points are used as they come and the bins are None.
+    Without nu the drawn points are used as they come and the bins are None;
+    with it they are binned in blocks of nu.size.
     """
-    sample_cfg = SampleConfig(m=config.m, p=p, R=config.R, eps=config.eps, seed=seed)
+    sample_cfg = SampleConfig(m=config.m, R=config.R, eps=config.eps, seed=seed)
     points = draw_samples(sample_cfg)
     if nu is None:
         return points, None
-    binned = partition_bins(points, sample_cfg)
-    return binned.coordinates(), binned
+    binned = partition_bins(points, sample_cfg, nu.size)
+    return binned.coordinates, binned
 
 
 # Sample rows per chunk of the shaped frame, rounded down to whole blocks:
@@ -218,26 +220,26 @@ def _frame(config: RunConfig, ctx: KernelContext, coords, binned, nu):
     """Frame of the samples at coords, and the measurement map it was built for.
 
     Without nu the analysis matrix is the plain sample matrix and the map is
-    the identity.  Otherwise the analysis matrix is W V S G, for signs S,
-    condensation V and weights W, and the map W V takes signed samples to one
-    measurement per block.  Its rows are read, signed and condensed a chunk
-    of whole blocks at a time; condensation sums within a block and the rest
-    is elementwise, so the chunks give the bits of one pass over G.
+    the identity.  Otherwise the analysis matrix is W V S G, for the signs S
+    of binned, condensation V = condense(nu, .) and weights W, and the map
+    W V takes signed samples to one measurement per block of nu.size.  Its
+    rows are read, signed and condensed a chunk of whole blocks at a time;
+    condensation sums within a block and the rest is elementwise, so the
+    chunks give the bits of one pass over G.
     """
     if nu is None:
         return assemble_frame(ctx.kernel_coefficients(coords), ctx), np.asarray
-    block, signs = nu.block_len, binned.sign_vector()
+    block, signs = nu.size, binned.signs
     step = max(1, _FRAME_CHUNK_ROWS // block)
     B = np.empty((binned.block_counts[-1], ctx.dimension))
     for lo in range(0, B.shape[0], step):
         rows = slice(lo * block, (lo + step) * block)
         G = ctx.kernel_coefficients(coords[rows])
         G *= signs[rows, None]
-        B[lo : lo + step] = BlockCondensation(nu, G.shape[0] // block).apply(G)
+        B[lo : lo + step] = condense(nu, G)
     weight = build_weight(binned.block_counts, config.R, config.eps)
     B *= weight[:, None]
-    condenser = BlockCondensation(nu, B.shape[0])
-    return assemble_frame(B, ctx), lambda q: weight * condenser.apply(q)
+    return assemble_frame(B, ctx), lambda q: weight * condense(nu, q)
 
 
 @functools.lru_cache(maxsize=4)
@@ -308,10 +310,10 @@ def run_detailed(config: RunConfig, sample_seed=None, signal=None):
     t0 = time.perf_counter()
     ctx = KernelContext.from_box(generator, config.R, config.eps)
     p, operator, alphabet, nu, _ = _scheme(config)
-    coords, binned = _draw(config, seed, p, nu)
+    coords, binned = _draw(config, seed, nu)
     y = np.asarray(signal.eval(coords), dtype=float)
     if binned is not None:
-        y = binned.sign_vector() * y
+        y = binned.signs * y
     result = greedy_noise_shape(y, operator(y.size), alphabet)
     system, measure = _frame(config, ctx, coords, binned, nu)
     recon = CoefficientVector(values=reconstruct(system, measure(result.q)), context=ctx)
@@ -495,7 +497,7 @@ def check_bounds(config: RunConfig):
         )
     )
 
-    p, _, _, nu, audit = _scheme(config)
+    _, _, _, nu, audit = _scheme(config)
     if audit is not None:
         lines.append(audit())
 
@@ -505,7 +507,7 @@ def check_bounds(config: RunConfig):
 
     if nu is not None:
         try:
-            coords, binned = _draw(config, config.seed, p, nu)
+            coords, binned = _draw(config, config.seed, nu)
             system, _ = _frame(config, ctx, coords, binned, nu)
         except FrameFailure as exc:
             lines.append(

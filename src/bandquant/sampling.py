@@ -2,8 +2,9 @@
 
 Samples are drawn uniformly from the widest interval, split into a centre
 region and two concentric shells, and each bin is truncated to a multiple of
-the condensation block length so that the per-bin counts stay compatible with
-the block structure of the condensation operator.
+the condensation block length its caller passes, so that the per-bin counts
+stay compatible with the block structure of the condensation operator.  The
+retained samples and their signs are flat arrays, bin 1 then 2 then 3.
 """
 
 from __future__ import annotations
@@ -34,24 +35,17 @@ def _stream(seed, channel):
 class SampleConfig:
     """Sampling geometry and budget.
 
-    m samples are drawn uniformly from [-(1+3*eps)*R, (1+3*eps)*R]; p is the
-    total number of condensation blocks, so m must be a positive multiple of
-    p and m // p is the block length.
+    m samples are drawn uniformly from [-(1+3*eps)*R, (1+3*eps)*R].
     """
 
     m: int
-    p: int
     R: float
     eps: float
     seed: int
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValueError(f"need at least one block, got p={self.p}")
-        if self.m < 1 or self.m % self.p != 0:
-            raise ValueError(
-                f"sample budget m={self.m} must be a positive multiple of p={self.p}"
-            )
+        if self.m < 1:
+            raise ValueError(f"sample budget m must be positive, got {self.m}")
         if self.R <= 0:
             raise ValueError(f"R must be positive, got {self.R}")
         if self.eps <= 0:
@@ -62,10 +56,6 @@ class SampleConfig:
             )
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-
-    @property
-    def block(self):
-        return self.m // self.p
 
     @property
     def outer_half_width(self):
@@ -100,34 +90,30 @@ def bin_index(x, R, eps):
 
 @dataclass(frozen=True)
 class BinnedSamples:
-    """Per-bin sample coordinates after truncation, with their sign streams.
+    """Retained sample coordinates after truncation, bin 1 then 2 then 3, and
+    one sign per coordinate.
 
-    bins holds the retained coordinates in appearance order; block_counts
-    are the cumulative block totals (p1 <= p2 <= p3 = blocks actually used);
-    discarded counts the samples dropped to reach block-multiple bin sizes.
+    Within a bin the coordinates keep their appearance order; block_counts
+    are the cumulative block totals (p1 <= p2 <= p3 = blocks actually used)
+    of the block length block; discarded counts the samples dropped to reach
+    block-multiple bin sizes.
     """
 
-    bins: tuple
-    signs: tuple
+    coordinates: np.ndarray
+    signs: np.ndarray
     block_counts: tuple
     discarded: int
     block: int
 
     @property
     def truncated_counts(self):
-        return tuple(len(b) for b in self.bins)
-
-    def coordinates(self):
-        """All retained coordinates, bin 1 then 2 then 3."""
-        return np.concatenate(self.bins)
-
-    def sign_vector(self):
-        """Signs aligned with :meth:`coordinates`."""
-        return np.concatenate(self.signs)
+        """Retained samples per bin."""
+        starts = (0, *self.block_counts[:-1])
+        return tuple(self.block * (hi - lo) for lo, hi in zip(starts, self.block_counts))
 
 
-def partition_bins(samples, config: SampleConfig):
-    """Split samples into the three bins and truncate to block multiples.
+def partition_bins(samples, config: SampleConfig, block):
+    """Split samples into the three bins and truncate to multiples of block.
 
     Retains, per bin, the first floor(m_i / block) * block samples in
     appearance order, so each bin contributes a whole number of condensation
@@ -139,8 +125,9 @@ def partition_bins(samples, config: SampleConfig):
         raise ValueError(
             f"expected {config.m} samples, got array of shape {samples.shape}"
         )
+    if block < 1:
+        raise ValueError(f"block length must be positive, got {block}")
     labels = bin_index(samples, config.R, config.eps)
-    block = config.block
     bins = []
     for b in (1, 2, 3):
         coords = samples[labels == b]
@@ -153,31 +140,16 @@ def partition_bins(samples, config: SampleConfig):
                 block=block,
             )
         bins.append(coords[:kept])
-    signs = draw_signs(config.seed, tuple(len(b) for b in bins))
-    blocks_per_bin = [len(b) // block for b in bins]
-    block_counts = tuple(np.cumsum(blocks_per_bin).tolist())
-    discarded = config.m - sum(len(b) for b in bins)
+    coordinates = np.concatenate(bins)
     return BinnedSamples(
-        bins=tuple(bins),
-        signs=signs,
-        block_counts=block_counts,
-        discarded=discarded,
+        coordinates=coordinates,
+        signs=draw_signs(config.seed, coordinates.size),
+        block_counts=tuple(np.cumsum([len(c) // block for c in bins]).tolist()),
+        discarded=config.m - coordinates.size,
         block=block,
     )
 
 
-def draw_signs(seed, lengths):
-    """Bernoulli +/-1 signs for each bin (dedicated stream 1 of the seed).
-
-    All signs come from a single draw split across bins, so the stream is
-    reproducible for a given seed and set of bin lengths.
-    """
-    rng = _stream(seed, 1)
-    total = int(sum(lengths))
-    flat = rng.integers(0, 2, size=total) * 2 - 1
-    out = []
-    start = 0
-    for n in lengths:
-        out.append(flat[start : start + int(n)])
-        start += int(n)
-    return tuple(out)
+def draw_signs(seed, n):
+    """n Bernoulli +/-1 signs (dedicated stream 1 of the seed)."""
+    return _stream(seed, 1).integers(0, 2, size=int(n)) * 2 - 1

@@ -57,11 +57,6 @@ def record_header(cls):
     return ",".join(name for name, _ in _layout(cls))
 
 
-def record_row(record):
-    """CSV row of one report."""
-    return ",".join(conv % getattr(record, name) for name, conv in _layout(record))
-
-
 def record_text(record):
     """One ``name        = value`` line per field of a report."""
     return "\n".join(

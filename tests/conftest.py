@@ -53,10 +53,11 @@ def dense_h():
 
 @pytest.fixture(scope="session")
 def dense_v():
-    """Dense block-diagonal V of a block condensation, the reference for apply."""
+    """Dense block-diagonal V of blocks copies of nu / ||nu||_1, the reference
+    for condense."""
 
-    def make(cond):
-        return np.kron(np.eye(cond.blocks), cond.row)
+    def make(nu, blocks):
+        return np.kron(np.eye(blocks), nu / np.abs(nu).sum())
 
     return make
 

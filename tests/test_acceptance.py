@@ -242,7 +242,7 @@ def test_criterion_6_bin_counts_concentrate():
     within = 0
     worst = 0.0
     for seed in range(50):
-        coords = bq.draw_samples(bq.SampleConfig(m=m, p=200, R=5.0, eps=0.5, seed=seed))
+        coords = bq.draw_samples(bq.SampleConfig(m=m, R=5.0, eps=0.5, seed=seed))
         m1 = int(np.sum(bq.bin_index(coords, 5.0, 0.5) == 1))
         deviation = abs(m1 - 0.6 * m)
         worst = max(worst, deviation)

@@ -183,13 +183,11 @@ def test_check_bounds_failure_lines_carry_computed_numbers(ctx, capsys):
     # At m=600, p=40 the condensed frame has 38 rows for 45 dimensions.
     assert main(["check-bounds", "--m", "600", "--p", "40"]) == 3
     line = capsys.readouterr().out.splitlines()[-1]
-    cfg = bq.SampleConfig(m=600, p=40, R=5.0, eps=0.5, seed=1)
-    binned = bq.partition_bins(bq.draw_samples(cfg), cfg)
-    signed = binned.sign_vector()[:, None] * ctx.kernel_coefficients(binned.coordinates())
-    condenser = bq.BlockCondensation(
-        nu=bq.nu_beta(5.0, binned.block), blocks=binned.block_counts[-1]
-    )
-    B = bq.build_weight(binned.block_counts, 5.0, 0.5)[:, None] * condenser.apply(signed)
+    cfg = bq.SampleConfig(m=600, R=5.0, eps=0.5, seed=1)
+    binned = bq.partition_bins(bq.draw_samples(cfg), cfg, 15)
+    signed = binned.signs[:, None] * ctx.kernel_coefficients(binned.coordinates)
+    condensed = bq.condense(bq.nu_beta(5.0, binned.block), signed)
+    B = bq.build_weight(binned.block_counts, 5.0, 0.5)[:, None] * condensed
     lam_min, *_, lam_max = np.linalg.eigh(B.T @ B)[0]
     assert line.startswith("frame spectrum (frame operator is numerically singular")
     floor = bq.frame.LAMBDA_MIN_FLOOR * lam_max
@@ -197,7 +195,7 @@ def test_check_bounds_failure_lines_carry_computed_numbers(ctx, capsys):
     # At m=40, p=2 the 20-sample blocks do not fit the shells.
     assert main(["check-bounds", "--m", "40", "--p", "2"]) == 3
     line = capsys.readouterr().out.splitlines()[-1]
-    cfg = bq.SampleConfig(m=40, p=2, R=5.0, eps=0.5, seed=1)
+    cfg = bq.SampleConfig(m=40, R=5.0, eps=0.5, seed=1)
     counts = np.bincount(bq.bin_index(bq.draw_samples(cfg), 5.0, 0.5), minlength=4)
     short = int(np.flatnonzero(counts[1:] < 20)[0]) + 1
     assert line == (
@@ -265,11 +263,12 @@ def test_readme_examples_run(tmp_path):
     assert len(bq.load_config(ini)) == 19
     assert (config.R, config.r, config.lam, config.levels) == (5.0, 11, 2.0, 80)
     bq.validate(config)
-    library = re.search(r"```python\n(.*?)```", text, re.S).group(1)
     namespace = {}
-    exec(library, namespace)
+    for library in re.findall(r"```python\n(.*?)```", text, re.S):
+        exec(library, namespace)
     assert namespace["audit"].all_passed
     assert [row.failures for row in namespace["rows"]] == [0, 0, 0, 0]
+    assert namespace["v"].shape == (namespace["binned"].block_counts[-1],)
 
 
 def _without_elapsed(path):

@@ -18,13 +18,13 @@ import bandquant as bq
 
 def test_nu_sigma_delta_frozen():
     nu = bq.nu_sigma_delta(7, 15)
-    assert nu.block_len == 15
-    assert nu.entries.sum() == 3.0**7  # repetition factor 3
-    np.testing.assert_array_equal(nu.entries, nu.entries[::-1])  # symmetric
+    assert nu.size == 15
+    assert nu.sum() == 3.0**7  # repetition factor 3
+    np.testing.assert_array_equal(nu, nu[::-1])  # symmetric
     one = bq.nu_sigma_delta(1, 6)
-    np.testing.assert_array_equal(one.entries, np.ones(6))
+    np.testing.assert_array_equal(one, np.ones(6))
     tiny = bq.nu_sigma_delta(3, 1)
-    np.testing.assert_array_equal(tiny.entries, [1.0])
+    np.testing.assert_array_equal(tiny, [1.0])
 
 
 def test_nu_sigma_delta_incompatible_block():
@@ -38,9 +38,9 @@ def test_nu_sigma_delta_incompatible_block():
 
 def test_nu_beta_frozen():
     nu = bq.nu_beta(2.0, 3)
-    np.testing.assert_allclose(nu.entries, [0.5, 0.25, 0.125])
-    assert nu.l1 == pytest.approx((1.0 - 2.0**-3) / (2.0 - 1.0))
-    assert nu.l2 == pytest.approx(math.sqrt(0.25 + 0.0625 + 0.015625))
+    np.testing.assert_allclose(nu, [0.5, 0.25, 0.125])
+    assert np.abs(nu).sum() == pytest.approx((1.0 - 2.0**-3) / (2.0 - 1.0))
+    assert np.sqrt((nu**2).sum()) == pytest.approx(math.sqrt(0.25 + 0.0625 + 0.015625))
     with pytest.raises(ValueError):
         bq.nu_beta(1.0, 3)
     with pytest.raises(ValueError):
@@ -50,31 +50,35 @@ def test_nu_beta_frozen():
 def test_nu_beta_l1_closed_form():
     for beta, n in ((5.0, 15), (20.0, 15), (1.5, 40)):
         nu = bq.nu_beta(beta, n)
-        assert nu.l1 == pytest.approx((1.0 - beta**-n) / (beta - 1.0), rel=1e-12)
+        assert np.abs(nu).sum() == pytest.approx((1.0 - beta**-n) / (beta - 1.0), rel=1e-12)
 
 
-# --- block condensation ------------------------------------------------------
+# --- condense ----------------------------------------------------------------
 
 
 def test_block_condensation_matrix_and_apply(dense_v):
     nu = bq.nu_beta(2.0, 3)
-    cond = bq.BlockCondensation(nu=nu, blocks=2)
-    mat = dense_v(cond)
+    mat = dense_v(nu, 2)
     assert mat.shape == (2, 6)
     np.testing.assert_allclose(np.abs(mat).sum(axis=1), [1.0, 1.0])  # L1 rows
     assert mat[0, 3] == 0.0 and mat[1, 0] == 0.0  # block diagonal
     rng = np.random.default_rng(23)
     v = rng.normal(size=6)
-    np.testing.assert_allclose(cond.apply(v), mat @ v, atol=1e-14)
+    np.testing.assert_allclose(bq.condense(nu, v), mat @ v, atol=1e-14)
     # A matrix condenses along its rows, each column to the vector's bits.
     M = rng.normal(size=(6, 4))
-    np.testing.assert_allclose(cond.apply(M), mat @ M, atol=1e-14)
+    np.testing.assert_allclose(bq.condense(nu, M), mat @ M, atol=1e-14)
     for k in range(4):
-        np.testing.assert_array_equal(cond.apply(M)[:, k], cond.apply(M[:, k]))
-    with pytest.raises(ValueError):
-        cond.apply(np.zeros(5))
-    with pytest.raises(ValueError):
-        cond.apply(np.zeros((5, 2)))
+        np.testing.assert_array_equal(bq.condense(nu, M)[:, k], bq.condense(nu, M[:, k]))
+    # The block count is read from the length: one block and three blocks.
+    assert bq.condense(nu, v[:3]).shape == (1,)
+    assert bq.condense(nu, np.ones(9)).shape == (3,)
+    # Partial blocks, no block, and 3-d input are rejected.
+    for bad in (np.zeros(5), np.zeros(7), np.zeros((5, 2)), np.zeros(0), np.zeros((6, 2, 2))):
+        with pytest.raises(ValueError, match="whole blocks of 3"):
+            bq.condense(nu, bad)
+    with pytest.raises(ValueError, match="non-empty 1-d"):
+        bq.condense(np.ones((1, 3)), np.zeros(3))
 
 
 # --- weights -----------------------------------------------------------------
@@ -156,15 +160,13 @@ def test_verify_bounds_match_float_operators_where_float_is_exact(dense_h, dense
     blocks, block_len = 4, 6
     size = blocks * block_len
     # Geometric, beta = 2: powers of two are exact floats.
-    cond = bq.BlockCondensation(nu=bq.nu_beta(2.0, block_len), blocks=blocks)
     op = bq.TransferOperator.beta_block(2.0, size, block_len)
-    float_lhs = bq.inf_to_two_bound(dense_v(cond) @ dense_h(op))
+    float_lhs = bq.inf_to_two_bound(dense_v(bq.nu_beta(2.0, block_len), blocks) @ dense_h(op))
     exact = bq.verify_condensation_bounds(block_len, blocks, beta=2.0)
     assert float_lhs == pytest.approx(exact.lhs, rel=1e-12)
     # Difference, order 2 on block length 7: integer arithmetic either way.
-    cond = bq.BlockCondensation(nu=bq.nu_sigma_delta(2, 7), blocks=blocks)
     op = bq.TransferOperator.sigma_delta(2, 28)
-    float_lhs = bq.inf_to_two_bound(dense_v(cond) @ dense_h(op))
+    float_lhs = bq.inf_to_two_bound(dense_v(bq.nu_sigma_delta(2, 7), blocks) @ dense_h(op))
     exact = bq.verify_condensation_bounds(7, blocks, order=2)
     assert float_lhs == pytest.approx(exact.lhs, rel=1e-12)
 
@@ -178,8 +180,8 @@ def test_condensation_kills_shaped_noise_end_to_end(dense_h, dense_v):
     op = bq.TransferOperator.beta_block(5.0, size, block_len)
     alpha = bq.MidriseAlphabet(10, 0.1)
     out = bq.greedy_noise_shape(y, op, alpha)
-    cond = bq.BlockCondensation(nu=bq.nu_beta(5.0, block_len), blocks=blocks)
-    condensed_error = dense_v(cond) @ (y - out.q)
-    bound = bq.inf_to_two_bound(dense_v(cond) @ dense_h(op))
+    V = dense_v(bq.nu_beta(5.0, block_len), blocks)
+    condensed_error = V @ (y - out.q)
+    bound = bq.inf_to_two_bound(V @ dense_h(op))
     assert np.linalg.norm(condensed_error) <= bound * alpha.delta
     assert np.linalg.norm(condensed_error) < 1e-8  # 5^-14 scale, tiny

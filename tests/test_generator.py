@@ -126,6 +126,21 @@ def test_eval_vanishes_beyond_tail_cut(gen):
     assert out[1] == 0.0 and out[2] == 0.0 and out[0] != 0.0
 
 
+@pytest.mark.parametrize(
+    "lam, level, last",
+    [(1.5, 5.42e-10, 1.104e-10), (2.0, 1.97e-13, 1.43e-13), (3.0, 5.72e-17, 1.99e-17)],
+)
+def test_truncation_levels_below_the_tail_cut(lam, level, last):
+    # The levels _PERIOD_FACTOR's comment states: max |g| over the last unit
+    # below the tail cut, and |g| at the last node, past which g is 0.
+    gen = bq.Generator(bq.GeneratorParams(lam=lam))
+    cut = gen.params.tail_cut
+    tail = np.abs(gen.eval(np.linspace(cut - 1.0, cut, 20001))).max()
+    assert 0.5 * level < tail < 2.0 * level
+    assert abs(gen.eval(gen.grid[-1])) <= 2.0 * last
+    assert gen.eval(gen.grid[-1] + 0.5 * gen.params.grid_step) == 0.0
+
+
 def test_eval_handles_array_shapes(gen):
     t = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
     out = gen.eval(t)
@@ -246,10 +261,10 @@ def test_shaped_frame_memory_stays_below_its_sample_matrix(ctx):
     # The shaped frame holds its p x d rows and one chunk of kernel rows,
     # never the m x d sample matrix.
     config = dataclasses.replace(bq.RunConfig(), m=96000, p=6400)
-    sample_cfg = bq.SampleConfig(m=96000, p=6400, R=5.0, eps=0.5, seed=1)
-    binned = bq.partition_bins(bq.draw_samples(sample_cfg), sample_cfg)
-    coords = binned.coordinates()
+    sample_cfg = bq.SampleConfig(m=96000, R=5.0, eps=0.5, seed=1)
     _, _, _, nu, _ = pipeline._scheme(config)
+    binned = bq.partition_bins(bq.draw_samples(sample_cfg), sample_cfg, nu.size)
+    coords = binned.coordinates
     _, peak = _traced_peak(lambda: pipeline._frame(config, ctx, coords, binned, nu))
     assert peak < 0.25 * coords.size * ctx.dimension * 8
 
@@ -395,8 +410,8 @@ def test_kernel_coefficients_follow_eval_across_a_wide_run(gen):
     # tail cut, so rows run off the table.
     config = dataclasses.replace(bq.RunConfig(), R=15.0, eps=0.5)
     ctx = bq.KernelContext.from_box(gen, config.R, config.eps)
-    p, _, _, nu, _ = pipeline._scheme(config)
-    coords, _ = pipeline._draw(config, config.seed, p, nu)
+    _, _, _, nu, _ = pipeline._scheme(config)
+    coords, _ = pipeline._draw(config, config.seed, nu)
     grid = np.linspace(-config.R, config.R, config.grid_points)
     assert np.max(np.abs(coords[:, None] - ctx.shift_points)) > 70.0
     for x in (coords, grid):

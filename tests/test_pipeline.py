@@ -175,11 +175,17 @@ def test_run_uses_sample_seed_override():
     assert a.seed == 100
 
 
-def test_report_text_and_csv_roundtrip():
+def _csv_rows(path, cls, records):
+    """Data rows of the CSV file write_records writes for the records."""
+    table.write_records(path, cls, records)
+    return path.read_text(encoding="utf-8").splitlines()[1:]
+
+
+def test_report_text_and_csv_roundtrip(tmp_path):
     report = bq.run_once(_small_beta())
     text = table.record_text(report)
     assert "sup_error" in text and "lam_min" in text
-    row = table.record_row(report).split(",")
+    row = _csv_rows(tmp_path / "report.csv", bq.RunReport, [report])[0].split(",")
     header = table.record_header(bq.RunReport).split(",")
     assert len(row) == len(header)
     assert row[0] == "beta"
@@ -197,24 +203,22 @@ def test_shaped_frame_matches_a_signed_copy(ctx, kw, monkeypatch):
     # The shaped frame reads, signs and condenses its rows a chunk of whole
     # blocks at a time; the reference flips a copy of the whole sample matrix.
     config = dataclasses.replace(bq.RunConfig(), **kw)
-    sample_cfg = bq.SampleConfig(
-        m=config.m, p=config.p, R=config.R, eps=config.eps, seed=3
-    )
-    binned = bq.partition_bins(bq.draw_samples(sample_cfg), sample_cfg)
+    sample_cfg = bq.SampleConfig(m=config.m, R=config.R, eps=config.eps, seed=3)
     _, _, _, nu, _ = pipeline._scheme(config)
+    binned = bq.partition_bins(bq.draw_samples(sample_cfg), sample_cfg, nu.size)
     blocks = binned.block_counts[-1]
-    step = pipeline._FRAME_CHUNK_ROWS // nu.block_len
+    step = pipeline._FRAME_CHUNK_ROWS // nu.size
     # The defaults fit one chunk; the sigma-delta frame ends on a ragged one.
     assert blocks % step != 0 if kw else blocks < step
-    signs = np.asarray(binned.sign_vector(), dtype=float)
-    G = signs[:, None] * ctx.kernel_coefficients(binned.coordinates())
+    signs = np.asarray(binned.signs, dtype=float)
+    G = signs[:, None] * ctx.kernel_coefficients(binned.coordinates)
     weight = bq.build_weight(binned.block_counts, config.R, config.eps)
-    B = weight[:, None] * bq.BlockCondensation(nu=nu, blocks=blocks).apply(G)
+    B = weight[:, None] * bq.condense(nu, G)
     want = bq.assemble_frame(B, ctx)
     # A budget of 10 rows is shorter than one block: one block per chunk.
     for budget in (pipeline._FRAME_CHUNK_ROWS, 10):
         monkeypatch.setattr(pipeline, "_FRAME_CHUNK_ROWS", budget)
-        got, _ = pipeline._frame(config, ctx, binned.coordinates(), binned, nu)
+        got, _ = pipeline._frame(config, ctx, binned.coordinates, binned, nu)
         for name in ("analysis", "eigvals", "eigvecs"):
             np.testing.assert_array_equal(
                 getattr(got, name).view(np.int64), getattr(want, name).view(np.int64)
@@ -224,11 +228,13 @@ def test_shaped_frame_matches_a_signed_copy(ctx, kw, monkeypatch):
 # --- sweeps ------------------------------------------------------------------
 
 
-def test_sweep_aggregates_and_is_deterministic(gen):
+def test_sweep_aggregates_and_is_deterministic(gen, tmp_path):
     config = _small_beta(trials=2, seed=3)
     rows_a = bq.sweep(config, ms=[800, 1600], schemes=["msq", "beta"])
     rows_b = bq.sweep(config, ms=[800, 1600], schemes=["msq", "beta"])
-    assert [table.record_row(r) for r in rows_a] == [table.record_row(r) for r in rows_b]
+    assert _csv_rows(tmp_path / "a.csv", pipeline.SweepRow, rows_a) == _csv_rows(
+        tmp_path / "b.csv", pipeline.SweepRow, rows_b
+    )
     assert len(rows_a) == 4
     assert rows_a[0].scheme == "msq" and rows_a[0].p == 800
     assert rows_a[3].scheme == "beta" and rows_a[3].m == 1600

@@ -7,35 +7,33 @@ import pytest
 import bandquant as bq
 
 
-def _config(m, p, seed=0):
-    return bq.SampleConfig(m=m, p=p, R=5.0, eps=0.5, seed=seed)
+def _config(m, seed=0):
+    return bq.SampleConfig(m=m, R=5.0, eps=0.5, seed=seed)
 
 
 # --- draws -------------------------------------------------------------------
 
 
 def test_draw_deterministic_and_in_range():
-    cfg = _config(1000, 50, seed=3)
+    cfg = _config(1000, seed=3)
     a = bq.draw_samples(cfg)
     b = bq.draw_samples(cfg)
     np.testing.assert_array_equal(a, b)
     assert a.shape == (1000,)
     assert np.all(np.abs(a) <= 12.5)
-    c = bq.draw_samples(_config(1000, 50, seed=4))
+    c = bq.draw_samples(_config(1000, seed=4))
     assert not np.array_equal(a, c)
 
 
 def test_sample_config_validation():
-    with pytest.raises(ValueError, match="multiple"):
-        _config(100, 3)
     with pytest.raises(ValueError):
-        _config(0, 1)
+        _config(0)
     with pytest.raises(ValueError):
-        bq.SampleConfig(m=100, p=10, R=5.0, eps=0.1, seed=0)  # eps*R < 1
+        bq.SampleConfig(m=100, R=5.0, eps=0.1, seed=0)  # eps*R < 1
     with pytest.raises(ValueError):
-        bq.SampleConfig(m=100, p=10, R=-5.0, eps=0.5, seed=0)
+        bq.SampleConfig(m=100, R=-5.0, eps=0.5, seed=0)
     with pytest.raises(ValueError):
-        bq.SampleConfig(m=100, p=10, R=5.0, eps=0.5, seed=-1)
+        bq.SampleConfig(m=100, R=5.0, eps=0.5, seed=-1)
 
 
 # --- bin labels --------------------------------------------------------------
@@ -62,21 +60,25 @@ def _raw_counts(samples, cfg):
     return tuple(np.bincount(bq.bin_index(samples, cfg.R, cfg.eps), minlength=4)[1:].tolist())
 
 
+def _bins(values, binned):
+    """values (coordinates or signs) of each bin, sliced by its retained count."""
+    return np.split(values, np.cumsum(binned.truncated_counts)[:-1])
+
+
 def test_partition_trace():
     samples = np.array([-12.0, 3.0, 8.0, -9.0, 0.5, 11.0])
-    cfg = _config(6, 3)
-    binned = bq.partition_bins(samples, cfg)
+    cfg = _config(6)
+    binned = bq.partition_bins(samples, cfg, 2)
     assert binned.block == 2
-    np.testing.assert_array_equal(binned.bins[0], [3.0, 0.5])
-    np.testing.assert_array_equal(binned.bins[1], [8.0, -9.0])
-    np.testing.assert_array_equal(binned.bins[2], [-12.0, 11.0])
+    assert binned.truncated_counts == (2, 2, 2)
     assert _raw_counts(samples, cfg) == (2, 2, 2)
     assert binned.block_counts == (1, 2, 3)
     assert binned.discarded == 0
     np.testing.assert_array_equal(
-        binned.coordinates(), [3.0, 0.5, 8.0, -9.0, -12.0, 11.0]
+        binned.coordinates, [3.0, 0.5, 8.0, -9.0, -12.0, 11.0]
     )
-    assert set(np.unique(binned.sign_vector())) <= {-1, 1}
+    assert binned.signs.shape == (6,)
+    assert set(np.unique(binned.signs)) <= {-1, 1}
 
 
 def test_partition_truncates_to_block_multiples():
@@ -86,66 +88,67 @@ def test_partition_truncates_to_block_multiples():
          8.0, -9.0, 9.5, -8.2,      # bin 2 (4 samples)
          11.0, -12.0, 12.4]         # bin 3 (3 samples)
     )
-    cfg = _config(12, 6)
-    binned = bq.partition_bins(samples, cfg)
+    cfg = _config(12)
+    binned = bq.partition_bins(samples, cfg, 2)
     assert _raw_counts(samples, cfg) == (5, 4, 3)
     assert binned.truncated_counts == (4, 4, 2)
     assert binned.discarded == 2
     assert binned.block_counts == (2, 4, 5)
-    np.testing.assert_array_equal(binned.bins[0], [1.0, -2.0, 3.0, 0.5])
-    np.testing.assert_array_equal(binned.bins[2], [11.0, -12.0])
+    bins = _bins(binned.coordinates, binned)
+    np.testing.assert_array_equal(bins[0], [1.0, -2.0, 3.0, 0.5])
+    np.testing.assert_array_equal(bins[2], [11.0, -12.0])
     assert sum(binned.truncated_counts) == 10
-    assert [len(s) for s in binned.signs] == [4, 4, 2]
+    assert binned.coordinates.shape == binned.signs.shape == (10,)
 
 
 def test_partition_keeps_appearance_order_across_interleaving():
     samples = np.array([8.0, 1.0, -9.0, 11.0, 2.0, -8.5, -12.0, 3.0])
-    cfg = _config(8, 4)
-    binned = bq.partition_bins(samples, cfg)
-    np.testing.assert_array_equal(binned.bins[0], [1.0, 2.0])  # 3.0 truncated
-    np.testing.assert_array_equal(binned.bins[1], [8.0, -9.0])
-    np.testing.assert_array_equal(binned.bins[2], [11.0, -12.0])
+    binned = bq.partition_bins(samples, _config(8), 2)
+    bins = _bins(binned.coordinates, binned)
+    np.testing.assert_array_equal(bins[0], [1.0, 2.0])  # 3.0 truncated
+    np.testing.assert_array_equal(bins[1], [8.0, -9.0])
+    np.testing.assert_array_equal(bins[2], [11.0, -12.0])
 
 
 def test_partition_raises_when_bin_underfills():
     samples = np.array([1.0, 2.0, 3.0, 4.0])  # everything in bin 1
-    cfg = _config(4, 2)
+    cfg = _config(4)
     with pytest.raises(bq.BinningError, match="bin 2"):
-        bq.partition_bins(samples, cfg)
+        bq.partition_bins(samples, cfg, 2)
 
 
 def test_partition_shape_check():
-    cfg = _config(6, 3)
+    cfg = _config(6)
     with pytest.raises(ValueError, match="expected 6 samples"):
-        bq.partition_bins(np.zeros(5), cfg)
+        bq.partition_bins(np.zeros(5), cfg, 2)
+    for block in (0, -2):
+        with pytest.raises(ValueError, match="block length must be positive"):
+            bq.partition_bins(np.zeros(6), cfg, block)
 
 
 def test_bin_concentration_single_seed():
-    cfg = _config(10000, 100, seed=42)
+    cfg = _config(10000, seed=42)
     samples = bq.draw_samples(cfg)
-    binned = bq.partition_bins(samples, cfg)
+    binned = bq.partition_bins(samples, cfg, 100)
     m1 = _raw_counts(samples, cfg)[0]
     # Centre bin covers fraction (1+eps)/(1+3eps) = 0.6 of the interval.
     assert abs(m1 - 6000) <= 3000
-    assert binned.discarded < 3 * cfg.block
+    assert binned.discarded < 3 * binned.block
 
 
 # --- signs -------------------------------------------------------------------
 
 
 def test_signs_deterministic_and_balanced():
-    a = bq.draw_signs(21, (100, 50, 25))
-    b = bq.draw_signs(21, (100, 50, 25))
-    for x, y in zip(a, b):
-        np.testing.assert_array_equal(x, y)
-    assert [len(x) for x in a] == [100, 50, 25]
-    flat = np.concatenate(a)
-    assert set(np.unique(flat)) == {-1, 1}
-    # Same seed, same total: identical underlying stream regardless of split.
-    c = bq.draw_signs(21, (175,))
-    np.testing.assert_array_equal(np.concatenate(a), c[0])
-    d = bq.draw_signs(22, (175,))
-    assert not np.array_equal(c[0], d[0])
+    a = bq.draw_signs(21, 175)
+    b = bq.draw_signs(21, 175)
+    np.testing.assert_array_equal(a, b)
+    assert a.shape == (175,)
+    assert set(np.unique(a)) == {-1, 1}
+    # One stream per seed: a shorter draw is a prefix of a longer one.
+    np.testing.assert_array_equal(bq.draw_signs(21, 100), a[:100])
+    d = bq.draw_signs(22, 175)
+    assert not np.array_equal(a, d)
 
 
 def test_binned_csv(beta_run):
@@ -159,4 +162,4 @@ def test_binned_csv(beta_run):
     assert len(lines) == 2 + sum(binned.truncated_counts)
     first = lines[2].split(",")
     assert first[0] == "1" and first[3] in ("-1", "1")
-    assert float(first[2]) == binned.bins[0][0]
+    assert float(first[2]) == binned.coordinates[0]

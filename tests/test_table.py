@@ -92,7 +92,9 @@ def test_records_match_the_former_report_format(tmp_path):
     assert table.record_header(bq.RunReport) == (
         "scheme,m,p,seed,sup_error,rms_error,lam_min,lam_max,max_state,discarded,elapsed_s"
     )
-    assert table.record_row(report) == (
+    path = tmp_path / "report.csv"
+    table.write_records(path, bq.RunReport, [report])
+    assert path.read_text(encoding="utf-8").splitlines()[1] == (
         f"{r.scheme},{r.m},{r.p},{r.seed},{r.sup_error:.17g},{r.rms_error:.17g},"
         f"{r.lam_min:.17g},{r.lam_max:.17g},{r.max_state:.17g},{r.discarded},"
         f"{r.elapsed_s:.3f}"
@@ -109,6 +111,12 @@ def test_records_match_the_former_report_format(tmp_path):
             *(f"{s.scheme},{s.m},{s.p},{s.mean_sup_error:.17g},{s.failures}\n" for s in rows),
         ]
     )
+
+
+def _split_bins(binned):
+    """(coordinates, signs) of each bin, sliced by its retained count."""
+    ends = np.cumsum(binned.truncated_counts)
+    return zip(np.split(binned.coordinates, ends[:-1]), np.split(binned.signs, ends[:-1]))
 
 
 def test_run_data_files_match_per_row_formatting(beta_run):
@@ -134,7 +142,7 @@ def test_run_data_files_match_per_row_formatting(beta_run):
             ],
             [
                 (b, i, x, s)
-                for b, (xs, ss) in enumerate(zip(binned.bins, binned.signs), start=1)
+                for b, (xs, ss) in enumerate(_split_bins(binned), start=1)
                 for i, (x, s) in enumerate(zip(xs, ss))
             ],
             (int, int, float, int),
