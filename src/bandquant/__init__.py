@@ -49,14 +49,13 @@ from .pipeline import (
 from .quantize import (
     MidriseAlphabet,
     QuantizationResult,
-    TransferOperator,
+    difference_taps,
     greedy_noise_shape,
     stability_margin,
 )
 from .sampling import (
     BinnedSamples,
     BinningError,
-    SampleConfig,
     bin_index,
     draw_samples,
     draw_signs,

@@ -22,7 +22,8 @@ shift 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -106,33 +107,34 @@ def ghat(xi, lam):
     return float(out[0]) if scalar else out
 
 
+# Largest step of the table's t-grid.
+_MAX_GRID_STEP = 1e-3
+
+
 @dataclass(frozen=True)
 class GeneratorParams:
-    """Construction parameters of the generator's table: band and t-grid.
+    """Construction parameters of the generator's table: the band lam.
 
-    ``grid_step`` holds the largest step at most the requested one that
-    divides the shift 1/lam: 1/(lam M) for a whole number M of steps.
+    ``grid_step`` is derived: the largest step at most 1e-3 that divides the
+    shift 1/lam, 1/(lam M) for a whole number M of steps.  The table reaches
+    ``tail_cut`` on both sides.
     """
 
     lam: float
-    grid_step: float = 1e-3
-    tail_cut: float = 60.0
+    grid_step: float = field(init=False)
+    tail_cut: ClassVar[float] = 60.0
 
     def __post_init__(self):
         if self.lam <= 1:
             raise ValueError(f"oversampling ratio must exceed 1, got {self.lam}")
-        if not 0 < self.grid_step <= 0.1:
-            raise ValueError(f"grid_step out of range: {self.grid_step}")
         # The table's FFT wraps frequencies beyond pi / grid_step onto the band.
-        if (2.0 * self.lam - 1.0) * self.grid_step >= 1.0:
+        if (2.0 * self.lam - 1.0) * _MAX_GRID_STEP >= 1.0:
             raise ValueError(
-                f"grid_step {self.grid_step} cannot resolve the band of lam={self.lam}"
+                f"grid_step {_MAX_GRID_STEP} cannot resolve the band of lam={self.lam}"
             )
-        if self.tail_cut < 10.0:
-            raise ValueError(f"tail_cut too small to certify decay: {self.tail_cut}")
         # The 1e-12 guard keeps a step that divides 1/lam up to rounding, so
-        # the default step at lam = 2 stays exactly 1e-3 (M = 500).
-        steps = math.ceil(1.0 / (self.lam * self.grid_step) * (1.0 - 1e-12))
+        # the step at lam = 2 stays exactly 1e-3 (M = 500).
+        steps = math.ceil(1.0 / (self.lam * _MAX_GRID_STEP) * (1.0 - 1e-12))
         object.__setattr__(self, "grid_step", 1.0 / (self.lam * steps))
 
 
@@ -312,7 +314,7 @@ class Generator:
             raise ValueError(f"decay exponent must be at least 2, got {r}")
         rising = ValueError(
             f"weighted profile still rising at the tail cut for exponent {r}; "
-            "increase tail_cut"
+            "use a smaller exponent"
         )
         # Where (1 + t)^r overflows near the tail cut (r >= 173 on the default
         # 60-wide table) the profile is infinite there: still rising.

@@ -37,11 +37,11 @@ from .frame import (
 from .generator import Generator, GeneratorParams, KernelContext
 from .quantize import (
     MidriseAlphabet,
-    TransferOperator,
+    difference_taps,
     greedy_noise_shape,
     stability_margin,
 )
-from .sampling import BinningError, SampleConfig, draw_samples, partition_bins
+from .sampling import BinningError, draw_samples, partition_bins
 from .signals import (
     CoefficientVector,
     project,
@@ -139,8 +139,8 @@ def validate(config: RunConfig):
         problems.append(f"levels must be >= 1, got {config.levels}")
     if not problems:
         try:
-            _, operator, alphabet, _, _ = _scheme(config)
-            margin = stability_margin(operator(config.m), config.target_sup, alphabet)
+            _, taps, _, alphabet, _, _ = _scheme(config)
+            margin = stability_margin(taps, config.target_sup, alphabet)
         except ValueError as exc:
             problems.append(str(exc))
         else:
@@ -157,21 +157,22 @@ def validate(config: RunConfig):
 def _scheme(config: RunConfig):
     """The configured member of the greedy quantizer family.
 
-    Returns (p, operator, alphabet, nu, audit): the block count, the
-    transfer operator as a function of the number of samples it runs over
-    (binning fixes that number), the alphabet, the condensation row nu and
+    Returns (p, taps, block, alphabet, nu, audit): the block count, the
+    feedback taps and restart length of the greedy recursion (None for one
+    recursion over all samples), the alphabet, the condensation row nu and
     the condensation bound audit.  This is the one place that checks and
     splits m into p blocks; everything downstream reads the block length as
     nu.size.  MSQ is the member without feedback, H = I: one block per
-    sample, operator block 1 (so the recursion rounds every sample in one
-    numpy step), half-step 1/(2 levels), and no nu and no audit, so its
-    samples are neither binned, signed, weighted nor condensed.  Raises
-    ValueError when a value the scheme reads is out of range.
+    sample, no taps and restart length 1 (so the recursion rounds every
+    sample in one numpy step), half-step 1/(2 levels), and no nu and no
+    audit, so its samples are neither binned, signed, weighted nor
+    condensed.  The geometric scheme restarts at every condensation block;
+    the difference scheme never restarts.  Raises ValueError when a value
+    the scheme reads is out of range.
     """
     if config.scheme == "msq":
         alphabet = MidriseAlphabet(config.levels, 1.0 / (2.0 * config.levels))
-        operator = functools.partial(TransferOperator, (), block=1)
-        return config.m, operator, alphabet, None, None
+        return config.m, (), 1, alphabet, None, None
     if config.p < 1 or config.m % config.p != 0:
         raise ValueError(
             f"sample budget m={config.m} must be a positive multiple of p={config.p}"
@@ -180,16 +181,21 @@ def _scheme(config: RunConfig):
     alphabet = MidriseAlphabet(config.levels, config.delta)
     audit = functools.partial(verify_condensation_bounds, block, config.p)
     if config.scheme == "sigma-delta":
+        # nu first: it names the compatible block lengths, and its checks
+        # come before any float of a binomial tap can overflow.
+        nu = nu_sigma_delta(config.order, block)
         return (
             config.p,
-            functools.partial(TransferOperator.sigma_delta, config.order),
+            difference_taps(config.order),
+            None,
             alphabet,
-            nu_sigma_delta(config.order, block),
+            nu,
             functools.partial(audit, order=config.order),
         )
     return (
         config.p,
-        functools.partial(TransferOperator.beta_block, config.beta, block=block),
+        (float(config.beta),),
+        block,
         alphabet,
         nu_beta(config.beta, block),
         functools.partial(audit, beta=config.beta),
@@ -202,11 +208,10 @@ def _draw(config: RunConfig, seed, nu):
     Without nu the drawn points are used as they come and the bins are None;
     with it they are binned in blocks of nu.size.
     """
-    sample_cfg = SampleConfig(m=config.m, R=config.R, eps=config.eps, seed=seed)
-    points = draw_samples(sample_cfg)
+    points = draw_samples(config.m, config.R, config.eps, seed)
     if nu is None:
         return points, None
-    binned = partition_bins(points, sample_cfg, nu.size)
+    binned = partition_bins(points, config.R, config.eps, nu.size, seed)
     return binned.coordinates, binned
 
 
@@ -294,7 +299,8 @@ def run_detailed(config: RunConfig, sample_seed=None, signal=None):
     Every scheme takes the same steps: draw, bin, evaluate the signal,
     quantize with the greedy recursion, assemble the frame, reconstruct and
     evaluate on grid_points points of [-R, R]; the scheme only chooses the
-    transfer operator, the alphabet and the condensation row (see _scheme).
+    feedback taps, the restart length, the alphabet and the condensation row
+    (see _scheme).
     sample_seed overrides config.seed for the sampling/sign streams (used by
     sweeps to vary trials while keeping the signal fixed); signal overrides
     synthesis when already available, and elapsed_s starts once the shared
@@ -309,12 +315,12 @@ def run_detailed(config: RunConfig, sample_seed=None, signal=None):
         signal = synth_test_signal(config.signal_seed, config.k_range, config.target_sup)
     t0 = time.perf_counter()
     ctx = KernelContext.from_box(generator, config.R, config.eps)
-    p, operator, alphabet, nu, _ = _scheme(config)
+    p, taps, block, alphabet, nu, _ = _scheme(config)
     coords, binned = _draw(config, seed, nu)
     y = np.asarray(signal.eval(coords), dtype=float)
     if binned is not None:
         y = binned.signs * y
-    result = greedy_noise_shape(y, operator(y.size), alphabet)
+    result = greedy_noise_shape(y, taps, alphabet, block)
     system, measure = _frame(config, ctx, coords, binned, nu)
     recon = CoefficientVector(values=reconstruct(system, measure(result.q)), context=ctx)
     grid = np.linspace(-config.R, config.R, config.grid_points)
@@ -497,7 +503,7 @@ def check_bounds(config: RunConfig):
         )
     )
 
-    _, _, _, nu, audit = _scheme(config)
+    _, _, _, _, nu, audit = _scheme(config)
     if audit is not None:
         lines.append(audit())
 

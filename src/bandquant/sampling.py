@@ -1,10 +1,12 @@
 """Random sample draws, three-interval binning and Bernoulli sign streams.
 
-Samples are drawn uniformly from the widest interval, split into a centre
-region and two concentric shells, and each bin is truncated to a multiple of
-the condensation block length its caller passes, so that the per-bin counts
-stay compatible with the block structure of the condensation operator.  The
-retained samples and their signs are flat arrays, bin 1 then 2 then 3.
+The sampling is fixed by plain values: m points drawn i.i.d. uniformly from
+[-(1+3 eps) R, (1+3 eps) R] on stream 0 of the seed.  That interval splits
+into a centre region and two concentric shells, and each bin is truncated to
+a multiple of the condensation block length its caller passes, so that the
+per-bin counts stay compatible with the block structure of the condensation
+operator.  The retained samples and their signs (stream 1 of the seed) are
+flat arrays, bin 1 then 2 then 3.
 """
 
 from __future__ import annotations
@@ -31,42 +33,24 @@ def _stream(seed, channel):
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(channel))))
 
 
-@dataclass(frozen=True)
-class SampleConfig:
-    """Sampling geometry and budget.
+def draw_samples(m, R, eps, seed):
+    """Draw m sample coordinates uniformly from [-(1+3 eps) R, (1+3 eps) R].
 
-    m samples are drawn uniformly from [-(1+3*eps)*R, (1+3*eps)*R].
+    The draw reads dedicated stream 0 of the seed.  eps * R, the width of
+    each shell, must be at least 1.
     """
-
-    m: int
-    R: float
-    eps: float
-    seed: int
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"sample budget m must be positive, got {self.m}")
-        if self.R <= 0:
-            raise ValueError(f"R must be positive, got {self.R}")
-        if self.eps <= 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
-        if self.eps * self.R < 1.0:
-            raise ValueError(
-                f"shell width eps*R must be at least 1, got {self.eps * self.R}"
-            )
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-
-    @property
-    def outer_half_width(self):
-        return (1.0 + 3.0 * self.eps) * self.R
-
-
-def draw_samples(config: SampleConfig):
-    """Draw the m sample coordinates (dedicated stream 0 of the seed)."""
-    rng = _stream(config.seed, 0)
-    half = config.outer_half_width
-    return rng.uniform(-half, half, size=config.m)
+    if m < 1:
+        raise ValueError(f"sample budget m must be positive, got {m}")
+    if R <= 0:
+        raise ValueError(f"R must be positive, got {R}")
+    if eps <= 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    if eps * R < 1.0:
+        raise ValueError(f"shell width eps*R must be at least 1, got {eps * R}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    half = (1.0 + 3.0 * eps) * R
+    return _stream(seed, 0).uniform(-half, half, size=m)
 
 
 def bin_index(x, R, eps):
@@ -112,22 +96,20 @@ class BinnedSamples:
         return tuple(self.block * (hi - lo) for lo, hi in zip(starts, self.block_counts))
 
 
-def partition_bins(samples, config: SampleConfig, block):
+def partition_bins(samples, R, eps, block, seed):
     """Split samples into the three bins and truncate to multiples of block.
 
     Retains, per bin, the first floor(m_i / block) * block samples in
     appearance order, so each bin contributes a whole number of condensation
-    blocks.  Raises BinningError when a bin has fewer samples than one block,
-    since then no block structure fits.
+    blocks, and draws their signs from the seed.  Raises BinningError when a
+    bin has fewer samples than one block, since then no block structure fits.
     """
     samples = np.asarray(samples, dtype=float)
-    if samples.shape != (config.m,):
-        raise ValueError(
-            f"expected {config.m} samples, got array of shape {samples.shape}"
-        )
+    if samples.ndim != 1:
+        raise ValueError(f"expected a 1-d array of samples, got shape {samples.shape}")
     if block < 1:
         raise ValueError(f"block length must be positive, got {block}")
-    labels = bin_index(samples, config.R, config.eps)
+    labels = bin_index(samples, R, eps)
     bins = []
     for b in (1, 2, 3):
         coords = samples[labels == b]
@@ -143,9 +125,9 @@ def partition_bins(samples, config: SampleConfig, block):
     coordinates = np.concatenate(bins)
     return BinnedSamples(
         coordinates=coordinates,
-        signs=draw_signs(config.seed, coordinates.size),
+        signs=draw_signs(seed, coordinates.size),
         block_counts=tuple(np.cumsum([len(c) // block for c in bins]).tolist()),
-        discarded=config.m - coordinates.size,
+        discarded=samples.size - coordinates.size,
         block=block,
     )
 

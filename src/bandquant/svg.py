@@ -33,18 +33,14 @@ def _log_ticks(lo, hi):
 def write_log_chart(path, series, *, title, x_label, y_label):
     """Write a log-y line chart.
 
-    series is a list of (name, xs, ys) with positive ys; each series becomes
-    one polyline plus legend entry.
+    series is a non-empty list of (name, xs, ys) with non-empty, positive
+    ys; each series becomes one polyline plus legend entry.
     """
     series = [
         (name, [float(x) for x in xs], [float(y) for y in ys])
         for name, xs, ys in series
     ]
-    points = [
-        (x, y) for _, xs, ys in series for x, y in zip(xs, ys) if y > 0
-    ]
-    if not points:
-        raise ValueError("no positive data points to plot")
+    points = [(x, y) for _, xs, ys in series for x, y in zip(xs, ys)]
     x_min = min(x for x, _ in points)
     x_max = max(x for x, _ in points)
     y_min = min(y for _, y in points)
@@ -120,20 +116,16 @@ def write_log_chart(path, series, *, title, x_label, y_label):
     # Series polylines, markers and legend.
     for idx, (name, xs, ys) in enumerate(series):
         color = _COLORS[idx % len(_COLORS)]
-        pts = " ".join(
-            f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(xs, ys) if y > 0
+        pts = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(xs, ys))
+        out.append(
+            f'<polyline points="{pts}" fill="none" stroke="{color}" '
+            f'stroke-width="1.5"/>'
         )
-        if pts:
-            out.append(
-                f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                f'stroke-width="1.5"/>'
-            )
         for x, y in zip(xs, ys):
-            if y > 0:
-                out.append(
-                    f'<circle cx="{_fmt(px(x))}" cy="{_fmt(py(y))}" r="3" '
-                    f'fill="{color}"/>'
-                )
+            out.append(
+                f'<circle cx="{_fmt(px(x))}" cy="{_fmt(py(y))}" r="3" '
+                f'fill="{color}"/>'
+            )
         ly = _MARGIN_TOP + 16 + 18 * idx
         lx = _MARGIN_LEFT + plot_w + 12
         out.append(

@@ -39,14 +39,17 @@ def span_signal(ctx):
 
 @pytest.fixture(scope="session")
 def dense_h():
-    """Dense H of a transfer operator, the reference for its recursion: one
-    lower-Toeplitz block I - sum_j taps[j-1] S^j per restart, stacked by kron."""
+    """Dense H of the recursion with the given taps, restarting every block
+    steps (never for None) over size steps, the reference for
+    greedy_noise_shape: one lower-Toeplitz block I - sum_j taps[j-1] S^j per
+    restart, stacked by kron."""
 
-    def make(op):
-        block = np.eye(op.block)
-        for j, tap in enumerate(op.taps, start=1):
-            block -= tap * np.eye(op.block, k=-j)
-        return np.kron(np.eye(op.size // op.block), block)
+    def make(taps, block, size):
+        block = size if block is None else block
+        h = np.eye(block)
+        for j, tap in enumerate(taps, start=1):
+            h -= tap * np.eye(block, k=-j)
+        return np.kron(np.eye(size // block), h)
 
     return make
 

@@ -35,28 +35,25 @@ def test_criterion_1_noise_shaping_identity_and_state_bound(dense_h):
     worst_residual = 0.0
     worst_state_excess = 0.0  # max over runs of max_state - delta
     min_margin = math.inf
-    ops = []
+    # (taps, restart length, levels, delta)
+    schemes = []
     for order, levels, delta in _SD_CONFIGS:
-        ops.append(
-            (bq.TransferOperator.sigma_delta(order, size), levels, delta)
-        )
+        schemes.append((bq.difference_taps(order), None, levels, delta))
     for beta, levels, delta in _BETA_CONFIGS:
-        ops.append(
-            (bq.TransferOperator.beta_block(beta, size, block=15), levels, delta)
-        )
+        schemes.append(((beta,), 15, levels, delta))
     # MSQ, the member without feedback, as the pipeline configures it.
-    _, operator, alphabet, _, _ = bq.pipeline._scheme(
+    _, taps, block, alphabet, _, _ = bq.pipeline._scheme(
         dataclasses.replace(_DEFAULTS, scheme="msq", levels=10)
     )
-    ops.append((operator(size), alphabet.levels, alphabet.delta))
-    for op, levels, delta in ops:
-        mat = dense_h(op)
+    schemes.append((taps, block, alphabet.levels, alphabet.delta))
+    for taps, block, levels, delta in schemes:
+        mat = dense_h(taps, block, size)
         alphabet = bq.MidriseAlphabet(levels, delta)
-        margin = bq.stability_margin(op, 1.0, alphabet)
+        margin = bq.stability_margin(taps, 1.0, alphabet)
         min_margin = min(min_margin, margin)
         for _ in range(200):
             y = rng.uniform(-1.0, 1.0, size=size)
-            result = bq.greedy_noise_shape(y, op, alphabet)
+            result = bq.greedy_noise_shape(y, taps, alphabet, block)
             residual = float(np.max(np.abs((y - result.q) - mat @ result.u)))
             worst_residual = max(worst_residual, residual)
             worst_state_excess = max(
@@ -242,7 +239,7 @@ def test_criterion_6_bin_counts_concentrate():
     within = 0
     worst = 0.0
     for seed in range(50):
-        coords = bq.draw_samples(bq.SampleConfig(m=m, R=5.0, eps=0.5, seed=seed))
+        coords = bq.draw_samples(m, 5.0, 0.5, seed)
         m1 = int(np.sum(bq.bin_index(coords, 5.0, 0.5) == 1))
         deviation = abs(m1 - 0.6 * m)
         worst = max(worst, deviation)

@@ -183,8 +183,7 @@ def test_check_bounds_failure_lines_carry_computed_numbers(ctx, capsys):
     # At m=600, p=40 the condensed frame has 38 rows for 45 dimensions.
     assert main(["check-bounds", "--m", "600", "--p", "40"]) == 3
     line = capsys.readouterr().out.splitlines()[-1]
-    cfg = bq.SampleConfig(m=600, R=5.0, eps=0.5, seed=1)
-    binned = bq.partition_bins(bq.draw_samples(cfg), cfg, 15)
+    binned = bq.partition_bins(bq.draw_samples(600, 5.0, 0.5, 1), 5.0, 0.5, 15, 1)
     signed = binned.signs[:, None] * ctx.kernel_coefficients(binned.coordinates)
     condensed = bq.condense(bq.nu_beta(5.0, binned.block), signed)
     B = bq.build_weight(binned.block_counts, 5.0, 0.5)[:, None] * condensed
@@ -195,8 +194,7 @@ def test_check_bounds_failure_lines_carry_computed_numbers(ctx, capsys):
     # At m=40, p=2 the 20-sample blocks do not fit the shells.
     assert main(["check-bounds", "--m", "40", "--p", "2"]) == 3
     line = capsys.readouterr().out.splitlines()[-1]
-    cfg = bq.SampleConfig(m=40, R=5.0, eps=0.5, seed=1)
-    counts = np.bincount(bq.bin_index(bq.draw_samples(cfg), 5.0, 0.5), minlength=4)
+    counts = np.bincount(bq.bin_index(bq.draw_samples(40, 5.0, 0.5, 1), 5.0, 0.5), minlength=4)
     short = int(np.flatnonzero(counts[1:] < 20)[0]) + 1
     assert line == (
         f"frame binning (bin {short} received {counts[short]} samples, fewer than "

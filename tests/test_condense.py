@@ -160,13 +160,13 @@ def test_verify_bounds_match_float_operators_where_float_is_exact(dense_h, dense
     blocks, block_len = 4, 6
     size = blocks * block_len
     # Geometric, beta = 2: powers of two are exact floats.
-    op = bq.TransferOperator.beta_block(2.0, size, block_len)
-    float_lhs = bq.inf_to_two_bound(dense_v(bq.nu_beta(2.0, block_len), blocks) @ dense_h(op))
+    H = dense_h((2.0,), block_len, size)
+    float_lhs = bq.inf_to_two_bound(dense_v(bq.nu_beta(2.0, block_len), blocks) @ H)
     exact = bq.verify_condensation_bounds(block_len, blocks, beta=2.0)
     assert float_lhs == pytest.approx(exact.lhs, rel=1e-12)
     # Difference, order 2 on block length 7: integer arithmetic either way.
-    op = bq.TransferOperator.sigma_delta(2, 28)
-    float_lhs = bq.inf_to_two_bound(dense_v(bq.nu_sigma_delta(2, 7), blocks) @ dense_h(op))
+    H = dense_h(bq.difference_taps(2), None, 28)
+    float_lhs = bq.inf_to_two_bound(dense_v(bq.nu_sigma_delta(2, 7), blocks) @ H)
     exact = bq.verify_condensation_bounds(7, blocks, order=2)
     assert float_lhs == pytest.approx(exact.lhs, rel=1e-12)
 
@@ -177,11 +177,10 @@ def test_condensation_kills_shaped_noise_end_to_end(dense_h, dense_v):
     blocks, block_len = 20, 15
     size = blocks * block_len
     y = rng.uniform(-1.0, 1.0, size)
-    op = bq.TransferOperator.beta_block(5.0, size, block_len)
     alpha = bq.MidriseAlphabet(10, 0.1)
-    out = bq.greedy_noise_shape(y, op, alpha)
+    out = bq.greedy_noise_shape(y, (5.0,), alpha, block_len)
     V = dense_v(bq.nu_beta(5.0, block_len), blocks)
     condensed_error = V @ (y - out.q)
-    bound = bq.inf_to_two_bound(V @ dense_h(op))
+    bound = bq.inf_to_two_bound(V @ dense_h((5.0,), block_len, size))
     assert np.linalg.norm(condensed_error) <= bound * alpha.delta
     assert np.linalg.norm(condensed_error) < 1e-8  # 5^-14 scale, tiny

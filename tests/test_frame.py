@@ -13,8 +13,8 @@ import bandquant as bq
 
 def _binned(gen, m=1200, p=80, seed=5):
     # p must exceed the 45-dimensional span for the condensed frame to span it.
-    cfg = bq.SampleConfig(m=m, R=5.0, eps=0.5, seed=seed)
-    return bq.partition_bins(bq.draw_samples(cfg), cfg, m // p)
+    samples = bq.draw_samples(m, 5.0, 0.5, seed)
+    return bq.partition_bins(samples, 5.0, 0.5, m // p, seed)
 
 
 def _measure(nu, weight, v):

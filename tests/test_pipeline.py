@@ -29,6 +29,8 @@ def test_validate_rejects_bad_configs():
         (dict(scheme="bogus"), "scheme"),
         (dict(m=100, p=3), "multiple"),
         (dict(scheme="sigma-delta", m=2800, p=200, order=7), "incompatible"),
+        # Binomial taps of order 2000 overflow a float; nu rejects the block first.
+        (dict(scheme="sigma-delta", order=2000), "incompatible"),
         (dict(scheme="beta", beta=1.0), "beta"),
         (dict(eps=0.1), "eps"),
         (dict(lam=1.0), "oversampling"),
@@ -203,9 +205,9 @@ def test_shaped_frame_matches_a_signed_copy(ctx, kw, monkeypatch):
     # The shaped frame reads, signs and condenses its rows a chunk of whole
     # blocks at a time; the reference flips a copy of the whole sample matrix.
     config = dataclasses.replace(bq.RunConfig(), **kw)
-    sample_cfg = bq.SampleConfig(m=config.m, R=config.R, eps=config.eps, seed=3)
-    _, _, _, nu, _ = pipeline._scheme(config)
-    binned = bq.partition_bins(bq.draw_samples(sample_cfg), sample_cfg, nu.size)
+    _, _, _, _, nu, _ = pipeline._scheme(config)
+    samples = bq.draw_samples(config.m, config.R, config.eps, 3)
+    binned = bq.partition_bins(samples, config.R, config.eps, nu.size, 3)
     blocks = binned.block_counts[-1]
     step = pipeline._FRAME_CHUNK_ROWS // nu.size
     # The defaults fit one chunk; the sigma-delta frame ends on a ragged one.

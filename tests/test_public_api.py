@@ -21,15 +21,14 @@ PUBLIC_NAMES = [
     "QuantizationResult",
     "RunConfig",
     "RunReport",
-    "SampleConfig",
     "SignalModel",
-    "TransferOperator",
     "assemble_frame",
     "bin_index",
     "build_config",
     "build_weight",
     "check_bounds",
     "condense",
+    "difference_taps",
     "draw_samples",
     "draw_signs",
     "frame_bound_report",

@@ -1,4 +1,4 @@
-"""Quantizer tests: alphabets, transfer operators, greedy recursion.
+"""Quantizer tests: alphabets, feedback taps, greedy recursion.
 
 The load-bearing check is the algebraic identity y - q = H u, verified
 against materialised operator matrices for every scheme, plus hand-computed
@@ -85,16 +85,16 @@ def test_alphabet_validation():
 # --- transfer operators ------------------------------------------------------
 
 
-def _gain(op):
+def _gain(taps):
     """Feedback gain read off the stability margin at mu = 0."""
-    return 2.0 - bq.stability_margin(op, 0.0, bq.MidriseAlphabet(1, 1.0))
+    return 2.0 - bq.stability_margin(taps, 0.0, bq.MidriseAlphabet(1, 1.0))
 
 
 def test_difference_operator_matrix_and_apply(dense_h):
     rng = np.random.default_rng(19)
     for order in (1, 2, 7):
-        op = bq.TransferOperator.sigma_delta(order, 30)
-        mat = dense_h(op)
+        taps = bq.difference_taps(order)
+        mat = dense_h(taps, None, 30)
         assert mat.shape == (30, 30)
         # First column realises the alternating binomial pattern.
         expected = np.zeros(30)
@@ -107,27 +107,26 @@ def test_difference_operator_matrix_and_apply(dense_h):
         for _ in range(order):
             diffed = np.diff(diffed, prepend=0.0)
         np.testing.assert_allclose(mat @ u_rand, diffed, atol=1e-12)
-        assert _gain(op) == 2.0**order - 1.0
+        assert _gain(taps) == 2.0**order - 1.0
 
 
 def test_difference_operator_first_order_matrix(dense_h):
-    op = bq.TransferOperator.sigma_delta(1, 4)
+    taps = bq.difference_taps(1)
     np.testing.assert_array_equal(
-        dense_h(op),
+        dense_h(taps, None, 4),
         [[1, 0, 0, 0], [-1, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 1]],
     )
-    assert op.taps == (1.0,) and op.block == 4
-    op2 = bq.TransferOperator.sigma_delta(2, 4)
+    assert taps == (1.0,)
+    taps2 = bq.difference_taps(2)
     np.testing.assert_array_equal(
-        dense_h(op2),
+        dense_h(taps2, None, 4),
         [[1, 0, 0, 0], [-2, 1, 0, 0], [1, -2, 1, 0], [0, 1, -2, 1]],
     )
-    assert op2.taps == (2.0, -1.0)
+    assert taps2 == (2.0, -1.0)
 
 
 def test_geometric_operator_blocks(dense_h):
-    op = bq.TransferOperator.beta_block(2.0, 6, 3)
-    mat = dense_h(op)
+    mat = dense_h((2.0,), 3, 6)
     expected = np.array(
         [
             [1, 0, 0, 0, 0, 0],
@@ -140,23 +139,30 @@ def test_geometric_operator_blocks(dense_h):
         dtype=float,
     )
     np.testing.assert_array_equal(mat, expected)
-    assert _gain(op) == 2.0
-    assert op.taps == (2.0,) and op.block == 3
+    assert _gain((2.0,)) == 2.0
 
 
 def test_transfer_operator_validation():
-    with pytest.raises(ValueError):
-        bq.TransferOperator.sigma_delta(0, 10)
-    with pytest.raises(ValueError):
-        bq.TransferOperator.beta_block(1.0, 10, 5)
+    with pytest.raises(ValueError, match="difference order must be at least 1"):
+        bq.difference_taps(0)
+    alpha = bq.MidriseAlphabet(2, 0.5)
     with pytest.raises(ValueError, match="multiple of block 3"):
-        bq.TransferOperator.beta_block(2.0, 10, 3)
+        bq.greedy_noise_shape(np.zeros(10), (2.0,), alpha, 3)
     with pytest.raises(ValueError, match="multiple of block 4"):
-        bq.TransferOperator(taps=(1.0,), size=10, block=4)
+        bq.greedy_noise_shape(np.zeros(10), (1.0,), alpha, 4)
     with pytest.raises(ValueError, match="multiple of block 0"):
-        bq.TransferOperator(taps=(1.0,), size=10, block=0)
-    with pytest.raises(ValueError, match="size must be positive"):
-        bq.TransferOperator.sigma_delta(1, 0)
+        bq.greedy_noise_shape(np.zeros(10), (1.0,), alpha, 0)
+
+
+def test_greedy_one_recursion_is_the_whole_input_block():
+    # block=None runs one recursion over y, as block=y.size does.
+    y = np.random.default_rng(20).uniform(-0.5, 0.5, 40)
+    alpha = bq.MidriseAlphabet(8, 0.25)
+    whole = bq.greedy_noise_shape(y, bq.difference_taps(2), alpha)
+    sized = bq.greedy_noise_shape(y, bq.difference_taps(2), alpha, y.size)
+    np.testing.assert_array_equal(whole.q.view(np.int64), sized.q.view(np.int64))
+    np.testing.assert_array_equal(whole.u.view(np.int64), sized.u.view(np.int64))
+    assert whole.max_state == sized.max_state
 
 
 # --- stability margin --------------------------------------------------------
@@ -164,11 +170,11 @@ def test_transfer_operator_validation():
 
 def test_stability_margin_benchmark_configs():
     # The three working configurations: margins 13, 5 and 10.
-    sd = bq.TransferOperator.sigma_delta(7, 120)
+    sd = bq.difference_taps(7)
     assert bq.stability_margin(sd, 1.0, bq.MidriseAlphabet(80, 0.05)) == pytest.approx(13.0)
-    b5 = bq.TransferOperator.beta_block(5.0, 120, 15)
+    b5 = (5.0,)
     assert bq.stability_margin(b5, 1.0, bq.MidriseAlphabet(10, 0.1)) == pytest.approx(5.0)
-    b20 = bq.TransferOperator.beta_block(20.0, 120, 15)
+    b20 = (20.0,)
     assert bq.stability_margin(b20, 1.0, bq.MidriseAlphabet(80, 1.0 / 130.0)) == pytest.approx(10.0)
 
 
@@ -177,81 +183,78 @@ def test_stability_margin_benchmark_configs():
 
 def test_greedy_trace_first_order_difference():
     # Constant input 0.3 with alphabet {-0.5, +0.5}: w accumulates the state.
-    op = bq.TransferOperator.sigma_delta(1, 3)
     alpha = bq.MidriseAlphabet(levels=1, delta=0.5)
-    out = bq.greedy_noise_shape(np.array([0.3, 0.3, 0.3]), op, alpha)
+    out = bq.greedy_noise_shape(np.array([0.3, 0.3, 0.3]), bq.difference_taps(1), alpha)
     np.testing.assert_allclose(out.q, [0.5, 0.5, -0.5], atol=1e-15)
     np.testing.assert_allclose(out.u, [-0.2, -0.4, 0.4], atol=1e-15)
     assert out.max_state == pytest.approx(0.4)
 
 
 def test_greedy_trace_geometric_block():
-    op = bq.TransferOperator.beta_block(2.0, 2, 2)
     alpha = bq.MidriseAlphabet(levels=2, delta=0.25)
-    out = bq.greedy_noise_shape(np.array([0.3, 0.3]), op, alpha)
+    out = bq.greedy_noise_shape(np.array([0.3, 0.3]), (2.0,), alpha, 2)
     np.testing.assert_allclose(out.q, [0.25, 0.25], atol=1e-15)
     np.testing.assert_allclose(out.u, [0.05, 0.15], atol=1e-15)
 
 
 def test_greedy_geometric_state_resets_at_blocks():
     # Two identical blocks must produce identical per-block traces.
-    op = bq.TransferOperator.beta_block(2.0, 4, 2)
     alpha = bq.MidriseAlphabet(levels=2, delta=0.25)
     y = np.array([0.3, 0.3, 0.3, 0.3])
-    out = bq.greedy_noise_shape(y, op, alpha)
+    out = bq.greedy_noise_shape(y, (2.0,), alpha, 2)
     np.testing.assert_array_equal(out.u[:2], out.u[2:])
     np.testing.assert_array_equal(out.q[:2], out.q[2:])
 
 
 def test_greedy_identity_and_stability_all_schemes(dense_h):
+    # (taps, restart length, alphabet) on 120 samples.
     configs = [
-        (bq.TransferOperator.sigma_delta(1, 120), bq.MidriseAlphabet(2, 0.5)),
-        (bq.TransferOperator.sigma_delta(2, 120), bq.MidriseAlphabet(8, 0.25)),
-        (bq.TransferOperator.sigma_delta(7, 120), bq.MidriseAlphabet(80, 0.05)),
-        (bq.TransferOperator.beta_block(2.0, 120, 15), bq.MidriseAlphabet(3, 0.5)),
-        (bq.TransferOperator.beta_block(5.0, 120, 15), bq.MidriseAlphabet(10, 0.1)),
-        (bq.TransferOperator.beta_block(20.0, 120, 15), bq.MidriseAlphabet(80, 1.0 / 130.0)),
+        (bq.difference_taps(1), None, bq.MidriseAlphabet(2, 0.5)),
+        (bq.difference_taps(2), None, bq.MidriseAlphabet(8, 0.25)),
+        (bq.difference_taps(7), None, bq.MidriseAlphabet(80, 0.05)),
+        ((2.0,), 15, bq.MidriseAlphabet(3, 0.5)),
+        ((5.0,), 15, bq.MidriseAlphabet(10, 0.1)),
+        ((20.0,), 15, bq.MidriseAlphabet(80, 1.0 / 130.0)),
     ]
     rng = np.random.default_rng(21)
-    for op, alpha in configs:
-        mat = dense_h(op)
-        assert bq.stability_margin(op, 1.0, alpha) >= 0
+    for taps, block, alpha in configs:
+        mat = dense_h(taps, block, 120)
+        assert bq.stability_margin(taps, 1.0, alpha) >= 0
         for _ in range(20):
-            y = rng.uniform(-1.0, 1.0, op.size)
-            out = bq.greedy_noise_shape(y, op, alpha)
+            y = rng.uniform(-1.0, 1.0, 120)
+            out = bq.greedy_noise_shape(y, taps, alpha, block)
             residual = np.max(np.abs((y - out.q) - mat @ out.u))
             assert residual < 1e-12
             assert out.max_state <= alpha.delta
 
 
 def test_greedy_raises_when_unstable():
-    op = bq.TransferOperator.beta_block(2.0, 4, 2)
     alpha = bq.MidriseAlphabet(levels=1, delta=0.25)  # margin 2-2-3.2 < 0
     with pytest.raises(ValueError, match="stability margin -3.2 "):
-        bq.greedy_noise_shape(np.array([0.8, 0.8, 0.8, 0.8]), op, alpha)
+        bq.greedy_noise_shape(np.array([0.8, 0.8, 0.8, 0.8]), (2.0,), alpha, 2)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize(
-    "op",
-    [bq.TransferOperator.beta_block(2.0, 4, 2), bq.TransferOperator.sigma_delta(1, 4)],
+    "taps, block",
+    [((2.0,), 2), (bq.difference_taps(1), None)],
     ids=["blocked", "unblocked"],
 )
-def test_greedy_rejects_non_finite_input(op, bad):
+def test_greedy_rejects_non_finite_input(taps, block, bad):
     y = np.array([0.1, bad, 0.2, 0.3])
     with pytest.raises(ValueError, match="finite"):
-        bq.greedy_noise_shape(y, op, bq.MidriseAlphabet(2, 0.5))
+        bq.greedy_noise_shape(y, taps, bq.MidriseAlphabet(2, 0.5), block)
 
 
-def _reference_shape(y, op, alphabet):
+def _reference_shape(y, taps, block, alphabet):
     """The greedy recursion one scalar step at a time."""
     delta = alphabet.delta
     max_elem = alphabet.max_element
-    u = np.zeros(op.size)
-    q = np.empty(op.size)
-    for s in range(op.size):
+    u = np.zeros(y.size)
+    q = np.empty(y.size)
+    for s in range(y.size):
         w = y[s]
-        for j, tap in enumerate(op.taps[: s % op.block], start=1):
+        for j, tap in enumerate(taps[: s % block], start=1):
             w += tap * u[s - j]
         qs = (2.0 * math.floor(w / (2.0 * delta)) + 1.0) * delta
         if qs > max_elem:
@@ -267,20 +270,20 @@ _NO_FEEDBACK = bq.MidriseAlphabet(2, 0.25)
 
 
 @pytest.mark.parametrize(
-    "op, alphabet",
+    "taps, block, size, alphabet",
     [
-        (bq.TransferOperator.beta_block(2.0, 60, 1), bq.MidriseAlphabet(3, 0.5)),
-        (bq.TransferOperator.beta_block(2.0, 60, 2), bq.MidriseAlphabet(3, 0.5)),
-        (bq.TransferOperator.beta_block(5.0, 120, 15), bq.MidriseAlphabet(10, 0.1)),
-        (bq.TransferOperator.beta_block(20.0, 300, 15), bq.MidriseAlphabet(80, 1.0 / 130.0)),
-        (bq.TransferOperator.beta_block(5.0, 45, 45), bq.MidriseAlphabet(10, 0.1)),
-        (bq.TransferOperator.sigma_delta(1, 120), bq.MidriseAlphabet(2, 0.5)),
-        (bq.TransferOperator.sigma_delta(2, 120), bq.MidriseAlphabet(8, 0.25)),
-        (bq.TransferOperator.sigma_delta(3, 120), bq.MidriseAlphabet(10, 0.1)),
-        (bq.TransferOperator.sigma_delta(7, 120), bq.MidriseAlphabet(80, 0.05)),
-        (bq.TransferOperator.sigma_delta(2, 2 * _SEQUENCE_CHUNK + 123), bq.MidriseAlphabet(8, 0.25)),
-        (bq.TransferOperator(taps=(), size=60, block=4), _NO_FEEDBACK),
-        (bq.TransferOperator(taps=(), size=60, block=60), _NO_FEEDBACK),
+        ((2.0,), 1, 60, bq.MidriseAlphabet(3, 0.5)),
+        ((2.0,), 2, 60, bq.MidriseAlphabet(3, 0.5)),
+        ((5.0,), 15, 120, bq.MidriseAlphabet(10, 0.1)),
+        ((20.0,), 15, 300, bq.MidriseAlphabet(80, 1.0 / 130.0)),
+        ((5.0,), 45, 45, bq.MidriseAlphabet(10, 0.1)),
+        (bq.difference_taps(1), None, 120, bq.MidriseAlphabet(2, 0.5)),
+        (bq.difference_taps(2), None, 120, bq.MidriseAlphabet(8, 0.25)),
+        (bq.difference_taps(3), None, 120, bq.MidriseAlphabet(10, 0.1)),
+        (bq.difference_taps(7), None, 120, bq.MidriseAlphabet(80, 0.05)),
+        (bq.difference_taps(2), None, 2 * _SEQUENCE_CHUNK + 123, bq.MidriseAlphabet(8, 0.25)),
+        ((), 4, 60, _NO_FEEDBACK),
+        ((), None, 60, _NO_FEEDBACK),
     ],
     ids=[
         "beta-block-1", "beta-block-2", "beta-block-15", "beta-20-block-15",
@@ -288,25 +291,26 @@ _NO_FEEDBACK = bq.MidriseAlphabet(2, 0.25)
         "no-feedback-blocked", "no-feedback-unblocked",
     ],
 )
-def test_greedy_is_bit_identical_to_the_scalar_recursion(op, alphabet):
+def test_greedy_is_bit_identical_to_the_scalar_recursion(taps, block, size, alphabet):
     # Inputs up to the largest sup with margin 0, with the signed zeros, the
     # extremes and every cell edge k * 2 delta in range spread among them.
-    mu = (2.0 * alphabet.levels - op.htilde_inf_norm()) * alphabet.delta
-    while bq.stability_margin(op, mu, alphabet) < 0:
+    restart = size if block is None else block
+    mu = (2.0 * alphabet.levels - float(sum(abs(tap) for tap in taps))) * alphabet.delta
+    while bq.stability_margin(taps, mu, alphabet) < 0:
         mu = np.nextafter(mu, 0.0)
     k = np.arange(-alphabet.levels, alphabet.levels + 1)
     edges = k[np.abs(k * 2.0 * alphabet.delta) <= mu] * 2.0 * alphabet.delta
     special = np.concatenate([[0.0, -0.0, mu, -mu], edges])
-    rng = np.random.default_rng(op.size + op.block + len(op.taps))
-    y = rng.uniform(-mu, mu, op.size)
-    y[rng.choice(op.size, special.size, replace=False)] = special
+    rng = np.random.default_rng(size + restart + len(taps))
+    y = rng.uniform(-mu, mu, size)
+    y[rng.choice(size, special.size, replace=False)] = special
 
-    out = bq.greedy_noise_shape(y, op, alphabet)
-    q_ref, u_ref = _reference_shape(y, op, alphabet)
+    out = bq.greedy_noise_shape(y, taps, alphabet, block)
+    q_ref, u_ref = _reference_shape(y, taps, restart, alphabet)
     np.testing.assert_array_equal(out.q.view(np.int64), q_ref.view(np.int64))
     np.testing.assert_array_equal(out.u.view(np.int64), u_ref.view(np.int64))
     assert out.max_state == float(np.max(np.abs(u_ref)))
-    if not op.taps:
+    if not taps:
         # Without feedback the sample at +mu = 2 levels delta rounds to
         # (2 levels + 1) delta, which the clip brings back to the top element.
         assert q_ref.max() == alphabet.max_element
@@ -314,9 +318,10 @@ def test_greedy_is_bit_identical_to_the_scalar_recursion(op, alphabet):
 
 
 def test_greedy_shape_check():
-    op = bq.TransferOperator.sigma_delta(1, 4)
-    with pytest.raises(ValueError):
-        bq.greedy_noise_shape(np.zeros(3), op, bq.MidriseAlphabet(2, 0.5))
+    alpha = bq.MidriseAlphabet(2, 0.5)
+    for y in (np.zeros((2, 5)), np.zeros(0), np.float64(0.1)):
+        with pytest.raises(ValueError, match="non-empty 1-d"):
+            bq.greedy_noise_shape(y, bq.difference_taps(1), alpha)
 
 
 def test_quantized_csv(beta_run):

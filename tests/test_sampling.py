@@ -7,33 +7,31 @@ import pytest
 import bandquant as bq
 
 
-def _config(m, seed=0):
-    return bq.SampleConfig(m=m, R=5.0, eps=0.5, seed=seed)
+R, EPS = 5.0, 0.5
 
 
 # --- draws -------------------------------------------------------------------
 
 
 def test_draw_deterministic_and_in_range():
-    cfg = _config(1000, seed=3)
-    a = bq.draw_samples(cfg)
-    b = bq.draw_samples(cfg)
+    a = bq.draw_samples(1000, R, EPS, 3)
+    b = bq.draw_samples(1000, R, EPS, 3)
     np.testing.assert_array_equal(a, b)
     assert a.shape == (1000,)
     assert np.all(np.abs(a) <= 12.5)
-    c = bq.draw_samples(_config(1000, seed=4))
+    c = bq.draw_samples(1000, R, EPS, 4)
     assert not np.array_equal(a, c)
 
 
-def test_sample_config_validation():
-    with pytest.raises(ValueError):
-        _config(0)
-    with pytest.raises(ValueError):
-        bq.SampleConfig(m=100, R=5.0, eps=0.1, seed=0)  # eps*R < 1
-    with pytest.raises(ValueError):
-        bq.SampleConfig(m=100, R=-5.0, eps=0.5, seed=0)
-    with pytest.raises(ValueError):
-        bq.SampleConfig(m=100, R=5.0, eps=0.5, seed=-1)
+def test_draw_samples_validation():
+    with pytest.raises(ValueError, match="sample budget m must be positive"):
+        bq.draw_samples(0, R, EPS, 0)
+    with pytest.raises(ValueError, match="shell width"):
+        bq.draw_samples(100, 5.0, 0.1, 0)  # eps*R < 1
+    with pytest.raises(ValueError, match="R must be positive"):
+        bq.draw_samples(100, -5.0, 0.5, 0)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        bq.draw_samples(100, 5.0, 0.5, -1)
 
 
 # --- bin labels --------------------------------------------------------------
@@ -55,9 +53,9 @@ def test_bin_index_cases():
 # --- partition ---------------------------------------------------------------
 
 
-def _raw_counts(samples, cfg):
+def _raw_counts(samples):
     """Samples per bin before truncation."""
-    return tuple(np.bincount(bq.bin_index(samples, cfg.R, cfg.eps), minlength=4)[1:].tolist())
+    return tuple(np.bincount(bq.bin_index(samples, R, EPS), minlength=4)[1:].tolist())
 
 
 def _bins(values, binned):
@@ -67,11 +65,10 @@ def _bins(values, binned):
 
 def test_partition_trace():
     samples = np.array([-12.0, 3.0, 8.0, -9.0, 0.5, 11.0])
-    cfg = _config(6)
-    binned = bq.partition_bins(samples, cfg, 2)
+    binned = bq.partition_bins(samples, R, EPS, 2, 0)
     assert binned.block == 2
     assert binned.truncated_counts == (2, 2, 2)
-    assert _raw_counts(samples, cfg) == (2, 2, 2)
+    assert _raw_counts(samples) == (2, 2, 2)
     assert binned.block_counts == (1, 2, 3)
     assert binned.discarded == 0
     np.testing.assert_array_equal(
@@ -88,9 +85,8 @@ def test_partition_truncates_to_block_multiples():
          8.0, -9.0, 9.5, -8.2,      # bin 2 (4 samples)
          11.0, -12.0, 12.4]         # bin 3 (3 samples)
     )
-    cfg = _config(12)
-    binned = bq.partition_bins(samples, cfg, 2)
-    assert _raw_counts(samples, cfg) == (5, 4, 3)
+    binned = bq.partition_bins(samples, R, EPS, 2, 0)
+    assert _raw_counts(samples) == (5, 4, 3)
     assert binned.truncated_counts == (4, 4, 2)
     assert binned.discarded == 2
     assert binned.block_counts == (2, 4, 5)
@@ -103,7 +99,7 @@ def test_partition_truncates_to_block_multiples():
 
 def test_partition_keeps_appearance_order_across_interleaving():
     samples = np.array([8.0, 1.0, -9.0, 11.0, 2.0, -8.5, -12.0, 3.0])
-    binned = bq.partition_bins(samples, _config(8), 2)
+    binned = bq.partition_bins(samples, R, EPS, 2, 0)
     bins = _bins(binned.coordinates, binned)
     np.testing.assert_array_equal(bins[0], [1.0, 2.0])  # 3.0 truncated
     np.testing.assert_array_equal(bins[1], [8.0, -9.0])
@@ -112,25 +108,22 @@ def test_partition_keeps_appearance_order_across_interleaving():
 
 def test_partition_raises_when_bin_underfills():
     samples = np.array([1.0, 2.0, 3.0, 4.0])  # everything in bin 1
-    cfg = _config(4)
     with pytest.raises(bq.BinningError, match="bin 2"):
-        bq.partition_bins(samples, cfg, 2)
+        bq.partition_bins(samples, R, EPS, 2, 0)
 
 
 def test_partition_shape_check():
-    cfg = _config(6)
-    with pytest.raises(ValueError, match="expected 6 samples"):
-        bq.partition_bins(np.zeros(5), cfg, 2)
+    with pytest.raises(ValueError, match="expected a 1-d array of samples"):
+        bq.partition_bins(np.zeros((2, 3)), R, EPS, 2, 0)
     for block in (0, -2):
         with pytest.raises(ValueError, match="block length must be positive"):
-            bq.partition_bins(np.zeros(6), cfg, block)
+            bq.partition_bins(np.zeros(6), R, EPS, block, 0)
 
 
 def test_bin_concentration_single_seed():
-    cfg = _config(10000, seed=42)
-    samples = bq.draw_samples(cfg)
-    binned = bq.partition_bins(samples, cfg, 100)
-    m1 = _raw_counts(samples, cfg)[0]
+    samples = bq.draw_samples(10000, R, EPS, 42)
+    binned = bq.partition_bins(samples, R, EPS, 100, 42)
+    m1 = _raw_counts(samples)[0]
     # Centre bin covers fraction (1+eps)/(1+3eps) = 0.6 of the interval.
     assert abs(m1 - 6000) <= 3000
     assert binned.discarded < 3 * binned.block
