@@ -40,6 +40,12 @@ DECAY_SAFETY = 0.05
 # that much to 0 there.
 _PERIOD_FACTOR = 2.5
 
+# Largest max |g| over the last unit below tail_cut that a run accepts.
+# Past the last node g reads 0, so a larger level is a truncation error in
+# every kernel read.  It lies between the levels at lam = 1.5 and 1.4
+# (3.97e-9), so lam = 1.5 stays accepted.
+TAIL_TOLERANCE = 1e-9
+
 # Points per chunk in Generator.eval, cubic coefficients per row block of
 # Generator._shift_rows (4 per entry, so 91 rows of 45 entries), and
 # differences per row block of the sinc basis in signals._eval_differences.
@@ -301,6 +307,11 @@ class Generator:
         keep = (col >= 0) & (col < width)
         flat_out[at_last[keep], col[keep]] = self.values[-1]
         return out
+
+    @property
+    def tail_level(self):
+        """max |g| over the table nodes of the last unit below tail_cut."""
+        return float(np.abs(self.values[self.grid >= self.params.tail_cut - 1.0]).max())
 
     def decay_constant(self, r):
         """Smallest certified C with |g(t)| <= C / (1 + |t|)^r on the table grid.

@@ -34,7 +34,7 @@ from .frame import (
     frame_bound_report,
     reconstruct,
 )
-from .generator import Generator, GeneratorParams, KernelContext
+from .generator import TAIL_TOLERANCE, Generator, GeneratorParams, KernelContext
 from .quantize import (
     MidriseAlphabet,
     difference_taps,
@@ -253,6 +253,23 @@ def shared_generator(params: GeneratorParams):
     return Generator(params)
 
 
+# The last unit of the generator's table, where tail_level is read.
+_TAIL_SPAN = f"[{GeneratorParams.tail_cut - 1:g}, {GeneratorParams.tail_cut:g}]"
+
+
+def _generator(config: RunConfig):
+    """The shared generator of config.lam; ConfigError when its table cuts g
+    where it is still above TAIL_TOLERANCE."""
+    generator = shared_generator(GeneratorParams(lam=config.lam))
+    if generator.tail_level > TAIL_TOLERANCE:
+        raise ConfigError(
+            f"oversampling ratio {config.lam:g} is too close to 1 for the generator "
+            f"table: max |g| on {_TAIL_SPAN}, where the table ends, is "
+            f"{generator.tail_level:.3g}, above {TAIL_TOLERANCE:g}"
+        )
+    return generator
+
+
 @dataclass(frozen=True)
 class RunReport:
     """Summary of one reconstruction run."""
@@ -306,11 +323,12 @@ def run_detailed(config: RunConfig, sample_seed=None, signal=None):
     synthesis when already available, and elapsed_s starts once the shared
     generator and the signal exist.  validate checks the stability margin at
     config.target_sup; samples that reach a negative margin, or that are not
-    finite, raise ValueError.
+    finite, raise ValueError, and so (as ConfigError) does a lam whose
+    generator table is cut where |g| exceeds TAIL_TOLERANCE.
     """
     validate(config)
     seed = config.seed if sample_seed is None else int(sample_seed)
-    generator = shared_generator(GeneratorParams(lam=config.lam))
+    generator = _generator(config)
     if signal is None:
         signal = synth_test_signal(config.signal_seed, config.k_range, config.target_sup)
     t0 = time.perf_counter()
@@ -378,8 +396,8 @@ def sweep(config: RunConfig, ms=None, schemes=None):
     Trial k uses sampling seed config.seed + k with the signal held fixed.
     Frame failures and binning shortfalls are counted per cell and excluded
     from the error mean; a cell where every trial fails reports a NaN mean.
-    An empty list of budgets or schemes, or any cell that fails validate,
-    raises ConfigError before the first trial.
+    An empty list of budgets or schemes, any cell that fails validate, or a
+    lam that run_detailed rejects raises ConfigError before the first trial.
     """
     ms = [config.m] if ms is None else [int(v) for v in ms]
     schemes = [config.scheme] if schemes is None else list(schemes)
@@ -389,6 +407,7 @@ def sweep(config: RunConfig, ms=None, schemes=None):
     cells = [dataclasses.replace(config, scheme=s, m=m) for s in schemes for m in ms]
     for cell in cells:
         validate(cell)
+    _generator(config)
     signal = synth_test_signal(config.signal_seed, config.k_range, config.target_sup)
     rows = []
     for cell in cells:
@@ -471,13 +490,14 @@ class BoundsReport:
 def check_bounds(config: RunConfig):
     """Audit the inequalities the reconstruction guarantee rests on.
 
-    Checks shift orthonormality and the kernel diagonal bound for the
-    generator, the condensation operator-norm bound for the configured
-    scheme, the projection truncation bound for the configured signal, and
-    the concentration band for one assembled frame.  When that frame
-    cannot be formed, its failing line compares LAMBDA_MIN_FLOOR * lam_max
-    with lam_min for a singular frame operator, or the block length with
-    the short bin's sample count for a binning failure.
+    Checks shift orthonormality, the level at which the table cuts g (run
+    and sweep reject one above TAIL_TOLERANCE) and the kernel diagonal bound
+    for the generator, the condensation operator-norm bound for the
+    configured scheme, the projection truncation bound for the configured
+    signal, and the concentration band for one assembled frame.  When that
+    frame cannot be formed, its failing line compares LAMBDA_MIN_FLOOR *
+    lam_max with lam_min for a singular frame operator, or the block length
+    with the short bin's sample count for a binning failure.
     """
     validate(config)
     generator = shared_generator(GeneratorParams(lam=config.lam))
@@ -489,6 +509,13 @@ def check_bounds(config: RunConfig):
         defect = max(defect, abs(ip - (1.0 if k == 0 else 0.0)))
     lines.append(
         BoundReport(label="shift orthonormality defect (|k| <= 20)", lhs=defect, rhs=1e-6)
+    )
+    lines.append(
+        BoundReport(
+            label=f"generator tail max |g| on {_TAIL_SPAN}",
+            lhs=generator.tail_level,
+            rhs=TAIL_TOLERANCE,
+        )
     )
 
     ctx = KernelContext.from_box(generator, config.R, config.eps)

@@ -72,9 +72,14 @@ def difference_taps(order):
     order = int(order)
     if order < 1:
         raise ValueError(f"difference order must be at least 1, got {order}")
-    return tuple(
-        float((-1) ** (j + 1) * math.comb(order, j)) for j in range(1, order + 1)
-    )
+    try:
+        return tuple(
+            float((-1) ** (j + 1) * math.comb(order, j)) for j in range(1, order + 1)
+        )
+    except OverflowError:
+        raise ValueError(
+            f"difference order {order} has binomial taps beyond the float range"
+        ) from None
 
 
 def stability_margin(taps, mu, alphabet: MidriseAlphabet):

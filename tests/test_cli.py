@@ -84,6 +84,28 @@ def test_run_rejects_bad_scheme(tmp_path, capsys):
         assert "invalid configuration" in err and needle in err, err
 
 
+def test_run_exits_2_on_a_difference_order_beyond_the_float_range(tmp_path, capsys):
+    # C(2000, j) overflows a float; the block length 1 fits any order.
+    argv = ["--scheme", "sigma-delta", "--order", "2000", "--m", "3000", "--p", "3000"]
+    assert main(["run", *argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid configuration: difference order 2000 has binomial taps" in err, err
+
+
+def test_lambda_whose_table_is_cut_too_early_exits_2(tmp_path, capsys):
+    # At lam = 1.05 the table ends where |g| is still 3.5e-4; at 1.5 it is 5.4e-10.
+    for command in (["run"], ["sweep", "--trials", "1"]):
+        assert main([*command, *_FAST, "--lambda", "1.05", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "oversampling ratio 1.05 is too close to 1" in err, err
+        assert "max |g| on [59, 60], where the table ends, is 0.000347, above 1e-09" in err
+    assert main(["run", *_FAST, "--lambda", "1.5", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["check-bounds", "--lambda", "1.05"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "generator tail max |g| on [59, 60]: 0.000347445 <= 1e-09 -> FAIL"
+
+
 def test_run_reports_frame_failure(tmp_path, capsys):
     # 40 condensed rows cannot span the 45-dimensional coefficient space.
     rc = main(

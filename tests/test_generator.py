@@ -132,11 +132,13 @@ def test_eval_vanishes_beyond_tail_cut(gen):
 )
 def test_truncation_levels_below_the_tail_cut(lam, level, last):
     # The levels _PERIOD_FACTOR's comment states: max |g| over the last unit
-    # below the tail cut, and |g| at the last node, past which g is 0.
+    # below the tail cut (also as tail_level, read at the nodes), and |g| at
+    # the last node, past which g is 0.
     gen = bq.Generator(bq.GeneratorParams(lam=lam))
     cut = gen.params.tail_cut
     tail = np.abs(gen.eval(np.linspace(cut - 1.0, cut, 20001))).max()
     assert 0.5 * level < tail < 2.0 * level
+    assert 0.5 * level < gen.tail_level < 2.0 * level
     assert abs(gen.eval(gen.grid[-1])) <= 2.0 * last
     assert gen.eval(gen.grid[-1] + 0.5 * gen.params.grid_step) == 0.0
 

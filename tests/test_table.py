@@ -2,6 +2,7 @@
 
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -166,3 +167,81 @@ def test_run_data_files_match_per_row_formatting(beta_run):
     }
     for name, text in expected.items():
         assert (out / name).read_bytes() == text.encode("utf-8"), name
+
+
+def _column_text(tmp_path, values, conversion):
+    path = tmp_path / "column.csv"
+    table.write_columns(path, [], [values], conversion)
+    return path.read_text(encoding="utf-8")
+
+
+def _expected(values, conversion):
+    """One line of ``conversion % v`` per value."""
+    return (conversion + "\n") * len(values) % tuple(values.tolist())
+
+
+def test_floats_match_percent_on_random_bit_patterns(tmp_path):
+    # Every 16th pattern keeps an exponent field drawn over all exponents
+    # (subnormals, NaN and inf included); the others get one of the binades
+    # 2^-15 ... 2^53, which hold the fixed-notation range 1e-4 <= |x| < 1e16.
+    rng = np.random.default_rng(19)
+    bits = rng.integers(0, 2**64, size=10**6, dtype=np.uint64)
+    near = np.arange(bits.size) % 16 != 0
+    exponents = rng.integers(1023 - 15, 1023 + 54, size=near.sum(), dtype=np.uint64)
+    bits[near] = bits[near] & ~np.uint64(0x7FF << 52) | exponents << np.uint64(52)
+    x = bits.view(np.float64)
+    assert _column_text(tmp_path, x, "%.17g") == _expected(x, "%.17g")
+
+
+def test_floats_match_percent_next_to_powers_of_ten(tmp_path):
+    # 10^k for k = -6 ... 17 and the 8 doubles on either side of each,
+    # decimal strings of 17 to 19 nines whose rounding carries into the next
+    # power of ten, the values that always take ``%``, and their negatives.
+    powers = np.array([float(f"1e{k}") for k in range(-6, 18)])
+    near = [powers]
+    for direction in (0.0, math.inf):
+        step = powers
+        for _ in range(8):
+            step = np.nextafter(step, direction)
+            near.append(step)
+    nines = [
+        float(f"{digits}e{k - len(digits)}")
+        for k in range(-6, 18)
+        for digits in ("9" * 17, "9" * 18, "9" * 19, "9" * 16 + "5", "99999999999999995")
+    ]
+    special = [0.0, math.nan, math.inf, 5e-324, 2.2250738585072014e-308, sys.float_info.max]
+    x = np.concatenate([*near, nines, special])
+    x = np.concatenate([x, -x])
+    assert _column_text(tmp_path, x, "%.17g") == _expected(x, "%.17g")
+
+
+def test_floats_match_percent_on_exact_ties(tmp_path):
+    # With s = 16 - k, an odd multiple of 2^-(s + 1) above 10^k times 10^s
+    # ends in .5: the 17th digit is an exact tie, which rounds half to even.
+    ties = []
+    for k in range(-4, 16):
+        unit = 2.0 ** -(17 - k)
+        start = np.floor(float(f"1e{k}") / unit)
+        x = (start + 1 + start % 2 + np.arange(0, 32, 2)) * unit
+        assert all((Fraction(v) * 10 ** (16 - k)).denominator == 2 for v in x.tolist())
+        ties.append(x)
+    x = np.concatenate(ties)
+    x = np.concatenate([x, -x])
+    assert _column_text(tmp_path, x, "%.17g") == _expected(x, "%.17g")
+
+
+def test_ints_match_percent(tmp_path):
+    rng = np.random.default_rng(23)
+    edges = [0, 1, -1, 9, 10, -10, 10**16, 10**17 - 1, 10**17, -(10**17) + 1, -(10**17)]
+    edges += [2**63 - 1, 2**63 - 2, -(2**63), -(2**63) + 1, 2**53 + 1, -(2**53) - 1]
+    scales = 10 ** rng.integers(0, 19, size=2 * 10**4)
+    drawn = rng.integers(-(2**62), 2**62, size=scales.size) // scales
+    i = np.concatenate([np.array(edges, dtype=np.int64), drawn])
+    assert _column_text(tmp_path, i, "%d") == _expected(i, "%d")
+
+
+def test_other_conversions_size_their_cells_from_the_data(tmp_path):
+    names = np.array(["", "msq", "sigma-delta", "β"])
+    assert _column_text(tmp_path, names, "%s") == "\nmsq\nsigma-delta\nβ\n"
+    x = np.array([0.0, 1234567.891, -2.5e-7])
+    assert _column_text(tmp_path, x, "%.3f") == _expected(x, "%.3f")
