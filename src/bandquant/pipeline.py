@@ -396,8 +396,8 @@ def sweep(config: RunConfig, ms=None, schemes=None):
     Trial k uses sampling seed config.seed + k with the signal held fixed.
     Frame failures and binning shortfalls are counted per cell and excluded
     from the error mean; a cell where every trial fails reports a NaN mean.
-    An empty list of budgets or schemes, any cell that fails validate, or a
-    lam that run_detailed rejects raises ConfigError before the first trial.
+    An empty list of budgets or schemes or any cell that fails validate
+    raises ConfigError before the first trial.
     """
     ms = [config.m] if ms is None else [int(v) for v in ms]
     schemes = [config.scheme] if schemes is None else list(schemes)
@@ -407,7 +407,6 @@ def sweep(config: RunConfig, ms=None, schemes=None):
     cells = [dataclasses.replace(config, scheme=s, m=m) for s in schemes for m in ms]
     for cell in cells:
         validate(cell)
-    _generator(config)
     signal = synth_test_signal(config.signal_seed, config.k_range, config.target_sup)
     rows = []
     for cell in cells:

@@ -18,9 +18,9 @@ inserted, trailing zeros (and a bare point) cut, the sign put in front.  An
 int64 i with |i| < 10^17 is written digit by digit without leading zeros.
 Every other value (0, -0, |x| < 1e-4, |x| >= 1e16, NaN, +-inf, a D outside
 [10^16, 10^17), which happens only within a few dozen doubles of a power of
-ten, and |i| >= 10^17), a float chunk that is mostly such values, every
-column of another dtype and every other conversion, such as ``%s`` or
-``%.3f``, goes through ``%`` one value at a time.  Cells are padded with NUL bytes, which are cut from each chunk of
+ten, and |i| >= 10^17), every column of another dtype and every other
+conversion, such as ``%s`` or ``%.3f``, goes through ``%`` one value at a
+time.  Cells are padded with NUL bytes, which are cut from each chunk of
 rows before it is written, so no cell may hold a NUL.
 """
 
@@ -128,9 +128,6 @@ def _float_cells(x):
     """``%.17g`` cells of float64 x."""
     a = np.abs(x)
     fast = (a >= 1e-4) & (a < 1e16)
-    # A chunk of mostly tiny values, such as an error column, is all ``%``.
-    if 2 * np.count_nonzero(fast) < x.size:
-        return _percent_cells("%.17g", x)
     v = np.where(fast, a, 1.0)
     k = np.floor(np.log10(v)).astype(np.int64)
     d = _scaled(v, k)

@@ -245,3 +245,8 @@ def test_other_conversions_size_their_cells_from_the_data(tmp_path):
     assert _column_text(tmp_path, names, "%s") == "\nmsq\nsigma-delta\nβ\n"
     x = np.array([0.0, 1234567.891, -2.5e-7])
     assert _column_text(tmp_path, x, "%.3f") == _expected(x, "%.3f")
+    # The same values in a column long enough to be formatted in numpy.
+    rows = 2 * table._NUMPY_ROWS + 1
+    names, x = np.resize(names, rows), np.resize(x, rows)
+    assert _column_text(tmp_path, names, "%s") == _expected(names, "%s")
+    assert _column_text(tmp_path, x, "%.3f") == _expected(x, "%.3f")
