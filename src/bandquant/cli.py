@@ -24,11 +24,13 @@ from . import table
 from .frame import FrameFailure
 from .pipeline import (
     _CONFIG_LAYOUT,
-    _FIELD_TYPE,
     ConfigError,
+    RunConfig,
     RunReport,
+    _read_value,
     build_config,
     check_bounds,
+    load_config,
     run_detailed,
     sweep,
     write_sweep_csv,
@@ -40,9 +42,7 @@ from .sampling import BinningError
 def _add_common(parser):
     parser.add_argument("--config", metavar="PATH", help="INI configuration file")
     for field, _, _, flag, help_text in _CONFIG_LAYOUT:
-        # m stays a string, because sweep reads it as a comma list.
-        typ = str if field == "m" else _FIELD_TYPE[field]
-        parser.add_argument(flag, dest=field, type=typ, default=None, help=help_text)
+        parser.add_argument(flag, dest=field, default=None, help=help_text)
     parser.add_argument(
         "--out", default="out", metavar="DIR", help="output directory (default: out)"
     )
@@ -70,12 +70,16 @@ def build_parser():
     return parser
 
 
-def _overrides(args, *, skip=()):
+def _overrides(args, lists=False):
+    """The flags given, each read from its text as load_config reads its key."""
     out = {}
-    for field, *_ in _CONFIG_LAYOUT:
-        value = getattr(args, field)
-        if field not in skip and value is not None:
-            out[field] = int(value) if field == "m" else value
+    for field, _, _, flag, _ in _CONFIG_LAYOUT:
+        raw = getattr(args, field)
+        if raw is not None:
+            try:
+                out[field] = _read_value(field, raw, lists)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {flag}: {raw}") from exc
     return out
 
 
@@ -128,14 +132,11 @@ def cmd_run(args):
 
 
 def cmd_sweep(args):
-    ms = None
-    if args.m is not None:
-        ms = [int(v) for v in args.m.split(",") if v]
-    schemes = None
-    if args.scheme is not None:
-        schemes = [s for s in args.scheme.split(",") if s]
-    config = build_config(args.config, **_overrides(args, skip=("m", "scheme")))
-    rows = sweep(config, ms=ms, schemes=schemes)
+    # The flags overlay the file, as in build_config, with the axes as lists.
+    overrides = {} if args.config is None else load_config(args.config, lists=True)
+    overrides.update(_overrides(args, lists=True))
+    ms, schemes = overrides.pop("m", None), overrides.pop("scheme", None)
+    rows = sweep(RunConfig(**overrides), ms=ms, schemes=schemes)
     chart_error = None
     with _outdir(args) as out:
         write_sweep_csv(out / "sweep.csv", rows)

@@ -66,9 +66,12 @@ class RunConfig:
     quantizer state is the rounding error y - q.  The shaped schemes
     "sigma-delta" and "beta" bin, sign, noise-shape and condense their
     samples in p blocks of m // p.  gamma and t are the confidence parameters
-    of the frame concentration band used by the bound audit; the default t
-    is sized so that typical draws at the default (desk-scale) p sit inside
-    the band, and can be tightened for larger block counts.
+    of the frame concentration band (||nu||_2 / ||nu||_1)^2 [1 - gamma - 3t,
+    1 + 3t] used by the bound audit.  At the defaults its lower end is
+    negative (-0.617), so the lower edge reads vacuous on every draw and only
+    the upper edge is tested.  At t = 0.2 (beta 5, block 15: band [0.183,
+    1.067]) both edges are a real test, which 0, 6, 28 and 40 of 40 draws
+    passed at p = 200, 400, 800 and 1600.
     """
 
     lam: float = 2.0
@@ -576,7 +579,7 @@ _CONFIG_LAYOUT = (
     ("seed", "experiment", "seed", "--seed", "sampling seed"),
     ("trials", "experiment", "trials", "--trials", "trials per sweep cell"),
     ("scheme", "experiment", "scheme", "--scheme",
-     "quantization scheme: msq | sigma-delta | beta"),
+     "quantization scheme: msq | sigma-delta | beta (comma list allowed for sweep)"),
     ("levels", "quantizer", "levels", "--levels", "alphabet levels per sign"),
     ("delta", "quantizer", "delta", "--delta",
      "alphabet half-step (shaped schemes; msq uses 1/(2·levels))"),
@@ -598,12 +601,32 @@ _FIELD_TYPE = {
 }
 
 
-def load_config(path):
+# The axes sweep crosses.  Their flags and keys take comma lists.
+_SWEEP_AXES = ("m", "scheme")
+
+
+def _read_value(field, raw, lists=False):
+    """The value of field written as raw in a flag or a file key.
+
+    A sweep axis is split at commas and each entry read by the field's type:
+    with lists the result is that list, and without it the axis must hold one
+    value.  Raises ValueError when raw does not read.
+    """
+    if field not in _SWEEP_AXES:
+        return _FIELD_TYPE[field](raw)
+    values = [_FIELD_TYPE[field](v) for v in map(str.strip, raw.split(",")) if v]
+    if not lists and len(values) != 1:
+        raise ValueError(f"{raw!r} is not one value")
+    return values if lists else values[0]
+
+
+def load_config(path, lists=False):
     """Read an INI file into the keyword overrides it defines.
 
     Keys are case-sensitive ([experiment] has both R and r), a ";" after a
     value starts a comment, and values are read as written (no "%"
-    interpolation).
+    interpolation).  Each value is read by _read_value, so with lists the
+    sweep axes m and scheme come back as lists.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
     parser.optionxform = str
@@ -622,7 +645,7 @@ def load_config(path):
         if parser.has_option(section, key):
             raw = parser.get(section, key)
             try:
-                overrides[field] = _FIELD_TYPE[field](raw)
+                overrides[field] = _read_value(field, raw, lists)
             except ValueError as exc:
                 raise ConfigError(f"bad value for [{section}] {key} in {path}: {raw}") from exc
     return overrides

@@ -357,6 +357,29 @@ def test_sweep_all_failures_still_writes_csv(tmp_path, capsys):
     assert "nan" in (tmp_path / "sweep.csv").read_text(encoding="utf-8")
 
 
+def test_sweep_reads_the_lists_of_its_flags_from_a_config_file(tmp_path, capsys):
+    flags = ["--scheme", "msq,beta", "--m", "800,1600", "--p", "80", "--trials", "1"]
+    ini = tmp_path / "sweep.ini"
+    ini.write_text(
+        "[experiment]\nscheme = msq, beta\nm = 800,1600\np = 80\ntrials = 1\n", "utf-8"
+    )
+    assert main(["sweep", *flags, "--out", str(tmp_path / "flags")]) == 0
+    assert main(["sweep", "--config", str(ini), "--out", str(tmp_path / "file")]) == 0
+    for name in ("sweep.csv", "sweep.svg"):
+        assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
+    # A flag overrides the file's list.
+    assert main(["sweep", "--config", str(ini), "--m", "800", "--out", str(tmp_path / "one")]) == 0
+    assert (tmp_path / "one" / "sweep.csv").read_text("utf-8").count("\n") == 3
+    capsys.readouterr()
+    # run and check-bounds take one value per key.
+    for key, value in (("m", "800,1600"), ("scheme", "msq,beta")):
+        ini.write_text(f"[experiment]\n{key} = {value}\n", "utf-8")
+        for command in ("run", "check-bounds"):
+            assert main([command, "--config", str(ini), "--out", str(tmp_path / "run")]) == 2
+            err = capsys.readouterr().err
+            assert f"bad value for [experiment] {key} in {ini}: {value}" in err, err
+
+
 @pytest.mark.parametrize("flag", ["--m", "--scheme"])
 def test_sweep_rejects_an_empty_list(tmp_path, capsys, flag):
     rc = main(["sweep", flag, ",", "--out", str(tmp_path / "out")])

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 import bandquant as bq
 from bandquant import generator, pipeline
@@ -208,24 +209,27 @@ def test_eval_is_a_hermite_cubic_of_the_trapezoid_series(params):
     assert gen.eval(np.empty(0)).shape == (0,)
 
 
-def test_run_path_imports_no_interpolate_or_integrate():
-    # A fresh interpreter: this test process has imported scipy.  Only the
-    # check-bounds quadratures load it.
+def test_every_command_runs_without_scipy(tmp_path):
+    # A fresh interpreter in which importing scipy fails: bandquant needs
+    # numpy alone.  The test extra installs scipy only as a reference.
     code = (
-        "import dataclasses, sys\n"
-        "import bandquant, bandquant.cli\n"
-        "bandquant.shared_generator(bandquant.GeneratorParams(lam=2.0))\n"
-        "bandquant.run_detailed(bandquant.RunConfig())\n"
-        "one = dataclasses.replace(bandquant.RunConfig(), trials=1, order=2)\n"
-        "bandquant.sweep(one, schemes=bandquant.pipeline.SCHEMES)\n"
-        "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from bandquant.cli import main\n"
+        "for argv in (\n"
+        "    ['run'],\n"
+        "    ['sweep', '--trials', '1', '--order', '2', '--scheme', 'msq,beta,sigma-delta'],\n"
+        "    ['check-bounds'],\n"
+        "    ['check-bounds', '--scheme', 'sigma-delta', '--order', '1'],\n"
+        "):\n"
+        "    assert main([*argv, '--out', sys.argv[1]]) == 0, argv\n"
     )
     paths = [str(Path(bq.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True
     )
-    assert done.stdout.split() == []
+    assert done.returncode == 0, done.stderr
 
 
 def _traced_peak(call):
@@ -290,6 +294,14 @@ def test_shift_orthonormality(lam, capsys):
     for k in range(1, 21):
         assert abs(gen.shift_inner_product(k)) < 1e-10, f"k={k}"
     assert gen.shift_inner_product(-3) == gen.shift_inner_product(3)
+    assert gen.shift_inner_product(10**6) == 0.0
+    # The plain sum against scipy's Simpson rule on the same lagged products.
+    signed = np.concatenate((gen.values[:0:-1], gen.values))
+    for k in range(-20, 21):
+        lag = abs(k) * round(1.0 / (lam * gen.params.grid_step))
+        product = signed[lag:] * signed[: signed.size - lag]
+        reference = simpson(product, dx=gen.params.grid_step)
+        assert abs(gen.shift_inner_product(k) - reference) <= 1e-15, f"k={k}"
     assert main(["check-bounds", "--lambda", str(lam)]) == 0
     assert "shift orthonormality defect" in capsys.readouterr().out
 
