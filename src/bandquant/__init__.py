@@ -11,7 +11,6 @@ from .condense import (
     BoundReport,
     build_weight,
     condense,
-    inf_to_two_bound,
     nu_beta,
     nu_sigma_delta,
     verify_condensation_bounds,
@@ -39,12 +38,10 @@ from .pipeline import (
     check_bounds,
     load_config,
     run_detailed,
-    run_once,
     shared_generator,
     sweep,
     validate,
     write_sweep_chart,
-    write_sweep_csv,
 )
 from .quantize import (
     MidriseAlphabet,

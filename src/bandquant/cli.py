@@ -27,13 +27,13 @@ from .pipeline import (
     ConfigError,
     RunConfig,
     RunReport,
+    SweepRow,
     _read_value,
     build_config,
     check_bounds,
     load_config,
     run_detailed,
     sweep,
-    write_sweep_csv,
     write_sweep_chart,
 )
 from .sampling import BinningError
@@ -139,7 +139,7 @@ def cmd_sweep(args):
     rows = sweep(RunConfig(**overrides), ms=ms, schemes=schemes)
     chart_error = None
     with _outdir(args) as out:
-        write_sweep_csv(out / "sweep.csv", rows)
+        table.write_records(out / "sweep.csv", SweepRow, rows)
         try:
             write_sweep_chart(out / "sweep.svg", rows)
         except FrameFailure as exc:

@@ -111,12 +111,6 @@ def build_weight(block_counts, R, eps):
     )
 
 
-def inf_to_two_bound(mat):
-    """Upper bound sqrt(sum_rows ||row||_1^2) on the sup-to-L2 operator norm."""
-    row_l1 = np.abs(np.asarray(mat, dtype=float)).sum(axis=1)
-    return float(np.sqrt((row_l1**2).sum()))
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """One verified inequality: computed left side against its closed form.

@@ -48,7 +48,7 @@ TAIL_TOLERANCE = 1e-9
 
 # Points per chunk in Generator.eval, cubic coefficients per row block of
 # Generator._shift_rows (4 per entry, so 91 rows of 45 entries), and
-# differences per row block of the sinc basis in signals._eval_differences.
+# differences per row block of the sinc basis in SignalModel.eval.
 # An eval chunk's temporaries take 1.7 MB, so a call's peak memory stays near
 # the size of its output.  The size also keeps a 3000-sample trial's
 # transient memory (1.7 MB) below glibc's heap trim threshold after the
@@ -319,13 +319,20 @@ class Generator:
         The grid maximum of (1 + t)^r |g(t)| is inflated by a fixed safety
         factor; the estimate is rejected when the weighted profile is still
         rising at the tail cut, since then no finite grid certifies decay.
+        Its message blames the table cut when g is above TAIL_TOLERANCE there,
+        and the exponent otherwise.
         """
         r = int(r)
         if r < 2:
             raise ValueError(f"decay exponent must be at least 2, got {r}")
+        advice = "use a smaller exponent"
+        if self.tail_level > TAIL_TOLERANCE:
+            advice = (
+                f"max |g| is {self.tail_level:.3g} where the table ends at "
+                f"{self.params.tail_cut:g}, so lam {self.lam:g} is too close to 1"
+            )
         rising = ValueError(
-            f"weighted profile still rising at the tail cut for exponent {r}; "
-            "use a smaller exponent"
+            f"weighted profile still rising at the tail cut for exponent {r}; {advice}"
         )
         # Where (1 + t)^r overflows near the tail cut (r >= 173 on the default
         # 60-wide table) the profile is infinite there: still rising.

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import svg, table
+from . import svg
 from .condense import (
     BoundReport,
     build_weight,
@@ -42,12 +42,7 @@ from .quantize import (
     stability_margin,
 )
 from .sampling import BinningError, draw_samples, partition_bins
-from .signals import (
-    CoefficientVector,
-    project,
-    projection_error_report,
-    synth_test_signal,
-)
+from .signals import project, projection_error_report, synth_test_signal
 
 SCHEMES = ("msq", "sigma-delta", "beta")
 
@@ -180,6 +175,13 @@ def _scheme(config: RunConfig):
         raise ValueError(
             f"sample budget m={config.m} must be a positive multiple of p={config.p}"
         )
+    # The signals stay within target_sup <= 1, so a larger half-step rounds
+    # every sample to +-delta; near 1e154 its errors also overflow err**2.
+    if config.delta > 1:
+        raise ValueError(
+            f"alphabet half-step delta must be at most 1, the signals' amplitude "
+            f"bound, got {config.delta}"
+        )
     block = config.m // config.p
     alphabet = MidriseAlphabet(config.levels, config.delta)
     audit = functools.partial(verify_condensation_bounds, block, config.p)
@@ -205,16 +207,16 @@ def _scheme(config: RunConfig):
     )
 
 
-def _draw(config: RunConfig, seed, nu):
+def _draw(config: RunConfig, nu):
     """Sample coordinates in quantization order, and their bins.
 
     Without nu the drawn points are used as they come and the bins are None;
     with it they are binned in blocks of nu.size.
     """
-    points = draw_samples(config.m, config.R, config.eps, seed)
+    points = draw_samples(config.m, config.R, config.eps, config.seed)
     if nu is None:
         return points, None
-    binned = partition_bins(points, config.R, config.eps, nu.size, seed)
+    binned = partition_bins(points, config.R, config.eps, nu.size, config.seed)
     return binned.coordinates, binned
 
 
@@ -301,7 +303,6 @@ class RunArtifacts:
 
     report: RunReport
     signal: object
-    recon: CoefficientVector
     grid: np.ndarray
     signal_values: np.ndarray
     recon_values: np.ndarray
@@ -313,7 +314,7 @@ class RunArtifacts:
     measure: object
 
 
-def run_detailed(config: RunConfig, sample_seed=None, signal=None):
+def run_detailed(config: RunConfig, signal=None):
     """Run one experiment and return the full artifact bundle.
 
     Every scheme takes the same steps: draw, bin, evaluate the signal,
@@ -321,38 +322,35 @@ def run_detailed(config: RunConfig, sample_seed=None, signal=None):
     evaluate on grid_points points of [-R, R]; the scheme only chooses the
     feedback taps, the restart length, the alphabet and the condensation row
     (see _scheme).
-    sample_seed overrides config.seed for the sampling/sign streams (used by
-    sweeps to vary trials while keeping the signal fixed); signal overrides
-    synthesis when already available, and elapsed_s starts once the shared
-    generator and the signal exist.  validate checks the stability margin at
-    config.target_sup; samples that reach a negative margin, or that are not
-    finite, raise ValueError, and so (as ConfigError) does a lam whose
-    generator table is cut where |g| exceeds TAIL_TOLERANCE.
+    signal overrides synthesis when already available, and elapsed_s starts
+    once the shared generator and the signal exist.  validate checks the
+    stability margin at config.target_sup; samples that reach a negative
+    margin, or that are not finite, raise ValueError, and so (as ConfigError)
+    does a lam whose generator table is cut where |g| exceeds TAIL_TOLERANCE.
     """
     validate(config)
-    seed = config.seed if sample_seed is None else int(sample_seed)
     generator = _generator(config)
     if signal is None:
         signal = synth_test_signal(config.signal_seed, config.k_range, config.target_sup)
     t0 = time.perf_counter()
     ctx = KernelContext.from_box(generator, config.R, config.eps)
     p, taps, block, alphabet, nu, _ = _scheme(config)
-    coords, binned = _draw(config, seed, nu)
+    coords, binned = _draw(config, nu)
     y = np.asarray(signal.eval(coords), dtype=float)
     if binned is not None:
         y = binned.signs * y
     result = greedy_noise_shape(y, taps, alphabet, block)
     system, measure = _frame(config, ctx, coords, binned, nu)
-    recon = CoefficientVector(values=reconstruct(system, measure(result.q)), context=ctx)
+    coefficients = reconstruct(system, measure(result.q))
     grid = np.linspace(-config.R, config.R, config.grid_points)
     signal_values = np.asarray(signal.eval(grid), dtype=float)
-    recon_values = recon.eval(grid)
+    recon_values = ctx.kernel_coefficients(grid) @ coefficients
     err = signal_values - recon_values
     report = RunReport(
         scheme=config.scheme,
         m=config.m,
         p=p,
-        seed=seed,
+        seed=config.seed,
         sup_error=float(np.max(np.abs(err))),
         rms_error=float(np.sqrt(np.mean(err**2))),
         lam_min=system.lam_min,
@@ -364,7 +362,6 @@ def run_detailed(config: RunConfig, sample_seed=None, signal=None):
     return RunArtifacts(
         report=report,
         signal=signal,
-        recon=recon,
         grid=grid,
         signal_values=signal_values,
         recon_values=recon_values,
@@ -375,11 +372,6 @@ def run_detailed(config: RunConfig, sample_seed=None, signal=None):
         system=system,
         measure=measure,
     )
-
-
-def run_once(config: RunConfig, sample_seed=None, signal=None):
-    """Run one experiment and return its report."""
-    return run_detailed(config, sample_seed=sample_seed, signal=signal).report
 
 
 @dataclass(frozen=True)
@@ -417,7 +409,8 @@ def sweep(config: RunConfig, ms=None, schemes=None):
         failures = 0
         for trial in range(cell.trials):
             try:
-                report = run_once(cell, sample_seed=cell.seed + trial, signal=signal)
+                trial_config = dataclasses.replace(cell, seed=cell.seed + trial)
+                report = run_detailed(trial_config, signal=signal).report
             except (FrameFailure, BinningError):
                 failures += 1
             else:
@@ -433,10 +426,6 @@ def sweep(config: RunConfig, ms=None, schemes=None):
             )
         )
     return rows
-
-
-def write_sweep_csv(path, rows):
-    table.write_records(path, SweepRow, rows)
 
 
 def write_sweep_chart(path, rows):
@@ -538,11 +527,16 @@ def check_bounds(config: RunConfig):
 
     signal = synth_test_signal(config.signal_seed, config.k_range, config.target_sup)
     pf = project(signal, generator, config.R, config.eps)
-    lines.append(projection_error_report(signal, pf, config.R, r=config.r))
+    try:
+        lines.append(projection_error_report(signal, pf, config.R, r=config.r))
+    except ValueError as exc:
+        # No certified decay constant, so no bound: the line fails.
+        label = f"projection truncation bound (r={config.r}; {exc})"
+        lines.append(BoundReport(label=label, lhs=math.nan, rhs=math.nan))
 
     if nu is not None:
         try:
-            coords, binned = _draw(config, config.seed, nu)
+            coords, binned = _draw(config, nu)
             system, _ = _frame(config, ctx, coords, binned, nu)
         except FrameFailure as exc:
             lines.append(

@@ -53,11 +53,6 @@ class MidriseAlphabet:
     def max_element(self):
         return (2.0 * self.levels - 1.0) * self.delta
 
-    def elements(self):
-        l = np.arange(1, self.levels + 1)
-        pos = (2 * l - 1) * self.delta
-        return np.concatenate([-pos[::-1], pos])
-
     def nearest(self, w):
         """Closest alphabet element; exact ties resolve toward the larger value."""
         w_arr = np.asarray(w, dtype=float)

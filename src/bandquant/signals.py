@@ -20,27 +20,6 @@ _NORM_GRID_MARGIN = 30.0
 _NORM_HEADROOM = 1.005
 
 
-def _eval_differences(fn, x, columns):
-    """fn(x[..., None] - columns) for an elementwise fn, in blocks of rows.
-
-    Returns an array of shape x.shape + (columns.size,).  Each block holds at
-    most _EVAL_CHUNK differences and is written straight into the output, so
-    no full-size difference array or temporary of fn is ever built; the
-    result is bit-identical to the one-shot expression.  Private, so that a
-    traced run counts its time toward the layer that calls it.
-    """
-    x = np.asarray(x, dtype=float)
-    columns = np.asarray(columns)
-    out = np.empty((*x.shape, columns.size))
-    flat_x = x.reshape(-1)
-    flat_out = out.reshape(flat_x.size, columns.size)
-    rows = max(1, _EVAL_CHUNK // max(1, columns.size))
-    for lo in range(0, flat_x.size, rows):
-        hi = lo + rows
-        flat_out[lo:hi] = fn(flat_x[lo:hi, None] - columns)
-    return out
-
-
 @dataclass(frozen=True)
 class SignalModel:
     """Bandlimited signal written as a finite combination of unit-spaced sincs.
@@ -66,15 +45,22 @@ class SignalModel:
     def eval(self, t):
         """Evaluate at scalar or array t.
 
-        The sinc basis is filled in blocks of rows by ``_eval_differences``;
-        the product with the coefficients stays one call over all rows,
-        because a threaded BLAS rounds rows near its split points by where
-        the split falls, so a product per block could move values by an ulp.
+        The sinc basis, of shape t.shape + (ks.size,), is filled in blocks of
+        at most _EVAL_CHUNK entries, so no full-size difference array or
+        temporary of np.sinc is ever built.  The product with the
+        coefficients stays one call over all rows, because a threaded BLAS
+        rounds rows near its split points by where the split falls, so a
+        product per block could move values by an ulp.
         """
         t_arr = np.asarray(t, dtype=float)
-        scalar = t_arr.ndim == 0
-        out = _eval_differences(np.sinc, np.atleast_1d(t_arr), self.ks) @ self.coeffs
-        return float(out[0]) if scalar else out
+        x = np.atleast_1d(t_arr)
+        flat_x = x.reshape(-1)
+        basis = np.empty((flat_x.size, self.ks.size))
+        rows = max(1, _EVAL_CHUNK // max(1, self.ks.size))
+        for lo in range(0, flat_x.size, rows):
+            basis[lo : lo + rows] = np.sinc(flat_x[lo : lo + rows, None] - self.ks)
+        out = basis.reshape(*x.shape, self.ks.size) @ self.coeffs
+        return float(out[0]) if t_arr.ndim == 0 else out
 
     __call__ = eval
 
@@ -140,24 +126,21 @@ def project(f, generator: Generator, R, eps):
     """Project onto the finite generator span covering [-R, R] with margin eps.
 
     For a bandlimited SignalModel the projection coefficients are the lattice
-    samples f(k/lam) / sqrt(lam) over the index window.  A CoefficientVector
-    is already in a generator span, so it is projected by restricting (or
-    zero-padding) its coefficients to the target window.
+    samples f(k/lam) / sqrt(lam) over the index window.  That formula holds
+    only for a pi-bandlimited f, so a CoefficientVector, which is bandlimited
+    to (2 lam - 1) pi, raises ValueError.
     """
     if eps * R < 1.0:
         raise ValueError(
             f"shell width eps*R must be at least 1 for the projection window "
             f"to extend usefully beyond [-R, R], got {eps * R}"
         )
-    ctx = KernelContext.from_box(generator, R, eps)
     if isinstance(f, CoefficientVector):
-        if f.context.generator.params != generator.params:
-            raise ValueError("cannot project between spans of different generators")
-        src = f.context.index_set
-        values = np.zeros(ctx.dimension)
-        keep = np.abs(src) <= ctx.k_max
-        values[src[keep] + ctx.k_max] = f.values[keep]
-        return CoefficientVector(values=values, context=ctx)
+        raise ValueError(
+            "a generator-span element is not pi-bandlimited, so its lattice "
+            "samples are not its projection"
+        )
+    ctx = KernelContext.from_box(generator, R, eps)
     values = np.asarray(f.eval(ctx.shift_points), dtype=float) / math.sqrt(
         generator.lam
     )

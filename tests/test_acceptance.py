@@ -94,7 +94,9 @@ def test_criterion_2_unquantized_round_trip_is_exact(span_signal):
         exact[scheme] = 0
         for seed in range(1, 6):
             try:
-                art = bq.run_detailed(config, sample_seed=seed, signal=signal)
+                art = bq.run_detailed(
+                    dataclasses.replace(config, seed=seed), signal=signal
+                )
             except (bq.FrameFailure, bq.BinningError):
                 failures += 1
                 continue
@@ -194,7 +196,9 @@ def test_criterion_4_generator_validity():
 def _mean_sup_error(config, signal):
     sups = []
     for seed in range(1, 6):
-        report = bq.run_once(config, sample_seed=seed, signal=signal)
+        report = bq.run_detailed(
+            dataclasses.replace(config, seed=seed), signal=signal
+        ).report
         sups.append(report.sup_error)
     return float(np.mean(sups))
 

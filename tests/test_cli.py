@@ -106,6 +106,63 @@ def test_lambda_whose_table_is_cut_too_early_exits_2(tmp_path, capsys):
     assert lines[1] == "generator tail max |g| on [59, 60]: 0.000347445 <= 1e-09 -> FAIL"
 
 
+def test_check_bounds_prints_every_line_when_decay_is_not_certified(capsys):
+    # No decay constant of g is certified, so the projection line fails with
+    # the reason; at lam = 1.01 that is the table cut, also failed by line 2.
+    assert main(["check-bounds", "--lambda", "1.01"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 7
+    assert lines[1] == "generator tail max |g| on [59, 60]: 0.00369915 <= 1e-09 -> FAIL"
+    assert lines[4] == (
+        "projection truncation bound (r=11; weighted profile still rising at the "
+        "tail cut for exponent 11; max |g| is 0.0037 where the table ends at 60, "
+        "so lam 1.01 is too close to 1): nan <= nan -> FAIL"
+    )
+    assert main(["check-bounds", "--r", "200"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].endswith("-> ok")
+    assert lines[4].startswith("projection truncation bound (r=200; ")
+    assert lines[4].endswith("use a smaller exponent): nan <= nan -> FAIL")
+
+
+# Edge configurations at small m, none of them with a large frame.
+_EDGE_CASES = [
+    ["run", "--delta", "1e300"],
+    ["run", "--delta", "2"],
+    ["sweep", "--delta", "1e300", "--trials", "1"],
+    ["run", "--lambda", "1.47"],
+    ["run", "--grid-points", "2"],
+    ["run", "--scheme", "msq", "--m", "1"],
+    ["run", "--p", "1"],
+    ["run", "--scheme", "sigma-delta", "--order", "1", "--levels", "1", "--delta", "1",
+     "--p", "1000"],
+    ["run", "--levels", "1"],
+    ["run", "--target-sup", "1"],
+    ["run", "--k-range", "0"],
+    ["run", "--beta", "1.0001"],
+    ["run", "--R", "0.5", "--eps", "2"],
+    ["sweep", "--scheme", "msq", "--m", "1", "--trials", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", _EDGE_CASES, ids=" ".join)
+def test_edge_configurations_exit_cleanly_with_finite_numbers(tmp_path, capsys, argv):
+    # Warnings are errors here (pytest's filterwarnings), so an overflow
+    # inside a run shows as an exception, not as exit 0.
+    code = main([*argv, "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert code in (0, 2, 3)
+    if code == 0:
+        name = "report.csv" if argv[0] == "run" else "sweep.csv"
+        for line in (tmp_path / name).read_text(encoding="utf-8").splitlines()[1:]:
+            for field in line.split(","):
+                try:
+                    value = float(field)
+                except ValueError:
+                    continue
+                assert np.isfinite(value), line
+
+
 def test_run_reports_frame_failure(tmp_path, capsys):
     # 40 condensed rows cannot span the 45-dimensional coefficient space.
     rc = main(

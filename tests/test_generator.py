@@ -281,8 +281,10 @@ def test_default_trial_stays_under_the_heap_trim_threshold(gen):
     # whose transient memory exceeds the threshold faults its pages in again
     # on every trial.
     config = bq.RunConfig()
-    bq.run_detailed(config, sample_seed=1)
-    _, peak = _traced_peak(lambda: bq.run_detailed(config, sample_seed=2))
+    bq.run_detailed(config)
+    _, peak = _traced_peak(
+        lambda: bq.run_detailed(dataclasses.replace(config, seed=2))
+    )
     n_fft = int(round(_PERIOD_FACTOR * gen.params.tail_cut / gen.params.grid_step))
     assert peak < 2 * (n_fft // 2 + 1) * 16
 
@@ -425,7 +427,7 @@ def test_kernel_coefficients_follow_eval_across_a_wide_run(gen):
     config = dataclasses.replace(bq.RunConfig(), R=15.0, eps=0.5)
     ctx = bq.KernelContext.from_box(gen, config.R, config.eps)
     _, _, _, _, nu, _ = pipeline._scheme(config)
-    coords, _ = pipeline._draw(config, config.seed, nu)
+    coords, _ = pipeline._draw(config, nu)
     grid = np.linspace(-config.R, config.R, config.grid_points)
     assert np.max(np.abs(coords[:, None] - ctx.shift_points)) > 70.0
     for x in (coords, grid):

@@ -38,6 +38,7 @@ def test_validate_rejects_bad_configs():
         (dict(trials=0), "trials"),
         (dict(levels=0), "levels"),
         (dict(delta=-0.1), "delta"),
+        (dict(delta=1e300), "at most 1"),
         (dict(seed=-1), "seed"),
         (dict(gamma=1.5), "gamma"),
         (dict(t=0.0), "t must be positive"),
@@ -53,8 +54,16 @@ def test_validate_rejects_bad_configs():
 
 
 def test_validate_msq_ignores_block_structure():
-    # p does not need to divide m when no condensation happens.
+    # p does not need to divide m when no condensation happens, and delta is
+    # not read.
     bq.validate(dataclasses.replace(bq.RunConfig(), scheme="msq", m=500, p=200))
+    bq.validate(dataclasses.replace(bq.RunConfig(), scheme="msq", delta=1e300))
+    # delta = 1 is the largest half-step a shaped scheme takes: 1-bit sigma-delta.
+    bq.validate(
+        dataclasses.replace(
+            bq.RunConfig(), scheme="sigma-delta", order=1, levels=1, delta=1.0, p=1000
+        )
+    )
 
 
 def test_validate_collects_multiple_problems():
@@ -104,12 +113,12 @@ def test_elapsed_s_leaves_out_the_generator_build(gen, monkeypatch):
         return gen
 
     monkeypatch.setattr(pipeline, "shared_generator", slow_build)
-    report = bq.run_once(_small_beta())
+    report = bq.run_detailed(_small_beta()).report
     assert report.elapsed_s < 0.2
 
 
 def test_run_beta_reconstruction_beats_quantizer_floor():
-    report = bq.run_once(_small_beta())
+    report = bq.run_detailed(_small_beta()).report
     # Even at this small geometry the error stays near the 0.1-step floor;
     # the full-size benchmark in the acceptance suite goes far below it.
     assert report.sup_error < 0.05
@@ -119,8 +128,8 @@ def test_run_beta_reconstruction_beats_quantizer_floor():
 
 
 def test_run_msq_levels_scale():
-    coarse = bq.run_once(_small_beta(scheme="msq", levels=10))
-    fine = bq.run_once(_small_beta(scheme="msq", levels=80))
+    coarse = bq.run_detailed(_small_beta(scheme="msq", levels=10)).report
+    fine = bq.run_detailed(_small_beta(scheme="msq", levels=80)).report
     assert fine.sup_error < coarse.sup_error
     assert coarse.p == 1200  # msq uses every sample individually
 
@@ -138,7 +147,8 @@ def test_run_msq_state_is_its_rounding_error():
 
 
 def test_run_sigma_delta():
-    report = bq.run_once(_small_beta(scheme="sigma-delta", order=7, levels=80, delta=0.05))
+    config = _small_beta(scheme="sigma-delta", order=7, levels=80, delta=0.05)
+    report = bq.run_detailed(config).report
     assert report.sup_error < 0.1
     assert report.max_state <= 0.05
 
@@ -154,9 +164,8 @@ def test_run_detailed_artifacts():
     assert art.report.sup_error == pytest.approx(
         float(np.max(np.abs(art.signal_values - art.recon_values)))
     )
-    # The quantized stream respects the alphabet.
-    alpha = bq.MidriseAlphabet(config.levels, config.delta)
-    elements = alpha.elements()
+    # The quantized stream respects the alphabet {+-0.1, +-0.3, ..., +-1.9}.
+    elements = np.arange(-19, 20, 2) * config.delta
     assert np.all(np.isin(np.round(art.q, 12), np.round(elements, 12)))
 
 
@@ -169,9 +178,9 @@ def test_error_grid_spans_the_reconstruction_interval():
 
 
 def test_run_uses_sample_seed_override():
-    a = bq.run_once(_small_beta(), sample_seed=100)
-    b = bq.run_once(_small_beta(), sample_seed=100)
-    c = bq.run_once(_small_beta(), sample_seed=101)
+    a = bq.run_detailed(_small_beta(seed=100)).report
+    b = bq.run_detailed(_small_beta(seed=100)).report
+    c = bq.run_detailed(_small_beta(seed=101)).report
     assert a.sup_error == b.sup_error
     assert a.sup_error != c.sup_error
     assert a.seed == 100
@@ -184,7 +193,7 @@ def _csv_rows(path, cls, records):
 
 
 def test_report_text_and_csv_roundtrip(tmp_path):
-    report = bq.run_once(_small_beta())
+    report = bq.run_detailed(_small_beta()).report
     text = table.record_text(report)
     assert "sup_error" in text and "lam_min" in text
     row = _csv_rows(tmp_path / "report.csv", bq.RunReport, [report])[0].split(",")
@@ -244,6 +253,23 @@ def test_sweep_aggregates_and_is_deterministic(gen, tmp_path):
     assert all(r.mean_sup_error > 0 for r in rows_a)
 
 
+def test_sweep_trial_is_the_run_at_seed_plus_k(gen):
+    # Trial k of a cell is run_detailed at seed + k with the sweep's signal.
+    config = _small_beta(trials=3, seed=7)
+    signal = bq.synth_test_signal(config.signal_seed, config.k_range, config.target_sup)
+    rows = bq.sweep(config, schemes=["beta", "msq"])
+    for row in rows:
+        cell = dataclasses.replace(config, scheme=row.scheme)
+        sups = [
+            bq.run_detailed(
+                dataclasses.replace(cell, seed=cell.seed + k), signal=signal
+            ).report.sup_error
+            for k in range(cell.trials)
+        ]
+        assert row.failures == 0
+        assert row.mean_sup_error == float(np.mean(sups))
+
+
 def test_sweep_counts_failures(gen):
     # p equal to m/1 blocks of size 15 but only 60 blocks: rank-deficient,
     # every trial must fail and be counted rather than raise.
@@ -263,7 +289,7 @@ def test_sweep_rejects_invalid_cell(gen):
 def test_sweep_validates_every_cell_before_the_first_trial(monkeypatch):
     # Every beta cell is valid; sigma-delta order 3 fits none of the blocks.
     monkeypatch.setattr(
-        pipeline, "run_once", lambda *a, **k: pytest.fail("a trial ran before validation")
+        pipeline, "run_detailed", lambda *a, **k: pytest.fail("a trial ran before validation")
     )
     config = dataclasses.replace(bq.RunConfig(), p=200, order=3, trials=3)
     with pytest.raises(bq.ConfigError, match="incompatible"):
@@ -275,7 +301,7 @@ def test_sweep_files(gen, tmp_path):
     rows = bq.sweep(config, ms=[800, 1600], schemes=["beta"])
     csv_path = tmp_path / "sweep.csv"
     svg_path = tmp_path / "sweep.svg"
-    bq.write_sweep_csv(csv_path, rows)
+    table.write_records(csv_path, pipeline.SweepRow, rows)
     bq.write_sweep_chart(svg_path, rows)
     lines = csv_path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "scheme,m,p,mean_sup_error,failures"
@@ -283,7 +309,7 @@ def test_sweep_files(gen, tmp_path):
     svg = svg_path.read_text(encoding="utf-8")
     assert svg.startswith("<svg") and "polyline" in svg and "beta" in svg
     # Determinism at the byte level.
-    bq.write_sweep_csv(tmp_path / "again.csv", rows)
+    table.write_records(tmp_path / "again.csv", pipeline.SweepRow, rows)
     assert (tmp_path / "again.csv").read_bytes() == csv_path.read_bytes()
 
 

@@ -2,8 +2,10 @@
 one shows in the diff of this file."""
 
 import types
+from pathlib import Path
 
 import bandquant as bq
+import bandquant.cli
 
 PUBLIC_NAMES = [
     "BinnedSamples",
@@ -34,7 +36,6 @@ PUBLIC_NAMES = [
     "frame_bound_report",
     "ghat",
     "greedy_noise_shape",
-    "inf_to_two_bound",
     "load_config",
     "nu_beta",
     "nu_sigma_delta",
@@ -43,7 +44,6 @@ PUBLIC_NAMES = [
     "projection_error_report",
     "reconstruct",
     "run_detailed",
-    "run_once",
     "shared_generator",
     "stability_margin",
     "sweep",
@@ -52,7 +52,6 @@ PUBLIC_NAMES = [
     "validate",
     "verify_condensation_bounds",
     "write_sweep_chart",
-    "write_sweep_csv",
 ]
 
 
@@ -65,3 +64,20 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == PUBLIC_NAMES
+
+
+def test_benchmark_entry_points_exist(monkeypatch, tmp_path):
+    # The benchmark's worker builds the shared generator through these names
+    # and sends each workload kind's argv, with seeds and --out, to cli.main.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    import workloads
+
+    params = bq.generator.GeneratorParams(lam=bq.pipeline.RunConfig().lam)
+    assert bq.pipeline.shared_generator(params).lam == params.lam
+    assert callable(bq.cli.main)
+    parser = bq.cli.build_parser()
+    for workload in workloads.WORKLOADS.values():
+        for _, args in workload.kinds:
+            argv = [workload.command, *args, "--seed", "1", "--signal-seed", "1"]
+            parsed = parser.parse_args([*argv, "--out", str(tmp_path)])
+            assert parsed.func.__name__ == f"cmd_{workload.command}"

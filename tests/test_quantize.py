@@ -19,7 +19,6 @@ from bandquant.quantize import _SEQUENCE_CHUNK
 
 def test_midrise_elements_and_rounding():
     alpha = bq.MidriseAlphabet(levels=2, delta=0.5)
-    np.testing.assert_allclose(alpha.elements(), [-1.5, -0.5, 0.5, 1.5])
     assert alpha.max_element == 1.5
     assert alpha.nearest(0.3) == 0.5
     assert alpha.nearest(-0.3) == -0.5
@@ -36,7 +35,7 @@ def test_midrise_elements_and_rounding():
 
 def test_midrise_rounding_is_truly_nearest():
     alpha = bq.MidriseAlphabet(levels=10, delta=0.05)
-    elements = alpha.elements()
+    elements = np.arange(-19, 20, 2) * 0.05
     rng = np.random.default_rng(17)
     for w in rng.uniform(-1.5, 1.5, 500):
         got = alpha.nearest(float(w))
@@ -51,10 +50,7 @@ def _msq_alphabet(levels):
 
 def test_msq_elements_and_rounding():
     alpha = _msq_alphabet(10)
-    elements = alpha.elements()
-    assert elements.shape == (20,)
-    assert elements[0] == pytest.approx(-0.95)
-    assert elements[-1] == pytest.approx(0.95)
+    assert alpha.max_element == pytest.approx(0.95)
     assert alpha.nearest(0.12) == pytest.approx(0.15)
     assert alpha.nearest(-0.12) == pytest.approx(-0.15)
     assert alpha.nearest(1.7) == pytest.approx(0.95)
@@ -67,7 +63,7 @@ def test_msq_elements_and_rounding():
 
 def test_msq_rounding_is_truly_nearest():
     alpha = _msq_alphabet(80)
-    elements = alpha.elements()
+    elements = np.arange(-159, 160, 2) * (1 / 160)
     rng = np.random.default_rng(18)
     for w in rng.uniform(-1.2, 1.2, 500):
         got = alpha.nearest(float(w))

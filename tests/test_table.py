@@ -105,7 +105,7 @@ def test_records_match_the_former_report_format(tmp_path):
         bq.pipeline.SweepRow("beta", 1600, 80, math.nan, 2),
     ]
     path = tmp_path / "sweep.csv"
-    bq.write_sweep_csv(path, rows)
+    table.write_records(path, bq.pipeline.SweepRow, rows)
     assert path.read_text(encoding="utf-8") == "".join(
         [
             "scheme,m,p,mean_sup_error,failures\n",
