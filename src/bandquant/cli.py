@@ -4,10 +4,10 @@ Subcommands: run (one reconstruction, full report files), sweep (trials over
 a list of sample budgets, CSV + SVG summary) and check-bounds (numerical
 audits of the inequalities behind the method).  Every configurable value has
 one flag, listed in the order of the INI file.  Exit codes: 0 success, 2
-invalid configuration, 3 frame or binning failure (and failed audits for
-check-bounds), 141 (128 + SIGPIPE) when the reader of standard output goes
-away early, as in ``bandquant check-bounds | head``; no traceback is printed
-then.
+invalid configuration, 3 frame or binning failure (for sweep: a cell whose
+every trial failed; for check-bounds: a failed audit), 141 (128 + SIGPIPE)
+when the reader of standard output goes away early, as in
+``bandquant check-bounds | head``; no traceback is printed then.
 """
 
 from __future__ import annotations
@@ -136,7 +136,8 @@ def cmd_sweep(args):
     overrides = {} if args.config is None else load_config(args.config, lists=True)
     overrides.update(_overrides(args, lists=True))
     ms, schemes = overrides.pop("m", None), overrides.pop("scheme", None)
-    rows = sweep(RunConfig(**overrides), ms=ms, schemes=schemes)
+    config = RunConfig(**overrides)
+    rows = sweep(config, ms=ms, schemes=schemes)
     chart_error = None
     with _outdir(args) as out:
         table.write_records(out / "sweep.csv", SweepRow, rows)
@@ -150,10 +151,12 @@ def cmd_sweep(args):
             f"mean_sup_error={row.mean_sup_error:.6g}  failures={row.failures}"
         )
     print(f"sweep summary written to {out}")
+    failed = [row for row in rows if row.failures == config.trials]
+    for row in failed:
+        print(f"every trial failed: {row.scheme} m={row.m} p={row.p}", file=sys.stderr)
     if chart_error is not None:
         print(f"no chart written: {chart_error}", file=sys.stderr)
-        return 3
-    return 0
+    return 3 if failed or chart_error is not None else 0
 
 
 def cmd_check_bounds(args):

@@ -390,7 +390,8 @@ def sweep(config: RunConfig, ms=None, schemes=None):
 
     Trial k uses sampling seed config.seed + k with the signal held fixed.
     Frame failures and binning shortfalls are counted per cell and excluded
-    from the error mean; a cell where every trial fails reports a NaN mean.
+    from the error mean; a cell where every trial fails reports a NaN mean,
+    and ``bandquant sweep`` then exits 3 after writing its files.
     An empty list of budgets or schemes or any cell that fails validate
     raises ConfigError before the first trial.
     """

@@ -15,9 +15,12 @@ within the alphabet half-step.
 The recursion runs on one of two paths.  With block < y.size the blocks are
 independent recursions of length block, so all of them advance together in
 block numpy steps; with one recursion over all of y it runs step by step on
-Python floats.  Each step performs the same double-precision operations in
-the same order on both paths, so their output is bit-identical to a scalar
-loop.
+Python floats, with the past padded by the zero state from the first step
+on (and, up to three taps, the taps by 0.0).  Each step performs the same
+double-precision operations in the same order on both paths; the padding
+only adds +-0 terms, which can change the sign of a zero w and nothing
+else, and +0 and -0 round alike.  So q and u are bit-identical to a scalar
+loop's.
 """
 
 from __future__ import annotations
@@ -110,8 +113,8 @@ def greedy_noise_shape(y, taps, alphabet: MidriseAlphabet, block=None):
     With block < y.size (the geometric scheme, MSQ) the y.size/block
     recursions are independent and advance together, one in-block position
     per numpy step.  One recursion (the difference scheme) runs a step at a
-    time on Python floats.  Either way each w_s, q_s and u_s comes from the
-    same double-precision operations in the same order as in the scalar
+    time on Python floats.  Either way each q_s and u_s comes from the same
+    double-precision operations in the same order as in the scalar
     recursion (feedback added newest state first, then floor, scale and
     clip), and numpy and Python floats round those alike, so both paths agree
     bit for bit with a step-by-step loop.
@@ -157,33 +160,55 @@ def _shape_blocks(y, taps, block, alphabet):
 
 
 def _shape_sequence(y, taps, alphabet):
-    """One recursion in order, on Python floats read _SEQUENCE_CHUNK at a time."""
+    """One recursion in order, on Python floats read _SEQUENCE_CHUNK at a time.
+
+    The past starts as the zero state instead of growing over the first
+    steps, so every step adds every tap's term; up to three taps run in one
+    loop on local variables, padded with 0.0 taps.  Each padded term is
+    tap * 0.0 = +-0, added last, which can flip the sign of a zero w only;
+    +0 and -0 both round to +delta with state -delta, since the midrise
+    alphabet has no 0, so q and u keep the scalar recursion's bits.  The
+    loop records w only: q and u of a chunk follow from it by
+    alphabet.nearest and w - q, the operations that the loop rounds with.
+    """
     delta = alphabet.delta
     two_delta = 2.0 * delta
     max_elem = alphabet.max_element
-    # Newest state first.  Over the first steps it holds fewer values than
-    # there are taps, so zip stops at taps[:s] as the scalar recursion does.
-    past = collections.deque(maxlen=len(taps))
+    floor = math.floor
+    t1, t2, t3 = (*taps, 0.0, 0.0, 0.0)[:3]
+    u1 = u2 = u3 = 0.0
+    # Newest state first, for more than three taps.
+    past = collections.deque([0.0] * len(taps), maxlen=len(taps))
     q = np.empty(y.size)
     u = np.empty(y.size)
     for lo in range(0, y.size, _SEQUENCE_CHUNK):
-        hi = lo + _SEQUENCE_CHUNK
-        q_chunk = []
-        u_chunk = []
-        for w in y[lo:hi].tolist():
-            for tap, v in zip(taps, past):
-                w += tap * v
-            # alphabet.nearest inline: a numpy call per step would cost more
-            # than the step.
-            qs = (2.0 * math.floor(w / two_delta) + 1.0) * delta
-            if qs > max_elem:
-                qs = max_elem
-            elif qs < -max_elem:
-                qs = -max_elem
-            us = w - qs
-            q_chunk.append(qs)
-            u_chunk.append(us)
-            past.appendleft(us)
-        q[lo:hi] = q_chunk
-        u[lo:hi] = u_chunk
+        ws = []
+        push = ws.append
+        if len(taps) <= 3:
+            for w in y[lo : lo + _SEQUENCE_CHUNK].tolist():
+                w = ((w + t1 * u1) + t2 * u2) + t3 * u3
+                # alphabet.nearest inline: a numpy call per step would cost
+                # more than the step.
+                qs = (2.0 * floor(w / two_delta) + 1.0) * delta
+                if qs > max_elem:
+                    qs = max_elem
+                elif qs < -max_elem:
+                    qs = -max_elem
+                u1, u2, u3 = w - qs, u1, u2
+                push(w)
+        else:
+            for w in y[lo : lo + _SEQUENCE_CHUNK].tolist():
+                for tap, v in zip(taps, past):
+                    w += tap * v
+                qs = (2.0 * floor(w / two_delta) + 1.0) * delta
+                if qs > max_elem:
+                    qs = max_elem
+                elif qs < -max_elem:
+                    qs = -max_elem
+                past.appendleft(w - qs)
+                push(w)
+        w = u[lo : lo + _SEQUENCE_CHUNK]
+        w[:] = ws
+        q[lo : lo + _SEQUENCE_CHUNK] = alphabet.nearest(w)
+        w -= q[lo : lo + _SEQUENCE_CHUNK]
     return q, u

@@ -19,6 +19,9 @@ _NORM_GRID_PER_UNIT = 40
 _NORM_GRID_MARGIN = 30.0
 _NORM_HEADROOM = 1.005
 
+# np.sinc's stand-in for a zero argument: sin(y) / y is exactly 1 there.
+_SINC_ZERO = np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class SignalModel:
@@ -58,7 +61,11 @@ class SignalModel:
         basis = np.empty((flat_x.size, self.ks.size))
         rows = max(1, _EVAL_CHUNK // max(1, self.ks.size))
         for lo in range(0, flat_x.size, rows):
-            basis[lo : lo + rows] = np.sinc(flat_x[lo : lo + rows, None] - self.ks)
+            block = basis[lo : lo + rows]
+            np.subtract(flat_x[lo : lo + rows, None], self.ks, out=block)
+            block *= np.pi
+            block[block == 0] = _SINC_ZERO
+            np.divide(np.sin(block), block, out=block)
         out = basis.reshape(*x.shape, self.ks.size) @ self.coeffs
         return float(out[0]) if t_arr.ndim == 0 else out
 

@@ -6,22 +6,32 @@ their header, row and ``name = value`` text from their fields, and a field's
 
 ``write_columns`` writes chunks of fewer than _NUMPY_ROWS rows by one ``%``
 over the row format, and formats the columns of longer chunks in numpy,
-byte-identical to ``%``.  For a float64 x with 1e-4 <= |x| < 1e16, ``%.17g`` prints fixed notation
-with the 17 digits D = round-half-even(|x| 10^(16-k)), k = floor(log10 |x|).
-Every 10^s with s <= 22 is an exact double, so Dekker's product (Veltkamp
-split by 2^27 + 1) gives |x| 10^(16-k) exactly as hi + lo; hi >= 2^53 is an
-even integer, so D = hi + rint(lo).  A log10 that is one too small gives
-D >= 10^17, and one that is one too large gives D < 10^16: no double lies
-within 5e-17 below a power of ten in that range, where the rounding could
-reach 10^16.  The digits are then laid out for their exponent: the point
-inserted, trailing zeros (and a bare point) cut, the sign put in front.  An
-int64 i with |i| < 10^17 is written digit by digit without leading zeros.
-Every other value (0, -0, |x| < 1e-4, |x| >= 1e16, NaN, +-inf, a D outside
-[10^16, 10^17), which happens only within a few dozen doubles of a power of
-ten, and |i| >= 10^17), every column of another dtype and every other
-conversion, such as ``%s`` or ``%.3f``, goes through ``%`` one value at a
-time.  Cells are padded with NUL bytes, which are cut from each chunk of
-rows before it is written, so no cell may hold a NUL.
+byte-identical to ``%``, into one byte matrix per chunk.  For a float64 x
+with 1e-4 <= |x| < 1e16, ``%.17g`` prints fixed notation with the 17 digits
+D = round-half-even(|x| 10^(16-k)), k = floor(log10 |x|).  Every 10^s with
+s <= 22 is an exact double, so Dekker's product (Veltkamp split by 2^27 + 1)
+gives |x| 10^(16-k) exactly as hi + lo; hi >= 2^53 is an even integer, so
+D = hi + rint(lo).  A log10 that is one too small gives D >= 10^17, and one
+that is one too large gives D < 10^16: no double lies within 5e-17 below a
+power of ten in that range, where the rounding could reach 10^16.
+
+One int64 division by 10^8 splits D; float quotients by 10^8 and 10^4 then
+give its lead digit and four groups of four digits, exactly, since each
+quotient lies at least 10^-8 below the next integer.  A gather from a table
+of "0000" ... "9999" writes a group, and one from a table of the zeros that
+each group ends with counts D's trailing zeros.  A float cell is 24 bytes,
+three little-endian uint64 words: the sign at byte 0, "0." and -k - 1 zeros
+ending at byte 6 when k < 0, and the 17 digits from byte 7.  Masks on the
+words cut the trailing zeros that are not in the integer part (and so a
+bare point); when digits follow the point, the integer digits move one byte
+down and the point takes their last byte.  An int64 i with |i| < 10^17 is
+written digit by digit without leading zeros.  Every other value (0, -0,
+|x| < 1e-4, |x| >= 1e16, NaN, +-inf, a D outside [10^16, 10^17), which
+happens only within a few dozen doubles of a power of ten, and
+|i| >= 10^17), every column of another dtype and every other conversion,
+such as ``%s`` or ``%.3f``, goes through ``%`` one value at a time.  Cells
+are padded with NUL bytes, which are cut from each chunk of rows before it
+is written, so no cell may hold a NUL.
 """
 
 import dataclasses
@@ -49,16 +59,38 @@ _QUADS = np.stack(np.meshgrid(*[_QUADS] * 4, indexing="ij"), -1).view(np.uint32)
 _INT_LIMIT = 10**17
 _INT_POW10 = 10 ** np.arange(1, 17, dtype=np.int64)
 
-# A float cell is 39 bytes: a head of 6, then the 17 digits with a place
-# for the point after each of the first 16.  _HEADS[5 * sign + z] is the
-# sign, then "0." and z - 1 zeros for exponent k = -z < 0.  _KEEP[c] keeps
-# the digits up to place c.  Bytes a value does not use stay NUL.
-_HEADS = np.array(
-    [sign + ("0." + "0" * (z - 1) if z else "") for sign in ("", "-") for z in range(5)],
-    dtype="S6",
-).view(np.uint8).reshape(10, 6)
-_KEEP = np.arange(17) <= np.arange(17)[:, None]
-_FLOAT_WIDTH = 6 + 17 + 16
+
+def _words(rows, width):
+    """Byte strings, NUL-padded to width bytes, as little-endian uint64
+    words: one row per word of a string, one column per string."""
+    words = np.array(rows, dtype=f"S{width}").view("<u8").astype(np.uint64)
+    return words.reshape(len(rows), -1).T
+
+
+# Float cell words, indexed by the values named in the module docstring.
+# _HEADS[20 sign + k + 4] is word 0 without the lead digit and _LEADS[d]
+# the lead digit d at byte 7; _GROUPS[g] puts the four digits of g in the
+# low half of a word and _GROUPS_HIGH[g] in the high half.
+_HEADS = _words(
+    [(b"-" if sign else b"\0") + (b"0." + b"0" * (-k - 1) if k < 0 else b"").rjust(6, b"\0")
+     for sign in (0, 1) for k in range(-4, 16)],
+    8,
+)[0]
+_LEADS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint64) << np.uint64(56)
+_GROUPS = _QUADS.view("<u4").astype(np.uint64)
+_GROUPS_HIGH = _GROUPS << np.uint64(32)
+
+# The zeros that 0 ... 9999 end with, as four digits: 4 for 0.
+_TRAILING_ZEROS = np.zeros(10**4, np.uint8)
+for _step in (10, 100, 1000, 10000):
+    _TRAILING_ZEROS[::_step] += 1
+
+# _KEEP[:, c] masks words 1 and 2 to the digits before the last c.  With the
+# point after digit k, _INTEGER[:, k] masks the integer digits (bytes 7 ...
+# 7 + k) and _POINT[:, k] is the point at byte 7 + k; column 16 is all zero.
+_KEEP = _words([b"\xff" * (16 - c) for c in range(17)], 16)
+_INTEGER = _words([b"\0" * 7 + b"\xff" * (k + 1) for k in range(16)] + [b""], 24)
+_POINT = _words([b"\0" * (7 + k) + b"." for k in range(16)] + [b""], 24)
 
 
 def row_format_for(*types):
@@ -124,27 +156,53 @@ def _with_fallback(cells, slow, conversion, values):
     return cells
 
 
+def _groups(h):
+    """The upper and lower four digits of float integers h < 10^8: exact,
+    since h / 10^4 lies at least 10^-4 below the next integer."""
+    upper = np.floor(h / 1e4)
+    return upper.astype(np.intp), (h - upper * 1e4).astype(np.intp)
+
+
 def _float_cells(x):
     """``%.17g`` cells of float64 x."""
     a = np.abs(x)
     fast = (a >= 1e-4) & (a < 1e16)
     v = np.where(fast, a, 1.0)
-    k = np.floor(np.log10(v)).astype(np.int64)
+    k = np.floor(np.log10(v)).astype(np.intp)
     d = _scaled(v, k)
     fast &= (d >= 10**16) & (d < 10**17)
     # Rows off the fast path are laid out as 1 and overwritten below.
     k[~fast], d[~fast] = 0, 10**16
-    digits = _digits(d, 17)
-    # Cut the zeros after the last nonzero digit that are not in the integer
-    # part, and the point when nothing follows it.
-    last = 16 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
-    digits *= np.take(_KEEP, np.maximum(last, k), axis=0)
-    point = np.where(last > k, k, -1)
-    cells = np.zeros((x.size, _FLOAT_WIDTH), np.uint8)
-    cells[:, :6] = np.take(_HEADS, 5 * np.signbit(x) + np.maximum(-k, 0), axis=0)
-    cells[:, 6::2] = digits
-    cells[np.arange(x.size), 7 + 2 * np.maximum(point, 0)] = (point >= 0) * ord(".")
-    return _with_fallback(cells, ~fast, "%.17g", x)
+    # D = lead 10^16 + upper 10^8 + lower; each half is two groups of four.
+    top = d // 10**8
+    g = _groups((d - top * 10**8).astype(float))
+    top = top.astype(float)
+    lead = np.floor(top / 1e8)
+    g = _groups(top - lead * 1e8) + g
+    # Cut the zeros after the last nonzero digit that are not in the
+    # integer part (digits 0 ... k).
+    zeros = np.take(_TRAILING_ZEROS, g[0])
+    for group in g[1:]:
+        zeros = np.where(group == 0, zeros + 4, np.take(_TRAILING_ZEROS, group))
+    cut = np.minimum(zeros, 16 - k)
+    cells = np.empty((x.size, 3), "<u8")
+    words = cells.T
+    words[0] = np.take(_HEADS, 20 * np.signbit(x) + k + 4)
+    words[0] |= np.take(_LEADS, lead.astype(np.intp))
+    for word, first, second, keep in zip(words[1:], g[::2], g[1::2], _KEEP):
+        word[:] = np.take(_GROUPS, first) | np.take(_GROUPS_HIGH, second)
+        word &= np.take(keep, cut)
+    point = (k >= 0) & (cut < 16 - k)
+    if point.any():
+        # Shift the integer digits one byte down, a right shift by 8 of the
+        # 192-bit little-endian cell, and put the point after them.
+        at = np.where(point, k, 16)
+        integer = words & np.take(_INTEGER, at, axis=1)
+        words ^= integer
+        words |= integer >> np.uint64(8)
+        words[:2] |= integer[1:] << np.uint64(56)
+        words |= np.take(_POINT, at, axis=1)
+    return _with_fallback(cells.view(np.uint8), ~fast, "%.17g", x)
 
 
 def _int_cells(i):
@@ -189,13 +247,14 @@ def write_columns(path, header_lines, columns, row_format):
                     flat[j :: len(chunk)] = c.tolist()
                 fh.write((row_format + "\n") * chunk[0].size % tuple(flat))
                 continue
-            parts = []
-            for conversion, c in zip(conversions, chunk):
-                cells = _cells(conversion, c)
-                parts += [cells, np.full((cells.shape[0], 1), ord(","), np.uint8)]
-            parts[-1][:] = ord("\n")
-            rows = np.concatenate(parts, axis=1).tobytes()
-            fh.write(rows.translate(None, b"\0").decode("utf-8"))
+            cells = [_cells(conversion, c) for conversion, c in zip(conversions, chunk)]
+            ends = np.cumsum([c.shape[1] + 1 for c in cells])
+            rows = np.empty((chunk[0].size, ends[-1]), np.uint8)
+            for c, end in zip(cells, ends):
+                rows[:, end - 1 - c.shape[1] : end - 1] = c
+                rows[:, end - 1] = ord(",")
+            rows[:, -1] = ord("\n")
+            fh.write(rows.tobytes().translate(None, b"\0").decode("utf-8"))
 
 
 def _layout(record):

@@ -142,6 +142,7 @@ _EDGE_CASES = [
     ["run", "--beta", "1.0001"],
     ["run", "--R", "0.5", "--eps", "2"],
     ["sweep", "--scheme", "msq", "--m", "1", "--trials", "1"],
+    ["sweep", "--scheme", "msq,beta", "--m", "600", "--p", "40", "--trials", "1"],
 ]
 
 
@@ -409,9 +410,29 @@ def test_sweep_all_failures_still_writes_csv(tmp_path, capsys):
     assert rc == 3
     captured = capsys.readouterr()
     assert "no chart written" in captured.err
+    assert "every trial failed: beta m=600 p=40" in captured.err
     assert (tmp_path / "sweep.csv").is_file()
     assert not (tmp_path / "sweep.svg").exists()
     assert "nan" in (tmp_path / "sweep.csv").read_text(encoding="utf-8")
+
+
+def test_sweep_exits_3_when_one_cell_has_every_trial_failed(tmp_path, capsys):
+    # 40 condensed rows cannot span the frame, so every beta trial fails while
+    # the msq cell runs: the files are still written, the chart with msq alone.
+    rc = main(
+        ["sweep", "--scheme", "msq,beta", "--m", "600", "--p", "40",
+         "--trials", "1", "--out", str(tmp_path)]
+    )
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.err == "every trial failed: beta m=600 p=40\n"
+    assert "sweep summary written to" in captured.out
+    lines = (tmp_path / "sweep.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "scheme,m,p,mean_sup_error,failures"
+    assert lines[1].startswith("msq,600,600,") and lines[1].endswith(",0")
+    assert lines[2] == "beta,600,40,nan,1"
+    svg = (tmp_path / "sweep.svg").read_text(encoding="utf-8")
+    assert "msq" in svg and "beta" not in svg
 
 
 def test_sweep_reads_the_lists_of_its_flags_from_a_config_file(tmp_path, capsys):

@@ -278,12 +278,13 @@ _NO_FEEDBACK = bq.MidriseAlphabet(2, 0.25)
         (bq.difference_taps(3), None, 120, bq.MidriseAlphabet(10, 0.1)),
         (bq.difference_taps(7), None, 120, bq.MidriseAlphabet(80, 0.05)),
         (bq.difference_taps(2), None, 2 * _SEQUENCE_CHUNK + 123, bq.MidriseAlphabet(8, 0.25)),
+        (bq.difference_taps(3), None, 2 * _SEQUENCE_CHUNK + 77, bq.MidriseAlphabet(10, 0.1)),
         ((), 4, 60, _NO_FEEDBACK),
         ((), None, 60, _NO_FEEDBACK),
     ],
     ids=[
         "beta-block-1", "beta-block-2", "beta-block-15", "beta-20-block-15",
-        "beta-one-block", "sd-1", "sd-2", "sd-3", "sd-7", "sd-2-past-chunk",
+        "beta-one-block", "sd-1", "sd-2", "sd-3", "sd-7", "sd-2-past-chunk", "sd-3-past-chunk",
         "no-feedback-blocked", "no-feedback-unblocked",
     ],
 )
@@ -311,6 +312,34 @@ def test_greedy_is_bit_identical_to_the_scalar_recursion(taps, block, size, alph
         # (2 levels + 1) delta, which the clip brings back to the top element.
         assert q_ref.max() == alphabet.max_element
         assert q_ref.min() == -alphabet.max_element
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 7])
+def test_greedy_signed_zeros_match_the_scalar_recursion(order):
+    # The unblocked recursion pads the taps (up to three) and the past with
+    # zeros, which can flip the sign of a zero w.  Signed zeros at each of
+    # the first `order` inputs, where the scalar recursion has fewer taps,
+    # and a signed zero after `order` inputs of delta, which keep the whole
+    # past at +0 so that w is exactly zero with every tap, keep their bits.
+    taps = bq.difference_taps(order)
+    alphabet = bq.MidriseAlphabet(80, 0.05)
+    delta = alphabet.delta
+    rng = np.random.default_rng(order)
+    heads = [np.copysign(0.0, signs) for signs in
+             ([1.0] * order, [-1.0] * order, [(-1.0) ** s for s in range(order)])]
+    heads += [[delta] * order + [zero] for zero in (0.0, -0.0)]
+    for head in heads:
+        y = rng.uniform(-delta, delta, 40)
+        y[: len(head)] = head
+        out = bq.greedy_noise_shape(y, taps, alphabet)
+        q_ref, u_ref = _reference_shape(y, taps, y.size, alphabet)
+        np.testing.assert_array_equal(out.q.view(np.int64), q_ref.view(np.int64))
+        np.testing.assert_array_equal(out.u.view(np.int64), u_ref.view(np.int64))
+        # The zero w (the first step, or the one after the deltas) rounds to
+        # +delta with state -delta, whatever its sign.
+        zero_w = len(head) - 1 if len(head) > order else 0
+        assert np.all(u_ref[:zero_w] == 0.0)
+        assert (q_ref[zero_w], u_ref[zero_w]) == (delta, -delta)
 
 
 def test_greedy_shape_check():

@@ -106,6 +106,24 @@ def test_eval_blocks_are_bit_identical():
     assert np.float64(value).view(np.int64) == one_shot(0.3)[0].view(np.int64)
 
 
+def test_eval_is_np_sinc_at_integer_and_half_integer_points():
+    # The basis repeats np.sinc's own steps in place, its stand-in for a zero
+    # argument included: integer points (t - k exactly 0 for the k = t term),
+    # half-integers and their neighbours, 1-d and 2-d, over several blocks.
+    ks = np.arange(-12, 13)
+    model = bq.SignalModel(ks=ks, coeffs=np.random.default_rng(2).uniform(-1, 1, ks.size))
+    rows = _EVAL_CHUNK // model.ks.size
+    points = np.arange(-20.0, 20.5, 0.5)
+    points = np.concatenate([points, np.nextafter(points, np.inf), -0.0 * points[:3]])
+    t = np.resize(points, 3 * rows + 5)
+    for shape in ((t.size,), (5, -1), (t.size, 1)):
+        shaped = t.reshape(shape)
+        expected = np.sinc(shaped[..., None] - model.ks) @ model.coeffs
+        got = model.eval(shaped)
+        assert got.shape == shaped.shape and np.isfinite(got).all()
+        np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+
 def test_single_sinc_model():
     model = bq.SignalModel(ks=np.array([4]), coeffs=np.array([0.5]))
     assert model.eval(4.0) == pytest.approx(0.5, abs=1e-15)

@@ -230,6 +230,39 @@ def test_floats_match_percent_on_exact_ties(tmp_path):
     assert _column_text(tmp_path, x, "%.17g") == _expected(x, "%.17g")
 
 
+def _decimal(rng, n, k):
+    """A decimal string of n significant digits at exponent k, exact as a
+    double where it can be: then its digits are an odd multiple of 5^f, f
+    the digits after the point, so the value is an odd integer over 2^f."""
+    f = n - k - 1
+    step = 5 ** max(f, 0)
+    lo, hi = -(-(10 ** (n - 1)) // step), (10**n - 1) // step
+    if (lo | 1) <= hi:
+        digits = str(min(int(rng.integers(lo, hi + 1)) | 1, hi - 1 + hi % 2) * step)
+    else:
+        digits = str(int(rng.integers(10 ** (n - 2), 10 ** (n - 1))) * 10 + 1)
+    return f"{digits}e{k - n + 1}"
+
+
+def test_floats_match_percent_on_every_digit_count_and_exponent(tmp_path):
+    # Every exponent k of fixed notation and every count of significant
+    # digits, both signs.  Trailing zeros that end at the edge of a
+    # four-digit group (4, 8, 12 or 16 significant digits) are rare among
+    # random bit patterns.
+    rng = np.random.default_rng(29)
+    x = np.array([float(_decimal(rng, n, k)) for k in range(-4, 16) for n in range(2, 18)
+                  for _ in range(3)] + [float(f"{d}e{k}") for k in range(-4, 16) for d in range(1, 10)])
+    x = np.concatenate([x, -x])
+    assert _column_text(tmp_path, x, "%.17g") == _expected(x, "%.17g")
+    # The values reach every count on both sides of the point.
+    printed = {}
+    for v in x[: x.size // 2].tolist():
+        k = math.floor(math.log10(v))
+        digits = ("%.17g" % v).replace(".", "").strip("0")
+        printed.setdefault(len(digits), set()).add(k >= 0)
+    assert all(printed.get(n) == {False, True} for n in range(1, 18)), printed
+
+
 def test_ints_match_percent(tmp_path):
     rng = np.random.default_rng(23)
     edges = [0, 1, -1, 9, 10, -10, 10**16, 10**17 - 1, 10**17, -(10**17) + 1, -(10**17)]
