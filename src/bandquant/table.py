@@ -25,7 +25,8 @@ ending at byte 6 when k < 0, and the 17 digits from byte 7.  Masks on the
 words cut the trailing zeros that are not in the integer part (and so a
 bare point); when digits follow the point, the integer digits move one byte
 down and the point takes their last byte.  An int64 i with |i| < 10^17 is
-written digit by digit without leading zeros.  Every other value (0, -0,
+written by the same groups, from a table whose groups lose their leading
+zeros where no nonzero digit comes before them.  Every other value (0, -0,
 |x| < 1e-4, |x| >= 1e16, NaN, +-inf, a D outside [10^16, 10^17), which
 happens only within a few dozen doubles of a power of ten, and
 |i| >= 10^17), every column of another dtype and every other conversion,
@@ -55,9 +56,16 @@ _POW10 = np.array([float(10**s) for s in range(23)])
 _QUADS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
 _QUADS = np.stack(np.meshgrid(*[_QUADS] * 4, indexing="ij"), -1).view(np.uint32).ravel()
 
-# Ints below 10^17 take the digit path; 10^1 ... 10^16 count their digits.
+# Ints below 10^17 take the digit path.  _INT_GROUPS[g] is _QUADS[g],
+# _INT_GROUPS[10^4 + g] the same without leading zeros (all NUL for 0), for
+# a group with no nonzero digit above it, and _INT_GROUPS[2 10^4] a lone 0.
 _INT_LIMIT = 10**17
-_INT_POW10 = 10 ** np.arange(1, 17, dtype=np.int64)
+_INT_GROUPS = _QUADS.view(np.uint8).reshape(-1, 4).copy()
+for _digit, _below in enumerate((1000, 100, 10, 1)):
+    _INT_GROUPS[:_below, _digit] = 0
+_INT_GROUPS = np.concatenate(
+    [_QUADS, _INT_GROUPS.view(np.uint32).ravel(), np.frombuffer(b"\0\0\x000", np.uint32)]
+)
 
 
 def _words(rows, width):
@@ -126,15 +134,6 @@ def _scaled(v, k):
     ph, pl = _POW10_HI[s], _POW10_LO[s]
     lo = ((vh * ph - hi) + vh * pl + vl * ph) + vl * pl
     return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-
-
-def _digits(a, width):
-    """ASCII of the last width decimal digits of non-negative int64 a, one row each."""
-    quads = np.empty((a.size, -(-width // 4)), np.uint32)
-    for j in range(quads.shape[1] - 1, -1, -1):
-        a, rest = np.divmod(a, 10000)
-        quads[:, j] = np.take(_QUADS, rest)
-    return quads.view(np.uint8)[:, quads.shape[1] * 4 - width :]
 
 
 def _percent_cells(conversion, values):
@@ -210,11 +209,21 @@ def _int_cells(i):
     slow = (i >= _INT_LIMIT) | (i <= -_INT_LIMIT)
     a = np.abs(np.where(slow, 0, i))
     width = len(str(a.max()))
-    lead = width - 1 - np.searchsorted(_INT_POW10, a, side="right")
-    cells = np.empty((i.size, 1 + width), np.uint8)
+    groups = -(-width // 4)
+    # A word for the sign, then the groups, the most significant first.
+    quads = np.empty((i.size, 1 + groups), np.uint32)
+    quads[:, 0] = 0
+    rest = a
+    for j in range(groups, 0, -1):
+        rest, group = np.divmod(rest, 10000)
+        group += 10000 * (rest == 0)
+        if j == groups:
+            group += 10000 * (a == 0)
+        quads[:, j] = np.take(_INT_GROUPS, group)
+    # No value has more than width digits, so the byte before the last
+    # width bytes is NUL in every row: the sign goes there.
+    cells = quads.view(np.uint8)[:, 3 + 4 * groups - width :]
     cells[:, 0] = (i < 0) * ord("-")
-    cells[:, 1:] = _digits(a, width)
-    cells[:, 1:][np.arange(width) < lead[:, None]] = 0
     return _with_fallback(cells, slow, "%d", i)
 
 
