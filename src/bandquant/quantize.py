@@ -207,8 +207,9 @@ def _shape_sequence(y, taps, alphabet):
                     qs = -max_elem
                 past.appendleft(w - qs)
                 push(w)
-        w = u[lo : lo + _SEQUENCE_CHUNK]
-        w[:] = ws
-        q[lo : lo + _SEQUENCE_CHUNK] = alphabet.nearest(w)
-        w -= q[lo : lo + _SEQUENCE_CHUNK]
+        # u holds the chunk's w until its q is known.
+        chunk = u[lo : lo + _SEQUENCE_CHUNK]
+        chunk[:] = ws
+        q[lo : lo + _SEQUENCE_CHUNK] = alphabet.nearest(chunk)
+        chunk -= q[lo : lo + _SEQUENCE_CHUNK]
     return q, u

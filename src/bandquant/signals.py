@@ -19,7 +19,8 @@ _NORM_GRID_PER_UNIT = 40
 _NORM_GRID_MARGIN = 30.0
 _NORM_HEADROOM = 1.005
 
-# np.sinc's stand-in for a zero argument: sin(y) / y is exactly 1 there.
+# A zero argument of the sinc is replaced, as np.sinc does, by a tiny value,
+# where sin(y) / y is exactly 1.
 _SINC_ZERO = np.finfo(float).eps
 
 
@@ -49,11 +50,11 @@ class SignalModel:
         """Evaluate at scalar or array t.
 
         The sinc basis, of shape t.shape + (ks.size,), is filled in blocks of
-        at most _EVAL_CHUNK entries, so no full-size difference array or
-        temporary of np.sinc is ever built.  The product with the
-        coefficients stays one call over all rows, because a threaded BLAS
-        rounds rows near its split points by where the split falls, so a
-        product per block could move values by an ulp.
+        at most _EVAL_CHUNK entries by np.sinc's own steps, in place, so no
+        full-size difference array or temporary is ever built.  The product
+        with the coefficients stays one call over all rows, because a
+        threaded BLAS rounds rows near its split points by where the split
+        falls, so a product per block could move values by an ulp.
         """
         t_arr = np.asarray(t, dtype=float)
         x = np.atleast_1d(t_arr)
