@@ -7,6 +7,12 @@ the geometric scheme, polynomially small of high order for the difference
 scheme.  A row nu is a plain array whose size is the block length, and
 condense(nu, v) applies the block-diagonal stack of nu / ||nu||_1, one copy
 per block.
+
+Relative to ||nu||_1, the rows of V H have closed-form L1 norms: the
+geometric row nu^T H telescopes to its last entry, which leaves
+(beta - 1) / (beta^L - 1) for a block of length L; the difference row
+nu^T D^n is +-(1 - x^rep)^n, which leaves 2^n / rep^n for every row that
+does not reach before the vector's start (verify_condensation_bounds).
 """
 
 from __future__ import annotations
@@ -129,49 +135,27 @@ class BoundReport:
         return self.lhs <= self.rhs
 
 
-def _difference_product_row_l1s(order, block_len, blocks):
-    """Exact row L1 norms of (I_p (x) nu^T) D^order, relative to nu's L1 norm.
-
-    All quantities are integers, so int64 convolution is exact.  Each row of
-    the product reaches `order` entries into the previous block; row 0 is
-    clipped at the start of the vector and interior rows share one pattern.
-    """
-    nu = nu_sigma_delta(order, block_len).astype(np.int64)
-    dn = np.array(
-        [(-1) ** j * math.comb(order, j) for j in range(order + 1)], dtype=np.int64
-    )
-    # pattern[s + order] = sum_j nu[j] * dn[j - s] for s = -order .. block_len-1.
-    pattern = np.convolve(nu, dn[::-1])
-    interior = int(np.abs(pattern).sum())
-    first = int(np.abs(pattern[order:]).sum())
-    l1 = int(nu.sum())
-    norms = [first] + [interior] * (blocks - 1)
-    return [Fraction(n, l1) for n in norms]
-
-
-def _geometric_product_row_l1(beta, block_len):
-    """Exact row L1 norm of nu^T H for one geometric block, relative to |nu|_1.
-
-    Computed in rational arithmetic on the exact values of the float beta, so
-    the telescoping cancellation inside the product is exact rather than
-    floating-point noise.
-    """
-    b = Fraction(beta)
-    nu = [b ** -(j + 1) for j in range(block_len)]
-    l1 = sum(nu)
-    prod = [nu[i] - b * nu[i + 1] for i in range(block_len - 1)] + [nu[-1]]
-    return sum(abs(x) for x in prod) / l1
-
-
 def verify_condensation_bounds(block_len, blocks, order=None, beta=None):
     """Check the closed-form norm bound for condensation-after-noise-shaping.
 
     Exactly one of order (difference scheme) or beta (geometric scheme) must
-    be given.  Computes the sup-to-L2 bound of V H in exact arithmetic (the
-    product entries cancel to values near the precision floor, so a floating
-    product would measure rounding noise instead of the operators) and
-    compares with the a-priori estimate: sqrt(p) (8n)^(n+1) / block_len^n for
-    differences, sqrt(p) beta^(1 - block_len) for geometric.
+    be given.  The sup-to-L2 norm of V H is sqrt(sum_rows ||row||_1^2) over
+    the rows of V H, taken in exact rationals (the product's entries cancel
+    to values near the precision floor, so a floating product would measure
+    rounding noise instead of the operators) from closed forms:
+
+    - geometric: nu^T H telescopes to its last entry beta^-L, so every row
+      has L1 norm (b - 1) / (b^L - 1), where b is the exact value of the
+      float beta;
+    - difference: nu^T D^n = +-(1 - x^rep)^n with ||nu||_1 = rep^n, so an
+      interior row has L1 norm 2^n / rep^n, and row i, clipped at the
+      start of the vector, keeps only the terms C(n, j) with
+      j rep >= n - i L; that is the first row, and for rep = 1 the first n.
+
+    It is compared with the a-priori estimate: sqrt(p) (8n)^(n+1) /
+    block_len^n for differences, sqrt(p) beta^(1 - block_len) for geometric.
+    The line is vacuous when the left side underflows to 0, since 0 <= rhs
+    then holds whatever the operators are.
     """
     if (order is None) == (beta is None):
         raise ValueError("specify exactly one of order and beta")
@@ -180,7 +164,19 @@ def verify_condensation_bounds(block_len, blocks, order=None, beta=None):
     if blocks < 1:
         raise ValueError(f"need at least one block, got {blocks}")
     if order is not None:
-        row_l1s = _difference_product_row_l1s(int(order), block_len, blocks)
+        # Rejects an order below 1 and a block length that no rep fits.
+        nu_sigma_delta(order, block_len)
+        n = int(order)
+        rep = (block_len - 1) // n + 1
+        # Row i keeps the terms that do not reach before the vector's start:
+        # C(n, j) at j rep >= n - i block_len, all of them from row n on.
+        rows = [
+            sum(math.comb(n, j) for j in range(n + 1) if j * rep >= n - i * block_len)
+            for i in range(min(blocks, n))
+        ]
+        squares = Fraction(
+            sum(r * r for r in rows) + (blocks - len(rows)) * 4**n, rep ** (2 * n)
+        )
         rhs = (
             math.sqrt(blocks)
             * (8.0 * order) ** (order + 1)
@@ -188,11 +184,11 @@ def verify_condensation_bounds(block_len, blocks, order=None, beta=None):
         )
         label = f"condensation norm bound (difference order {order})"
     else:
-        if beta <= 1:
-            raise ValueError(f"geometric weight must exceed 1, got {beta}")
-        row = _geometric_product_row_l1(float(beta), block_len)
-        row_l1s = [row] * blocks
+        nu_beta(beta, block_len)  # rejects beta <= 1 and block_len < 1
+        b = Fraction(float(beta))
+        squares = blocks * ((b - 1) / (b**block_len - 1)) ** 2
         rhs = math.sqrt(blocks) * float(beta) ** (1 - block_len)
         label = f"condensation norm bound (geometric weight {beta:g})"
-    lhs = math.sqrt(float(sum(r * r for r in row_l1s)))
-    return BoundReport(label=label, lhs=lhs, rhs=rhs)
+    lhs = math.sqrt(float(squares))
+    # The exact left side is positive: 0.0 is an underflow.
+    return BoundReport(label=label, lhs=lhs, rhs=rhs, vacuous=lhs == 0.0)

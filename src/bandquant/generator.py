@@ -170,20 +170,19 @@ class Generator:
         # s^3, s^2, s, 1) of the interval that starts at node
         # r + (zero_column - c) * residues: ascending rows of one residue meet
         # nodes descending by residues.  The intervals start at nodes
-        # -last ... last - 1; one zero column at each end and the cells past
-        # the ends stay 0.  The halves are built apart, the negative one
-        # mirrored, so that no temporary outgrows a half table.
+        # -last ... last - 1 of the signed grid, g even and g' odd; one zero
+        # column at each end and the cells past the ends stay 0.
         self._zero_column = (last - 1) // residues + 1
         self._columns = self._zero_column + -(-last // residues) + 2
         self._cubics = np.zeros((residues * self._columns, 4))
-        halves = (
-            (np.arange(last), self.grid, self.values, slopes),
-            (np.arange(-last, 0), -self.grid[::-1], self.values[::-1], -slopes[::-1]),
+        cubics = _hermite_cubics(
+            np.concatenate((-self.grid[:0:-1], self.grid)),
+            np.concatenate((self.values[:0:-1], self.values)),
+            np.concatenate((-slopes[:0:-1], slopes)),
         )
-        for starts, nodes, values, node_slopes in halves:
-            cells = self._cell(starts)
-            for power, coefficient in enumerate(_hermite_cubics(nodes, values, node_slopes)):
-                self._cubics[cells, power] = coefficient
+        cells = self._cell(np.arange(-last, last))
+        for power, coefficient in enumerate(cubics):
+            self._cubics[cells, power] = coefficient
 
     @staticmethod
     def _build_table(params):

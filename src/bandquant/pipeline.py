@@ -137,7 +137,7 @@ def validate(config: RunConfig):
         problems.append(f"levels must be >= 1, got {config.levels}")
     if not problems:
         try:
-            _, taps, _, alphabet, _, _ = _scheme(config)
+            _, taps, _, alphabet, _ = _scheme(config)
             margin = stability_margin(taps, config.target_sup, alphabet)
         except ValueError as exc:
             problems.append(str(exc))
@@ -155,22 +155,21 @@ def validate(config: RunConfig):
 def _scheme(config: RunConfig):
     """The configured member of the greedy quantizer family.
 
-    Returns (p, taps, block, alphabet, nu, audit): the block count, the
-    feedback taps and restart length of the greedy recursion (None for one
-    recursion over all samples), the alphabet, the condensation row nu and
-    the condensation bound audit.  This is the one place that checks and
-    splits m into p blocks; everything downstream reads the block length as
-    nu.size.  MSQ is the member without feedback, H = I: one block per
-    sample, no taps and restart length 1 (so the recursion rounds every
-    sample in one numpy step), half-step 1/(2 levels), and no nu and no
-    audit, so its samples are neither binned, signed, weighted nor
-    condensed.  The geometric scheme restarts at every condensation block;
-    the difference scheme never restarts.  Raises ValueError when a value
-    the scheme reads is out of range.
+    Returns (p, taps, block, alphabet, nu): the block count, the feedback
+    taps and restart length of the greedy recursion (None for one recursion
+    over all samples), the alphabet and the condensation row nu.  This is
+    the one place that checks and splits m into p blocks; everything
+    downstream reads the block length as nu.size.  MSQ is the member without
+    feedback, H = I: one block per sample, no taps and restart length 1 (so
+    the recursion rounds every sample in one numpy step), half-step
+    1/(2 levels), and no nu, so its samples are neither binned, signed,
+    weighted nor condensed.  The geometric scheme restarts at every
+    condensation block; the difference scheme never restarts.  Raises
+    ValueError when a value the scheme reads is out of range.
     """
     if config.scheme == "msq":
         alphabet = MidriseAlphabet(config.levels, 1.0 / (2.0 * config.levels))
-        return config.m, (), 1, alphabet, None, None
+        return config.m, (), 1, alphabet, None
     if config.p < 1 or config.m % config.p != 0:
         raise ValueError(
             f"sample budget m={config.m} must be a positive multiple of p={config.p}"
@@ -184,27 +183,12 @@ def _scheme(config: RunConfig):
         )
     block = config.m // config.p
     alphabet = MidriseAlphabet(config.levels, config.delta)
-    audit = functools.partial(verify_condensation_bounds, block, config.p)
     if config.scheme == "sigma-delta":
         # nu first: it names the compatible block lengths, and its checks
         # come before any float of a binomial tap can overflow.
         nu = nu_sigma_delta(config.order, block)
-        return (
-            config.p,
-            difference_taps(config.order),
-            None,
-            alphabet,
-            nu,
-            functools.partial(audit, order=config.order),
-        )
-    return (
-        config.p,
-        (float(config.beta),),
-        block,
-        alphabet,
-        nu_beta(config.beta, block),
-        functools.partial(audit, beta=config.beta),
-    )
+        return config.p, difference_taps(config.order), None, alphabet, nu
+    return config.p, (float(config.beta),), block, alphabet, nu_beta(config.beta, block)
 
 
 def _draw(config: RunConfig, nu):
@@ -334,7 +318,7 @@ def run_detailed(config: RunConfig, signal=None):
         signal = synth_test_signal(config.signal_seed, config.k_range, config.target_sup)
     t0 = time.perf_counter()
     ctx = KernelContext.from_box(generator, config.R, config.eps)
-    p, taps, block, alphabet, nu, _ = _scheme(config)
+    p, taps, block, alphabet, nu = _scheme(config)
     coords, binned = _draw(config, nu)
     y = np.asarray(signal.eval(coords), dtype=float)
     if binned is not None:
@@ -522,9 +506,11 @@ def check_bounds(config: RunConfig):
         )
     )
 
-    _, _, _, _, nu, audit = _scheme(config)
-    if audit is not None:
-        lines.append(audit())
+    _, _, _, _, nu = _scheme(config)
+    if config.scheme == "sigma-delta":
+        lines.append(verify_condensation_bounds(nu.size, config.p, order=config.order))
+    elif config.scheme == "beta":
+        lines.append(verify_condensation_bounds(nu.size, config.p, beta=config.beta))
 
     signal = synth_test_signal(config.signal_seed, config.k_range, config.target_sup)
     pf = project(signal, generator, config.R, config.eps)

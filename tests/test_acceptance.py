@@ -42,7 +42,7 @@ def test_criterion_1_noise_shaping_identity_and_state_bound(dense_h):
     for beta, levels, delta in _BETA_CONFIGS:
         schemes.append(((beta,), 15, levels, delta))
     # MSQ, the member without feedback, as the pipeline configures it.
-    _, taps, block, alphabet, _, _ = bq.pipeline._scheme(
+    _, taps, block, alphabet, _ = bq.pipeline._scheme(
         dataclasses.replace(_DEFAULTS, scheme="msq", levels=10)
     )
     schemes.append((taps, block, alphabet.levels, alphabet.delta))

@@ -1,12 +1,15 @@
 """Condensation tests: row construction, weights and operator-norm bounds.
 
-The exact sup-to-L2 bounds are checked against a float product of dense
-operators where floats are exact, and the small geometric case against its
-closed form.
+The closed-form sup-to-L2 bounds are checked against a product of dense
+operators in exact rationals, against a float product where floats are
+exact, and at a long geometric block against 50-digit mpmath.
 """
 
 import math
+import time
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -157,6 +160,83 @@ def test_verify_bounds_match_float_operators_where_float_is_exact(dense_h, dense
     float_lhs = _inf_to_two_bound(dense_v(bq.nu_sigma_delta(2, 7), blocks) @ H)
     exact = bq.verify_condensation_bounds(7, blocks, order=2)
     assert float_lhs == pytest.approx(exact.lhs, rel=1e-12)
+
+
+def _exact_lhs(v, h):
+    """sqrt(sum_rows ||row||_1^2) of V H, from the exact product of object arrays."""
+    rows = np.abs(v @ h).sum(axis=1)
+    return math.sqrt(float(sum(r * r for r in rows)))
+
+
+def _exact_v(nu, blocks):
+    """Block-diagonal V of blocks copies of nu / ||nu||_1, in rationals."""
+    l1 = sum(abs(x) for x in nu)
+    v = np.zeros((blocks, blocks * len(nu)), dtype=object)
+    for i in range(blocks):
+        v[i, i * len(nu) : (i + 1) * len(nu)] = [Fraction(x) / l1 for x in nu]
+    return v
+
+
+@pytest.mark.parametrize("beta", [1.1, 3.7])
+def test_verify_bounds_match_exact_dense_geometric_operators(beta):
+    # H restarts every block: 1 on the diagonal, -beta below it inside a block.
+    b = Fraction(beta)
+    for block_len in range(1, 13):
+        nu = [b ** -(j + 1) for j in range(block_len)]
+        for blocks in (1, 2, 3):
+            size = blocks * block_len
+            h = np.zeros((size, size), dtype=object)
+            for k in range(size):
+                h[k, k] = 1
+                if k % block_len:
+                    h[k, k - 1] = -b
+            report = bq.verify_condensation_bounds(block_len, blocks, beta=beta)
+            assert report.lhs == _exact_lhs(_exact_v(nu, blocks), h), (block_len, blocks)
+
+
+@pytest.mark.parametrize("order", range(1, 8))
+def test_verify_bounds_match_exact_dense_difference_operators(order):
+    # nu: coefficients of (1 + ... + x^(rep-1))^order; H = D^order over the
+    # whole vector, so the rows that reach before its start are clipped: the
+    # first, and at rep 1 the first order rows.
+    for rep in range(1, 5):
+        nu = [1]
+        for _ in range(order):
+            nu = [
+                sum(nu[i - j] for j in range(rep) if 0 <= i - j < len(nu))
+                for i in range(len(nu) + rep - 1)
+            ]
+        for blocks in (1, 2, 3):
+            size = blocks * len(nu)
+            d = np.eye(size, dtype=np.int64) - np.eye(size, k=-1, dtype=np.int64)
+            h = np.linalg.matrix_power(d, order).astype(object)
+            report = bq.verify_condensation_bounds(len(nu), blocks, order=order)
+            assert report.lhs == _exact_lhs(_exact_v(nu, blocks), h), (rep, blocks)
+
+
+def test_verify_bounds_long_geometric_block_is_fast_and_matches_mpmath():
+    start = time.perf_counter()
+    report = bq.verify_condensation_bounds(3000, 16, beta=1.1)
+    assert time.perf_counter() - start < 2.0
+    # Every row of V H is beta^-L over ||nu||_1, summed here term by term.
+    with mpmath.workdps(50):
+        b = mpmath.mpf(1.1)
+        l1 = mpmath.fsum(b ** -(j + 1) for j in range(3000))
+        want = mpmath.sqrt(16) * b**-3000 / l1
+    assert report.lhs == pytest.approx(float(want), rel=1e-12)
+    assert not report.vacuous
+
+
+def test_verify_bounds_underflowed_lhs_reads_vacuous():
+    # At beta 5 the squared row norm underflows from L of about 233, and the
+    # right side too from about 463; 0 <= rhs then holds whatever was computed.
+    for block_len, vacuous in ((15, False), (240, True), (3000, True)):
+        report = bq.verify_condensation_bounds(block_len, 200, beta=5.0)
+        assert report.vacuous is vacuous, block_len
+        assert report.passed
+        assert (report.lhs == 0.0) is vacuous
+    text = bq.BoundsReport((report,)).to_text()
+    assert text.endswith(": 0 <= 0 -> vacuous")
 
 
 def test_condensation_kills_shaped_noise_end_to_end(dense_h, dense_v):

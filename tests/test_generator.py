@@ -266,7 +266,7 @@ def test_shaped_frame_memory_stays_below_its_sample_matrix(ctx):
     # The shaped frame holds its p x d rows and one chunk of kernel rows,
     # never the m x d sample matrix.
     config = dataclasses.replace(bq.RunConfig(), m=96000, p=6400)
-    _, _, _, _, nu, _ = pipeline._scheme(config)
+    _, _, _, _, nu = pipeline._scheme(config)
     samples = bq.draw_samples(96000, 5.0, 0.5, 1)
     binned = bq.partition_bins(samples, 5.0, 0.5, nu.size, 1)
     coords = binned.coordinates
@@ -426,7 +426,7 @@ def test_kernel_coefficients_follow_eval_across_a_wide_run(gen):
     # tail cut, so rows run off the table.
     config = dataclasses.replace(bq.RunConfig(), R=15.0, eps=0.5)
     ctx = bq.KernelContext.from_box(gen, config.R, config.eps)
-    _, _, _, _, nu, _ = pipeline._scheme(config)
+    _, _, _, _, nu = pipeline._scheme(config)
     coords, _ = pipeline._draw(config, nu)
     grid = np.linspace(-config.R, config.R, config.grid_points)
     assert np.max(np.abs(coords[:, None] - ctx.shift_points)) > 70.0

@@ -214,7 +214,7 @@ def test_shaped_frame_matches_a_signed_copy(ctx, kw, monkeypatch):
     # The shaped frame reads, signs and condenses its rows a chunk of whole
     # blocks at a time; the reference flips a copy of the whole sample matrix.
     config = dataclasses.replace(bq.RunConfig(), **kw)
-    _, _, _, _, nu, _ = pipeline._scheme(config)
+    _, _, _, _, nu = pipeline._scheme(config)
     samples = bq.draw_samples(config.m, config.R, config.eps, 3)
     binned = bq.partition_bins(samples, config.R, config.eps, nu.size, 3)
     blocks = binned.block_counts[-1]
