@@ -41,7 +41,6 @@ from .pipeline import (
     shared_generator,
     sweep,
     validate,
-    write_sweep_chart,
 )
 from .quantize import (
     MidriseAlphabet,

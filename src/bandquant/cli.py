@@ -2,7 +2,8 @@
 
 Subcommands: run (one reconstruction, full report files), sweep (trials over
 a list of sample budgets, CSV + SVG summary) and check-bounds (numerical
-audits of the inequalities behind the method).  Every configurable value has
+audits of the inequalities behind the method).  This is the one module that
+writes files, through ``table`` and ``svg``.  Every configurable value has
 one flag, listed in the order of the INI file.  Exit codes: 0 success, 2
 invalid configuration, 3 frame or binning failure (for sweep: a cell whose
 every trial failed; for check-bounds: a failed audit), 141 (128 + SIGPIPE)
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import table
+from . import svg, table
 from .frame import FrameFailure
 from .pipeline import (
     _CONFIG_LAYOUT,
@@ -34,7 +35,6 @@ from .pipeline import (
     load_config,
     run_detailed,
     sweep,
-    write_sweep_chart,
 )
 from .sampling import BinningError
 
@@ -102,19 +102,21 @@ def cmd_run(args):
     with _outdir(args) as out:
         (out / "report.txt").write_text(text + "\n", encoding="utf-8")
         table.write_records(out / "report.csv", RunReport, [a.report])
-        a.signal.to_csv(out / "signal.csv")
-        f, r = a.signal_values, a.recon_values
+        s, f, r = a.signal, a.signal_values, a.recon_values
+        table.write_columns(
+            out / "signal.csv",
+            [table.meta_line("signal", seed=s.seed, target_sup=s.target_sup), "k,coefficient"],
+            [s.ks, s.coeffs],
+        )
         table.write_columns(
             out / "quantized.csv",
             [table.meta_line("quantized", max_state=a.report.max_state), "index,input,code,state"],
             [np.arange(a.q.size), a.y, a.q, a.state],
-            table.row_format_for(int, float, float, float),
         )
         table.write_columns(
             out / "reconstruction.csv",
             ["t,signal,reconstruction,error"],
             [a.grid, f, r, f - r],
-            table.row_format_for(float, float, float, float),
         )
         if (b := a.binned) is not None:
             table.write_columns(
@@ -124,7 +126,6 @@ def cmd_run(args):
                 [np.repeat([1, 2, 3], b.truncated_counts),
                  np.concatenate([np.arange(n) for n in b.truncated_counts]),
                  b.coordinates, b.signs],
-                table.row_format_for(int, int, float, int),
             )
     print(text)
     print(f"report files written to {out}")
@@ -138,13 +139,12 @@ def cmd_sweep(args):
     ms, schemes = overrides.pop("m", None), overrides.pop("scheme", None)
     config = RunConfig(**overrides)
     rows = sweep(config, ms=ms, schemes=schemes)
-    chart_error = None
+    # An all-failed cell's mean is NaN, and NaN > 0 is false.
+    ran = [(row.scheme, row.m, row.mean_sup_error) for row in rows if row.mean_sup_error > 0]
     with _outdir(args) as out:
         table.write_records(out / "sweep.csv", SweepRow, rows)
-        try:
-            write_sweep_chart(out / "sweep.svg", rows)
-        except FrameFailure as exc:
-            chart_error = str(exc)
+        if ran:
+            svg.write_log_chart(out / "sweep.svg", ran)
     for row in rows:
         print(
             f"{row.scheme:>11s}  m={row.m:<6d} p={row.p:<5d} "
@@ -154,9 +154,9 @@ def cmd_sweep(args):
     failed = [row for row in rows if row.failures == config.trials]
     for row in failed:
         print(f"every trial failed: {row.scheme} m={row.m} p={row.p}", file=sys.stderr)
-    if chart_error is not None:
-        print(f"no chart written: {chart_error}", file=sys.stderr)
-    return 3 if failed or chart_error is not None else 0
+    if not ran:
+        print("no chart written: every sweep cell failed; nothing to plot", file=sys.stderr)
+    return 3 if failed or not ran else 0
 
 
 def cmd_check_bounds(args):

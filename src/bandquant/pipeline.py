@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import svg
 from .condense import (
     BoundReport,
     build_weight,
@@ -411,33 +410,6 @@ def sweep(config: RunConfig, ms=None, schemes=None):
             )
         )
     return rows
-
-
-def write_sweep_chart(path, rows):
-    """Log-y chart of mean sup error against m, one series per scheme."""
-    by_scheme = {}
-    for row in rows:
-        by_scheme.setdefault(row.scheme, []).append(row)
-    series = []
-    for scheme, cells in by_scheme.items():
-        xs = [c.m for c in cells]
-        ys = [c.mean_sup_error for c in cells]
-        keep = [
-            (x, y) for x, y in zip(xs, ys) if not math.isnan(y) and y > 0
-        ]
-        if keep:
-            series.append(
-                (scheme, [x for x, _ in keep], [y for _, y in keep])
-            )
-    if not series:
-        raise FrameFailure("every sweep cell failed; nothing to plot")
-    svg.write_log_chart(
-        path,
-        series,
-        title="Reconstruction error vs sample budget",
-        x_label="samples m",
-        y_label="mean sup error",
-    )
 
 
 @dataclass(frozen=True)

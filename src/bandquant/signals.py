@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import table
 from .condense import BoundReport
 from .generator import _EVAL_CHUNK, Generator, KernelContext
 
@@ -71,12 +70,6 @@ class SignalModel:
         return float(out[0]) if t_arr.ndim == 0 else out
 
     __call__ = eval
-
-    def to_csv(self, path):
-        """Write one (k, coefficient) row per term, seed recorded in the header."""
-        meta = table.meta_line("signal", seed=self.seed, target_sup=self.target_sup)
-        row_format = table.row_format_for(int, float)
-        table.write_columns(path, [meta, "k,coefficient"], [self.ks, self.coeffs], row_format)
 
 
 def synth_test_signal(seed, k_range, target_sup):

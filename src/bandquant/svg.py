@@ -1,7 +1,8 @@
-"""Minimal deterministic SVG line charts with a logarithmic y axis.
+"""The sweep chart: a deterministic SVG line chart with a logarithmic y axis.
 
-Writes the sweep summary plot without a plotting dependency; output depends
-only on the data passed in, so repeated runs produce byte-identical files.
+Draws ``bandquant sweep``'s mean sup error against the sample budget, one
+series per scheme, without a plotting dependency; output depends only on
+the points passed in, so repeated runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -17,6 +18,10 @@ _MARGIN_BOTTOM = 60
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
+_TITLE = "Reconstruction error vs sample budget"
+_X_LABEL = "samples m"
+_Y_LABEL = "mean sup error"
+
 
 def _fmt(v):
     """Fixed two-decimal pixel coordinates keep the output compact and stable."""
@@ -30,21 +35,17 @@ def _log_ticks(lo, hi):
     return [10.0**e for e in range(lo_exp, hi_exp + 1)]
 
 
-def write_log_chart(path, series, *, title, x_label, y_label):
-    """Write a log-y line chart.
-
-    series is a non-empty list of (name, xs, ys) with non-empty, positive
-    ys; each series becomes one polyline plus legend entry.
-    """
-    series = [
-        (name, [float(x) for x in xs], [float(y) for y in ys])
-        for name, xs, ys in series
-    ]
-    points = [(x, y) for _, xs, ys in series for x, y in zip(xs, ys)]
-    x_min = min(x for x, _ in points)
-    x_max = max(x for x, _ in points)
-    y_min = min(y for _, y in points)
-    y_max = max(y for _, y in points)
+def write_log_chart(path, points):
+    """Write the log-y line chart of a non-empty list of (name, x, y)
+    points with y > 0.  The points of one name, in list order, make one
+    polyline plus legend entry; the series keep the order of their names'
+    first points."""
+    series = {}
+    for name, x, y in points:
+        series.setdefault(name, []).append((float(x), float(y)))
+    xs = [float(x) for _, x, _ in points]
+    ys = [float(y) for _, _, y in points]
+    x_min, x_max, y_min, y_max = min(xs), max(xs), min(ys), max(ys)
     if x_max == x_min:
         x_min, x_max = x_min - 0.5, x_max + 0.5
     y_ticks = _log_ticks(y_min, y_max)
@@ -69,7 +70,7 @@ def write_log_chart(path, series, *, title, x_label, y_label):
     out.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
     out.append(
         f'<text x="{_WIDTH // 2}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{title}</text>'
+        f'font-family="sans-serif" font-size="16">{_TITLE}</text>'
     )
     # Axes box.
     out.append(
@@ -90,7 +91,7 @@ def write_log_chart(path, series, *, title, x_label, y_label):
             f'font-family="sans-serif" font-size="11">1e{exp}</text>'
         )
     # X ticks at the union of all series x values.
-    x_ticks = sorted({x for _, xs, _ in series for x in xs})
+    x_ticks = sorted(set(xs))
     for tick in x_ticks:
         x = px(tick)
         out.append(
@@ -106,22 +107,22 @@ def write_log_chart(path, series, *, title, x_label, y_label):
     out.append(
         f'<text x="{_MARGIN_LEFT + plot_w / 2:.2f}" y="{_HEIGHT - 16}" '
         f'text-anchor="middle" font-family="sans-serif" '
-        f'font-size="13">{x_label}</text>'
+        f'font-size="13">{_X_LABEL}</text>'
     )
     out.append(
         f'<text x="20" y="{_MARGIN_TOP + plot_h / 2:.2f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 20 {_MARGIN_TOP + plot_h / 2:.2f})">{y_label}</text>'
+        f'transform="rotate(-90 20 {_MARGIN_TOP + plot_h / 2:.2f})">{_Y_LABEL}</text>'
     )
     # Series polylines, markers and legend.
-    for idx, (name, xs, ys) in enumerate(series):
+    for idx, (name, xy) in enumerate(series.items()):
         color = _COLORS[idx % len(_COLORS)]
-        pts = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(xs, ys))
+        pts = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in xy)
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="1.5"/>'
         )
-        for x, y in zip(xs, ys):
+        for x, y in xy:
             out.append(
                 f'<circle cx="{_fmt(px(x))}" cy="{_fmt(py(y))}" r="3" '
                 f'fill="{color}"/>'

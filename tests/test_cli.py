@@ -1,5 +1,6 @@
 """CLI tests: exit codes, files written, determinism of artifacts."""
 
+import dataclasses
 import os
 import re
 import runpy
@@ -340,7 +341,9 @@ def test_readme_examples_run(tmp_path):
     config = bq.build_config(ini)
     assert len(bq.load_config(ini)) == 19
     assert (config.R, config.r, config.lam, config.levels) == (5.0, 11, 2.0, 80)
-    bq.validate(config)
+    # The example's scheme comment lists three schemes; each one runs.
+    for scheme in ("msq", "sigma-delta", "beta"):
+        bq.validate(dataclasses.replace(config, scheme=scheme))
     namespace = {}
     for library in re.findall(r"```python\n(.*?)```", text, re.S):
         exec(library, namespace)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import bandquant as bq
-from bandquant import pipeline, table
+from bandquant import pipeline, svg, table
 
 
 def _small_beta(**kw):
@@ -302,12 +302,12 @@ def test_sweep_files(gen, tmp_path):
     csv_path = tmp_path / "sweep.csv"
     svg_path = tmp_path / "sweep.svg"
     table.write_records(csv_path, pipeline.SweepRow, rows)
-    bq.write_sweep_chart(svg_path, rows)
+    svg.write_log_chart(svg_path, [(r.scheme, r.m, r.mean_sup_error) for r in rows])
     lines = csv_path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "scheme,m,p,mean_sup_error,failures"
     assert len(lines) == 3
-    svg = svg_path.read_text(encoding="utf-8")
-    assert svg.startswith("<svg") and "polyline" in svg and "beta" in svg
+    chart = svg_path.read_text(encoding="utf-8")
+    assert chart.startswith("<svg") and "polyline" in chart and "beta" in chart
     # Determinism at the byte level.
     table.write_records(tmp_path / "again.csv", pipeline.SweepRow, rows)
     assert (tmp_path / "again.csv").read_bytes() == csv_path.read_bytes()

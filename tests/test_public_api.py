@@ -1,6 +1,7 @@
 """The names ``import bandquant`` exposes, pinned so that adding or removing
 one shows in the diff of this file."""
 
+import ast
 import types
 from pathlib import Path
 
@@ -51,7 +52,6 @@ PUBLIC_NAMES = [
     "taper",
     "validate",
     "verify_condensation_bounds",
-    "write_sweep_chart",
 ]
 
 
@@ -64,6 +64,22 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == PUBLIC_NAMES
+
+
+def test_only_the_cli_imports_the_file_writers():
+    # Every file bandquant writes goes through cli, by table and svg; the
+    # layers below it compute and return arrays and reports.
+    package = Path(bq.__file__).resolve().parent
+    for source in package.glob("*.py"):
+        if source.name == "cli.py":
+            continue
+        imported = set()
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                imported |= {node.module or "", *(alias.name for alias in node.names)}
+            elif isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+        assert not imported & {"table", "svg", "bandquant.table", "bandquant.svg"}, source.name
 
 
 def test_benchmark_entry_points_exist(monkeypatch, tmp_path):

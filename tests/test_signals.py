@@ -16,6 +16,7 @@ import pytest
 from scipy.integrate import simpson, trapezoid
 
 import bandquant as bq
+from bandquant.cli import main
 from bandquant.generator import _EVAL_CHUNK
 
 
@@ -134,8 +135,10 @@ def test_single_sinc_model():
 
 def test_signal_csv_roundtrip(tmp_path):
     model = bq.synth_test_signal(9, 8, 0.7)
+    argv = ["run", "--scheme", "msq", "--signal-seed", "9", "--k-range", "8",
+            "--target-sup", "0.7", "--out", str(tmp_path)]
+    assert main(argv) == 0
     path = tmp_path / "signal.csv"
-    model.to_csv(path)
     header = path.read_text(encoding="utf-8").splitlines()[:2]
     assert header == ["# bandquant-signal v1 seed=9 target_sup=0.69999999999999996", "k,coefficient"]
     data = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)

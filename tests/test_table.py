@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 import bandquant as bq
 from bandquant import table
@@ -22,7 +23,7 @@ def _oracle(header_lines, rows, types):
 
 def _written(tmp_path, header_lines, columns, types):
     path = tmp_path / "table.csv"
-    table.write_columns(path, header_lines, columns, table.row_format_for(*types))
+    table.write_columns(path, header_lines, columns)
     return path.read_text(encoding="utf-8")
 
 
@@ -169,9 +170,9 @@ def test_run_data_files_match_per_row_formatting(beta_run):
         assert (out / name).read_bytes() == text.encode("utf-8"), name
 
 
-def _column_text(tmp_path, values, conversion):
+def _column_text(tmp_path, values):
     path = tmp_path / "column.csv"
-    table.write_columns(path, [], [values], conversion)
+    table.write_columns(path, [], [values])
     return path.read_text(encoding="utf-8")
 
 
@@ -190,7 +191,7 @@ def test_floats_match_percent_on_random_bit_patterns(tmp_path):
     exponents = rng.integers(1023 - 15, 1023 + 54, size=near.sum(), dtype=np.uint64)
     bits[near] = bits[near] & ~np.uint64(0x7FF << 52) | exponents << np.uint64(52)
     x = bits.view(np.float64)
-    assert _column_text(tmp_path, x, "%.17g") == _expected(x, "%.17g")
+    assert _column_text(tmp_path, x) == _expected(x, "%.17g")
 
 
 def test_floats_match_percent_next_to_powers_of_ten(tmp_path):
@@ -212,7 +213,7 @@ def test_floats_match_percent_next_to_powers_of_ten(tmp_path):
     special = [0.0, math.nan, math.inf, 5e-324, 2.2250738585072014e-308, sys.float_info.max]
     x = np.concatenate([*near, nines, special])
     x = np.concatenate([x, -x])
-    assert _column_text(tmp_path, x, "%.17g") == _expected(x, "%.17g")
+    assert _column_text(tmp_path, x) == _expected(x, "%.17g")
 
 
 def test_floats_match_percent_on_exact_ties(tmp_path):
@@ -227,7 +228,7 @@ def test_floats_match_percent_on_exact_ties(tmp_path):
         ties.append(x)
     x = np.concatenate(ties)
     x = np.concatenate([x, -x])
-    assert _column_text(tmp_path, x, "%.17g") == _expected(x, "%.17g")
+    assert _column_text(tmp_path, x) == _expected(x, "%.17g")
 
 
 def _decimal(rng, n, k):
@@ -253,7 +254,7 @@ def test_floats_match_percent_on_every_digit_count_and_exponent(tmp_path):
     x = np.array([float(_decimal(rng, n, k)) for k in range(-4, 16) for n in range(2, 18)
                   for _ in range(3)] + [float(f"{d}e{k}") for k in range(-4, 16) for d in range(1, 10)])
     x = np.concatenate([x, -x])
-    assert _column_text(tmp_path, x, "%.17g") == _expected(x, "%.17g")
+    assert _column_text(tmp_path, x) == _expected(x, "%.17g")
     # The values reach every count on both sides of the point.
     printed = {}
     for v in x[: x.size // 2].tolist():
@@ -270,16 +271,20 @@ def test_ints_match_percent(tmp_path):
     scales = 10 ** rng.integers(0, 19, size=2 * 10**4)
     drawn = rng.integers(-(2**62), 2**62, size=scales.size) // scales
     i = np.concatenate([np.array(edges, dtype=np.int64), drawn])
-    assert _column_text(tmp_path, i, "%d") == _expected(i, "%d")
+    assert _column_text(tmp_path, i) == _expected(i, "%d")
 
 
-def test_other_conversions_size_their_cells_from_the_data(tmp_path):
-    names = np.array(["", "msq", "sigma-delta", "β"])
-    assert _column_text(tmp_path, names, "%s") == "\nmsq\nsigma-delta\nβ\n"
-    x = np.array([0.0, 1234567.891, -2.5e-7])
-    assert _column_text(tmp_path, x, "%.3f") == _expected(x, "%.3f")
-    # The same values in a column long enough to be formatted in numpy.
+def test_columns_take_their_conversion_from_their_dtype(tmp_path):
+    # Every int kind is written as %d, in either path; any other dtype than
+    # an int or float64 is refused before the file is opened.
     rows = 2 * table._NUMPY_ROWS + 1
-    names, x = np.resize(names, rows), np.resize(x, rows)
-    assert _column_text(tmp_path, names, "%s") == _expected(names, "%s")
-    assert _column_text(tmp_path, x, "%.3f") == _expected(x, "%.3f")
+    for dtype in (np.int8, np.int32):
+        i = np.resize(np.array([0, -7, 100, -128, 127], dtype=dtype), rows)
+        assert _column_text(tmp_path, i) == _expected(i, "%d")
+        assert _column_text(tmp_path, i[:5]) == _expected(i[:5], "%d")
+    for column in (np.array([True, False]), np.array([0.5], np.float32),
+                   np.array([1], np.uint64), np.array(["msq"])):
+        path = tmp_path / "refused.csv"
+        with pytest.raises(TypeError, match="dtype"):
+            table.write_columns(path, [], [np.arange(column.size), column])
+        assert not path.exists()
