@@ -135,6 +135,10 @@ class BoundReport:
         return self.lhs <= self.rhs
 
 
+# log(2^-1075): a positive rational whose log is at most this rounds to 0.0.
+_LOG_UNDERFLOW = -1075 * math.log(2.0)
+
+
 def verify_condensation_bounds(block_len, blocks, order=None, beta=None):
     """Check the closed-form norm bound for condensation-after-noise-shaping.
 
@@ -185,9 +189,21 @@ def verify_condensation_bounds(block_len, blocks, order=None, beta=None):
         label = f"condensation norm bound (difference order {order})"
     else:
         nu_beta(beta, block_len)  # rejects beta <= 1 and block_len < 1
-        b = Fraction(float(beta))
-        squares = blocks * ((b - 1) / (b**block_len - 1)) ** 2
-        rhs = math.sqrt(blocks) * float(beta) ** (1 - block_len)
+        beta = float(beta)
+        # The log of the squared left side p (b - 1)^2 / (b^L - 1)^2 in
+        # floats, with log(b^L - 1) = L log b + log(1 - b^-L).
+        log_power = block_len * math.log(beta)
+        log_squares = math.log(blocks) + 2.0 * (
+            math.log(beta - 1.0) - log_power - math.log(-math.expm1(-log_power))
+        )
+        if log_squares < _LOG_UNDERFLOW - 1.0:
+            # Clearly below the smallest float: skip the exact b^L, whose
+            # 53 L bits take all the time of a long block.
+            squares = 0
+        else:
+            b = Fraction(beta)
+            squares = blocks * ((b - 1) / (b**block_len - 1)) ** 2
+        rhs = math.sqrt(blocks) * beta ** (1 - block_len)
         label = f"condensation norm bound (geometric weight {beta:g})"
     lhs = math.sqrt(float(squares))
     # The exact left side is positive: 0.0 is an underflow.

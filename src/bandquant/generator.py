@@ -60,15 +60,33 @@ _EVAL_CHUNK = 1 << 14
 
 
 def _hermite_cubics(nodes, values, slopes):
-    """Coefficients of s^3, s^2, s and 1 of the Hermite cubic on each interval.
+    """Yield (j, c) for the coefficient c of s^(3 - j) of the Hermite cubic
+    on each interval.
 
     s is the offset from the interval's left node; the cubic takes the
-    values and slopes given at both ends.
+    values and slopes given at both ends.  The coefficients come one at a
+    time and each input is dropped once read, so a caller that stores each
+    coefficient before taking the next, and keeps no other reference to
+    the inputs, never holds the inputs and all four coefficients at once.
     """
     dx = np.diff(nodes)
-    chord = np.diff(values) / dx
-    t = (slopes[:-1] + slopes[1:] - 2 * chord) / dx
-    return t / dx, (chord - slopes[:-1]) / dx - t, slopes[:-1], values[:-1]
+    del nodes
+    yield 3, values[:-1]
+    chord = np.diff(values)
+    del values
+    chord /= dx
+    yield 2, slopes[:-1]
+    t = slopes[:-1] + slopes[1:]
+    t -= 2 * chord
+    t /= dx
+    chord -= slopes[:-1]
+    del slopes
+    chord /= dx
+    chord -= t
+    yield 1, chord
+    del chord
+    t /= dx
+    yield 0, t
 
 
 def _bump(x):
@@ -175,14 +193,16 @@ class Generator:
         self._zero_column = (last - 1) // residues + 1
         self._columns = self._zero_column + -(-last // residues) + 2
         self._cubics = np.zeros((residues * self._columns, 4))
+        cells = self._cell(np.arange(-last, last))
         cubics = _hermite_cubics(
             np.concatenate((-self.grid[:0:-1], self.grid)),
             np.concatenate((self.values[:0:-1], self.values)),
             np.concatenate((-slopes[:0:-1], slopes)),
         )
-        cells = self._cell(np.arange(-last, last))
-        for power, coefficient in enumerate(cubics):
-            self._cubics[cells, power] = coefficient
+        # Only the signed copies are read from here on.
+        del slopes
+        for column, coefficient in cubics:
+            self._cubics[cells, column] = coefficient
 
     @staticmethod
     def _build_table(params):
@@ -205,8 +225,10 @@ class Generator:
         coeff = ghat(nodes, params.lam) * (2.0 * h / math.sqrt(2.0 * math.pi))
         coeff[0] *= 0.5  # trapezoid end weight; the far end has ghat = 0
         grid = np.arange(n_grid) * params.grid_step
-        values = np.fft.rfft(coeff, n_fft).real[:n_grid]
-        return grid, values, np.fft.rfft(coeff * nodes, n_fft).imag[:n_grid]
+        # Copies: a slice would keep the whole complex spectrum of n_fft / 2 + 1
+        # entries (1.2 MB at lam = 2) alive.
+        values = np.fft.rfft(coeff, n_fft).real[:n_grid].copy()
+        return grid, values, np.fft.rfft(coeff * nodes, n_fft).imag[:n_grid].copy()
 
     @property
     def lam(self):

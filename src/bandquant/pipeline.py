@@ -190,13 +190,15 @@ def _scheme(config: RunConfig):
     return config.p, (float(config.beta),), block, alphabet, nu_beta(config.beta, block)
 
 
-def _draw(config: RunConfig, nu):
+def _draw(config: RunConfig, nu, points=None):
     """Sample coordinates in quantization order, and their bins.
 
-    Without nu the drawn points are used as they come and the bins are None;
+    points are the draw of config.m and config.seed, drawn here when not
+    given.  Without nu they are used as they come and the bins are None;
     with it they are binned in blocks of nu.size.
     """
-    points = draw_samples(config.m, config.R, config.eps, config.seed)
+    if points is None:
+        points = draw_samples(config.m, config.R, config.eps, config.seed)
     if nu is None:
         return points, None
     binned = partition_bins(points, config.R, config.eps, nu.size, config.seed)
@@ -209,7 +211,7 @@ def _draw(config: RunConfig, nu):
 _FRAME_CHUNK_ROWS = 1 << 12
 
 
-def _frame(config: RunConfig, ctx: KernelContext, coords, binned, nu):
+def _frame(config: RunConfig, ctx: KernelContext, coords, binned, nu, rows=None):
     """Frame of the samples at coords, and the measurement map it was built for.
 
     Without nu the analysis matrix is the plain sample matrix and the map is
@@ -218,17 +220,25 @@ def _frame(config: RunConfig, ctx: KernelContext, coords, binned, nu):
     W V takes signed samples to one measurement per block of nu.size.  Its
     rows are read, signed and condensed a chunk of whole blocks at a time;
     condensation sums within a block and the rest is elementwise, so the
-    chunks give the bits of one pass over G.
+    chunks give the bits of one pass over G.  G's rows are read from the
+    kernel, or, when rows holds the kernel rows of the whole draw in draw
+    order, gathered from rows at the draw positions of the samples; a row
+    reads the same bits either way.
     """
     if nu is None:
-        return assemble_frame(ctx.kernel_coefficients(coords), ctx), np.asarray
+        if rows is None:
+            rows = ctx.kernel_coefficients(coords)
+        return assemble_frame(rows, ctx), np.asarray
     block, signs = nu.size, binned.signs
     step = max(1, _FRAME_CHUNK_ROWS // block)
     B = np.empty((binned.block_counts[-1], ctx.dimension))
     for lo in range(0, B.shape[0], step):
-        rows = slice(lo * block, (lo + step) * block)
-        G = ctx.kernel_coefficients(coords[rows])
-        G *= signs[rows, None]
+        chunk = slice(lo * block, (lo + step) * block)
+        if rows is None:
+            G = ctx.kernel_coefficients(coords[chunk])
+        else:
+            G = rows[binned.positions[chunk]]
+        G *= signs[chunk, None]
         B[lo : lo + step] = condense(nu, G)
     weight = build_weight(binned.block_counts, config.R, config.eps)
     B *= weight[:, None]
@@ -297,6 +307,26 @@ class RunArtifacts:
     measure: object
 
 
+@dataclass(frozen=True)
+class _Grid:
+    """What a run is judged on, whatever m and its scheme: the signal, its
+    kernel window, the grid_points points of [-R, R] and the signal's values
+    and the kernel's rows there."""
+
+    signal: object
+    ctx: KernelContext
+    points: np.ndarray
+    signal_values: np.ndarray
+    rows: np.ndarray
+
+    @classmethod
+    def of(cls, config: RunConfig, generator, signal):
+        ctx = KernelContext.from_box(generator, config.R, config.eps)
+        points = np.linspace(-config.R, config.R, config.grid_points)
+        values = np.asarray(signal.eval(points), dtype=float)
+        return cls(signal, ctx, points, values, ctx.kernel_coefficients(points))
+
+
 def run_detailed(config: RunConfig, signal=None):
     """Run one experiment and return the full artifact bundle.
 
@@ -316,19 +346,26 @@ def run_detailed(config: RunConfig, signal=None):
     if signal is None:
         signal = synth_test_signal(config.signal_seed, config.k_range, config.target_sup)
     t0 = time.perf_counter()
-    ctx = KernelContext.from_box(generator, config.R, config.eps)
+    return _run_stages(config, _Grid.of(config, generator, signal), t0)
+
+
+def _run_stages(config: RunConfig, grid: _Grid, t0, points=None, rows=None):
+    """The run of config from its draw to the error on the grid.
+
+    A sweep trial passes the drawn points and the kernel rows of all of
+    them, which it makes once for every scheme; a single run draws here,
+    and its frame streams the rows.  elapsed_s counts from t0.
+    """
     p, taps, block, alphabet, nu = _scheme(config)
-    coords, binned = _draw(config, nu)
-    y = np.asarray(signal.eval(coords), dtype=float)
+    coords, binned = _draw(config, nu, points)
+    y = np.asarray(grid.signal.eval(coords), dtype=float)
     if binned is not None:
         y = binned.signs * y
     result = greedy_noise_shape(y, taps, alphabet, block)
-    system, measure = _frame(config, ctx, coords, binned, nu)
+    system, measure = _frame(config, grid.ctx, coords, binned, nu, rows)
     coefficients = reconstruct(system, measure(result.q))
-    grid = np.linspace(-config.R, config.R, config.grid_points)
-    signal_values = np.asarray(signal.eval(grid), dtype=float)
-    recon_values = ctx.kernel_coefficients(grid) @ coefficients
-    err = signal_values - recon_values
+    recon_values = grid.rows @ coefficients
+    err = grid.signal_values - recon_values
     report = RunReport(
         scheme=config.scheme,
         m=config.m,
@@ -344,9 +381,9 @@ def run_detailed(config: RunConfig, signal=None):
     )
     return RunArtifacts(
         report=report,
-        signal=signal,
-        grid=grid,
-        signal_values=signal_values,
+        signal=grid.signal,
+        grid=grid.points,
+        signal_values=grid.signal_values,
         recon_values=recon_values,
         y=y,
         q=result.q,
@@ -371,7 +408,13 @@ class SweepRow:
 def sweep(config: RunConfig, ms=None, schemes=None):
     """Run config.trials trials per (scheme, m) cell and aggregate.
 
-    Trial k uses sampling seed config.seed + k with the signal held fixed.
+    Trial k of every cell is run_detailed at sampling seed config.seed + k
+    with the signal held fixed, so all schemes of a trial quantize the same
+    draw.  The sweep draws it once per (m, trial) and reads the kernel rows
+    of all m points once, m x d floats (17 MB at m = 48 000 and d = 45, as
+    much as an msq run holds), which every scheme's frame then gathers from;
+    the grid and the signal's and kernel's values on it are made once per
+    sweep.  Each scheme still evaluates the signal at its own samples.
     Frame failures and binning shortfalls are counted per cell and excluded
     from the error mean; a cell where every trial fails reports a NaN mean,
     and ``bandquant sweep`` then exits 3 after writing its files.
@@ -383,33 +426,37 @@ def sweep(config: RunConfig, ms=None, schemes=None):
     for name, values in (("sample budget", ms), ("scheme", schemes)):
         if not values:
             raise ConfigError(f"sweep needs at least one {name}")
-    cells = [dataclasses.replace(config, scheme=s, m=m) for s in schemes for m in ms]
-    for cell in cells:
+    cells = {(s, m): dataclasses.replace(config, scheme=s, m=m) for s in schemes for m in ms}
+    for cell in cells.values():
         validate(cell)
     signal = synth_test_signal(config.signal_seed, config.k_range, config.target_sup)
-    rows = []
-    for cell in cells:
-        sups = []
-        failures = 0
-        for trial in range(cell.trials):
-            try:
-                trial_config = dataclasses.replace(cell, seed=cell.seed + trial)
-                report = run_detailed(trial_config, signal=signal).report
-            except (FrameFailure, BinningError):
-                failures += 1
-            else:
-                sups.append(report.sup_error)
-        mean = float(np.mean(sups)) if sups else math.nan
-        rows.append(
-            SweepRow(
-                scheme=cell.scheme,
-                m=cell.m,
-                p=_scheme(cell)[0],
-                mean_sup_error=mean,
-                failures=failures,
-            )
+    grid = _Grid.of(config, _generator(config), signal)
+    sups = {key: [] for key in cells}
+    failures = dict.fromkeys(cells, 0)
+    for m in dict.fromkeys(ms):
+        for trial in range(config.trials):
+            points = draw_samples(m, config.R, config.eps, config.seed + trial)
+            rows = grid.ctx.kernel_coefficients(points)
+            for scheme in dict.fromkeys(schemes):
+                trial_config = dataclasses.replace(cells[scheme, m], seed=config.seed + trial)
+                t0 = time.perf_counter()
+                try:
+                    report = _run_stages(trial_config, grid, t0, points, rows).report
+                except (FrameFailure, BinningError):
+                    failures[scheme, m] += 1
+                else:
+                    sups[scheme, m].append(report.sup_error)
+    return [
+        SweepRow(
+            scheme=s,
+            m=m,
+            p=_scheme(cells[s, m])[0],
+            mean_sup_error=float(np.mean(sups[s, m])) if sups[s, m] else math.nan,
+            failures=failures[s, m],
         )
-    return rows
+        for s in schemes
+        for m in ms
+    ]
 
 
 @dataclass(frozen=True)

@@ -80,7 +80,8 @@ class BinnedSamples:
     Within a bin the coordinates keep their appearance order; block_counts
     are the cumulative block totals (p1 <= p2 <= p3 = blocks actually used)
     of the block length block; discarded counts the samples dropped to reach
-    block-multiple bin sizes.
+    block-multiple bin sizes; positions holds each coordinate's index in the
+    samples it was taken from.
     """
 
     coordinates: np.ndarray
@@ -88,6 +89,7 @@ class BinnedSamples:
     block_counts: tuple
     discarded: int
     block: int
+    positions: np.ndarray
 
     @property
     def truncated_counts(self):
@@ -112,23 +114,24 @@ def partition_bins(samples, R, eps, block, seed):
     labels = bin_index(samples, R, eps)
     bins = []
     for b in (1, 2, 3):
-        coords = samples[labels == b]
-        kept = (len(coords) // block) * block
+        where = np.flatnonzero(labels == b)
+        kept = (where.size // block) * block
         if kept == 0:
             raise BinningError(
-                f"bin {b} received {len(coords)} samples, fewer than one "
+                f"bin {b} received {where.size} samples, fewer than one "
                 f"block of {block}; draw more samples or reduce p",
-                samples=len(coords),
+                samples=where.size,
                 block=block,
             )
-        bins.append(coords[:kept])
-    coordinates = np.concatenate(bins)
+        bins.append(where[:kept])
+    positions = np.concatenate(bins)
     return BinnedSamples(
-        coordinates=coordinates,
-        signs=draw_signs(seed, coordinates.size),
+        coordinates=samples[positions],
+        signs=draw_signs(seed, positions.size),
         block_counts=tuple(np.cumsum([len(c) // block for c in bins]).tolist()),
-        discarded=samples.size - coordinates.size,
+        discarded=samples.size - positions.size,
         block=block,
+        positions=positions,
     )
 
 

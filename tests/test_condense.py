@@ -5,6 +5,7 @@ operators in exact rationals, against a float product where floats are
 exact, and at a long geometric block against 50-digit mpmath.
 """
 
+import importlib
 import math
 import time
 from fractions import Fraction
@@ -237,6 +238,35 @@ def test_verify_bounds_underflowed_lhs_reads_vacuous():
         assert (report.lhs == 0.0) is vacuous
     text = bq.BoundsReport((report,)).to_text()
     assert text.endswith(": 0 <= 0 -> vacuous")
+
+
+def test_verify_bounds_skips_the_exact_rational_far_below_the_float_range(monkeypatch):
+    # At beta 1.1 and L = 48 000, b^L has about 2.5 million bits and the
+    # squared left side is near e^-9150: it reads 0 without being built.
+    def no_rational(*args):
+        raise AssertionError("the exact rational was built")
+
+    monkeypatch.setattr(importlib.import_module("bandquant.condense"), "Fraction", no_rational)
+    start = time.perf_counter()
+    report = bq.verify_condensation_bounds(48000, 1, beta=1.1)
+    assert time.perf_counter() - start < 0.1
+    assert report == bq.BoundReport(
+        label="condensation norm bound (geometric weight 1.1)", lhs=0.0, rhs=0.0, vacuous=True
+    )
+
+
+@pytest.mark.parametrize("beta", [1.1, 5.0, 20.0])
+def test_verify_bounds_near_the_underflow_point_match_the_exact_rational(beta):
+    # L runs from well above the point where p (b - 1)^2 / (b^L - 1)^2
+    # underflows to well below it, at one block and at 10^6.
+    b = Fraction(beta)
+    crossing = round(745.13 / (2 * math.log(beta)))
+    for blocks in (1, 10**6):
+        for block_len in range(crossing - 6, crossing + 12):
+            want = math.sqrt(float(blocks * ((b - 1) / (b**block_len - 1)) ** 2))
+            report = bq.verify_condensation_bounds(block_len, blocks, beta=beta)
+            assert report.lhs == want, (blocks, block_len)
+            assert report.vacuous is (want == 0.0)
 
 
 def test_condensation_kills_shaped_noise_end_to_end(dense_h, dense_v):

@@ -490,7 +490,9 @@ def test_cubic_table_holds_the_signed_grid_cubics(params):
     nodes = np.arange(-last, last + 1) * params.grid_step
     signed = np.concatenate((values[:0:-1], values)), np.concatenate((-slopes[:0:-1], slopes))
     cells = gen._cell(np.arange(-last, last))
-    want = np.stack(generator._hermite_cubics(nodes, *signed), axis=1)
+    want = np.empty((cells.size, 4))
+    for column, coefficient in generator._hermite_cubics(nodes, *signed):
+        want[:, column] = coefficient
     np.testing.assert_array_equal(gen._cubics[cells].view(np.int64), want.view(np.int64))
     rest = np.ones(len(gen._cubics), dtype=bool)
     rest[cells] = False

@@ -227,13 +227,16 @@ def test_shaped_frame_matches_a_signed_copy(ctx, kw, monkeypatch):
     B = weight[:, None] * bq.condense(nu, G)
     want = bq.assemble_frame(B, ctx)
     # A budget of 10 rows is shorter than one block: one block per chunk.
+    # A sweep trial gathers the rows from those of the whole draw instead.
+    drawn = ctx.kernel_coefficients(samples)
     for budget in (pipeline._FRAME_CHUNK_ROWS, 10):
         monkeypatch.setattr(pipeline, "_FRAME_CHUNK_ROWS", budget)
-        got, _ = pipeline._frame(config, ctx, binned.coordinates, binned, nu)
-        for name in ("analysis", "eigvals", "eigvecs"):
-            np.testing.assert_array_equal(
-                getattr(got, name).view(np.int64), getattr(want, name).view(np.int64)
-            )
+        for rows in (None, drawn):
+            got, _ = pipeline._frame(config, ctx, binned.coordinates, binned, nu, rows)
+            for name in ("analysis", "eigvals", "eigvecs"):
+                np.testing.assert_array_equal(
+                    getattr(got, name).view(np.int64), getattr(want, name).view(np.int64)
+                )
 
 
 # --- sweeps ------------------------------------------------------------------
@@ -253,26 +256,81 @@ def test_sweep_aggregates_and_is_deterministic(gen, tmp_path):
     assert all(r.mean_sup_error > 0 for r in rows_a)
 
 
-def test_sweep_trial_is_the_run_at_seed_plus_k(gen):
-    # Trial k of a cell is run_detailed at seed + k with the sweep's signal.
-    config = _small_beta(trials=3, seed=7)
+def _trial_outcomes(cell, signal):
+    """sup_error of run_detailed at seed + k for each trial k of cell, None
+    where the run raises a frame or binning failure."""
+    sups = []
+    for k in range(cell.trials):
+        try:
+            art = bq.run_detailed(dataclasses.replace(cell, seed=cell.seed + k), signal=signal)
+        except (bq.FrameFailure, bq.BinningError):
+            sups.append(None)
+        else:
+            sups.append(art.report.sup_error)
+    return sups
+
+
+def _bits(value):
+    return np.float64(value).view(np.int64)
+
+
+def _check_sweep_against_runs(config, ms, failures):
+    """sweep over msq, beta and sigma-delta at budgets ms: each cell's
+    failures (pinned) are the runs at seed + k that raise, and its mean is
+    the mean of the others, bit for bit."""
     signal = bq.synth_test_signal(config.signal_seed, config.k_range, config.target_sup)
-    rows = bq.sweep(config, schemes=["beta", "msq"])
+    schemes = ["msq", "beta", "sigma-delta"]
+    rows = bq.sweep(config, ms=ms, schemes=schemes)
+    assert [(r.scheme, r.m) for r in rows] == [(s, m) for s in schemes for m in ms]
+    assert [r.failures for r in rows] == failures
     for row in rows:
-        cell = dataclasses.replace(config, scheme=row.scheme)
-        sups = [
-            bq.run_detailed(
-                dataclasses.replace(cell, seed=cell.seed + k), signal=signal
-            ).report.sup_error
-            for k in range(cell.trials)
-        ]
-        assert row.failures == 0
-        assert row.mean_sup_error == float(np.mean(sups))
+        sups = _trial_outcomes(dataclasses.replace(config, scheme=row.scheme, m=row.m), signal)
+        ran = [v for v in sups if v is not None]
+        assert row.failures == len(sups) - len(ran)
+        assert _bits(row.mean_sup_error) == _bits(np.mean(ran) if ran else np.nan)
+
+
+def test_sweep_trial_is_the_run_at_seed_plus_k(gen):
+    # Trial k of a cell is run_detailed at seed + k with the sweep's signal,
+    # for every scheme; block lengths 15 and 25 at p = 80.
+    _check_sweep_against_runs(_small_beta(order=2, trials=3, seed=7), [1200, 2000], [0] * 6)
+
+
+@pytest.mark.parametrize(
+    "kw, failures",
+    [
+        # 46 blocks of 15 against d = 45 shifts: some frames are singular.
+        (dict(m=690, p=46, trials=6), [0, 6, 3]),
+        # Blocks of 75: bins 2 and 3 get about 60 of 300 samples each.
+        (dict(m=300, p=4, trials=2), [0, 2, 2]),
+    ],
+)
+def test_sweep_failures_are_the_runs_that_raise(gen, kw, failures):
+    _check_sweep_against_runs(_small_beta(order=2, **kw), [kw["m"]], failures)
+
+
+def test_sweep_does_not_depend_on_axis_order(gen):
+    # A cell reads the same draws whichever cells run before it; m = 690
+    # (46 blocks of 15) has frame failures.
+    config = _small_beta(p=46, order=2, trials=3)
+    ms, schemes = [690, 1150], ["msq", "beta", "sigma-delta"]
+    forward = bq.sweep(config, ms=ms, schemes=schemes)
+    backward = bq.sweep(config, ms=ms[::-1], schemes=schemes[::-1])
+    assert [(r.scheme, r.m) for r in backward] == [
+        (s, m) for s in schemes[::-1] for m in ms[::-1]
+    ]
+    assert sum(r.failures for r in forward) > 0
+
+    def cells(rows):
+        return {(r.scheme, r.m): (r.p, _bits(r.mean_sup_error), r.failures) for r in rows}
+
+    assert cells(forward) == cells(backward)
 
 
 def test_sweep_counts_failures(gen):
-    # p equal to m/1 blocks of size 15 but only 60 blocks: rank-deficient,
-    # every trial must fail and be counted rather than raise.
+    # 40 blocks of 15: at most 40 analysis rows against d = 45 shifts, so
+    # every frame is singular; every trial must fail and be counted rather
+    # than raise.
     config = _small_beta(m=600, p=40, trials=2)
     rows = bq.sweep(config)
     assert rows[0].failures == 2
@@ -289,7 +347,7 @@ def test_sweep_rejects_invalid_cell(gen):
 def test_sweep_validates_every_cell_before_the_first_trial(monkeypatch):
     # Every beta cell is valid; sigma-delta order 3 fits none of the blocks.
     monkeypatch.setattr(
-        pipeline, "run_detailed", lambda *a, **k: pytest.fail("a trial ran before validation")
+        pipeline, "_run_stages", lambda *a, **k: pytest.fail("a trial ran before validation")
     )
     config = dataclasses.replace(bq.RunConfig(), p=200, order=3, trials=3)
     with pytest.raises(bq.ConfigError, match="incompatible"):

@@ -93,6 +93,9 @@ def test_partition_truncates_to_block_multiples():
     bins = _bins(binned.coordinates, binned)
     np.testing.assert_array_equal(bins[0], [1.0, -2.0, 3.0, 0.5])
     np.testing.assert_array_equal(bins[2], [11.0, -12.0])
+    # Each kept coordinate's index in the draw.
+    np.testing.assert_array_equal(binned.positions, [0, 1, 2, 3, 5, 6, 7, 8, 9, 10])
+    np.testing.assert_array_equal(samples[binned.positions], binned.coordinates)
     assert sum(binned.truncated_counts) == 10
     assert binned.coordinates.shape == binned.signs.shape == (10,)
 
