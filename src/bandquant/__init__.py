@@ -30,13 +30,10 @@ from .generator import (
     taper,
 )
 from .pipeline import (
-    BoundsReport,
     ConfigError,
     RunConfig,
     RunReport,
-    build_config,
     check_bounds,
-    load_config,
     run_detailed,
     shared_generator,
     sweep,

@@ -3,8 +3,9 @@
 Subcommands: run (one reconstruction, full report files), sweep (trials over
 a list of sample budgets, CSV + SVG summary) and check-bounds (numerical
 audits of the inequalities behind the method).  This is the one module that
-writes files, through ``table`` and ``svg``.  Every configurable value has
-one flag, listed in the order of the INI file.  Exit codes: 0 success, 2
+reads or writes files: it reads the ``--config`` INI file and writes through
+``table`` and ``svg``.  Every configurable value has one flag and one key,
+listed in _CONFIG_LAYOUT in the order of the INI file.  Exit codes: 0 success, 2
 invalid configuration, 3 frame or binning failure (for sweep: a cell whose
 every trial failed; for check-bounds: a failed audit), 141 (128 + SIGPIPE)
 when the reader of standard output goes away early, as in
@@ -14,6 +15,7 @@ when the reader of standard output goes away early, as in
 from __future__ import annotations
 
 import argparse
+import configparser
 import contextlib
 import os
 import sys
@@ -24,19 +26,91 @@ import numpy as np
 from . import svg, table
 from .frame import FrameFailure
 from .pipeline import (
-    _CONFIG_LAYOUT,
+    _FIELD_TYPE,
     ConfigError,
     RunConfig,
     RunReport,
     SweepRow,
-    _read_value,
-    build_config,
     check_bounds,
-    load_config,
     run_detailed,
     sweep,
 )
 from .sampling import BinningError
+
+# (field, section, key in file, CLI flag, help) for every configurable value.
+_CONFIG_LAYOUT = (
+    ("lam", "experiment", "lambda", "--lambda", "oversampling ratio"),
+    ("eps", "experiment", "eps", "--eps", "shell width parameter"),
+    ("R", "experiment", "R", "--R", "reconstruction half-width"),
+    ("r", "experiment", "r", "--r", "decay exponent used in bounds"),
+    ("m", "experiment", "m", "--m", "sample budget (comma list allowed for sweep)"),
+    ("p", "experiment", "p", "--p", "number of condensation blocks"),
+    ("seed", "experiment", "seed", "--seed", "sampling seed"),
+    ("trials", "experiment", "trials", "--trials", "trials per sweep cell"),
+    ("scheme", "experiment", "scheme", "--scheme",
+     "quantization scheme: msq | sigma-delta | beta (comma list allowed for sweep)"),
+    ("levels", "quantizer", "levels", "--levels", "alphabet levels per sign"),
+    ("delta", "quantizer", "delta", "--delta",
+     "alphabet half-step (shaped schemes; msq uses 1/(2·levels))"),
+    ("beta", "quantizer", "beta", "--beta", "geometric feedback weight (beta scheme)"),
+    ("order", "quantizer", "order", "--order", "difference order (sigma-delta scheme)"),
+    ("signal_seed", "signal", "seed", "--signal-seed", "test-signal seed"),
+    ("k_range", "signal", "k_range", "--k-range", "test-signal coefficient range"),
+    ("target_sup", "signal", "target_sup", "--target-sup", "test-signal sup-norm target"),
+    ("grid_points", "eval", "grid_points", "--grid-points",
+     "evaluation grid size on [-R, R]"),
+    ("gamma", "bounds", "gamma", "--gamma", "frame band confidence parameter"),
+    ("t", "bounds", "t", "--t", "frame band deviation parameter"),
+)
+
+# The axes sweep crosses.  Their flags and keys take comma lists.
+_SWEEP_AXES = ("m", "scheme")
+
+
+def _read_value(field, raw, lists=False):
+    """The value of field written as raw in a flag or a file key.
+
+    A sweep axis is split at commas and each entry read by the field's type:
+    with lists the result is that list, and without it the axis must hold one
+    value.  Raises ValueError when raw does not read.
+    """
+    if field not in _SWEEP_AXES:
+        return _FIELD_TYPE[field](raw)
+    values = [_FIELD_TYPE[field](v) for v in map(str.strip, raw.split(",")) if v]
+    if not lists and len(values) != 1:
+        raise ValueError(f"{raw!r} is not one value")
+    return values if lists else values[0]
+
+
+def load_config(path, lists=False):
+    """Read an INI file into the RunConfig keywords it sets.
+
+    Keys are case-sensitive ([experiment] has both R and r), a ";" after a
+    value starts a comment, and values are read as written (no "%"
+    interpolation).  Each value is read by _read_value, so with lists the
+    sweep axes m and scheme come back as lists.
+    """
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
+    parser.optionxform = str
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except (OSError, configparser.Error) as exc:
+        raise ConfigError(f"cannot read configuration file {path}: {exc}") from exc
+    settings = {}
+    known = {(section, key) for _, section, key, _, _ in _CONFIG_LAYOUT}
+    for section in parser.sections():
+        for key in parser[section]:
+            if (section, key) not in known:
+                raise ConfigError(f"unknown configuration key [{section}] {key} in {path}")
+    for field, section, key, _, _ in _CONFIG_LAYOUT:
+        if parser.has_option(section, key):
+            raw = parser.get(section, key)
+            try:
+                settings[field] = _read_value(field, raw, lists)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for [{section}] {key} in {path}: {raw}") from exc
+    return settings
 
 
 def _add_common(parser):
@@ -70,17 +144,19 @@ def build_parser():
     return parser
 
 
-def _overrides(args, lists=False):
-    """The flags given, each read from its text as load_config reads its key."""
-    out = {}
+def _settings(args, lists=False):
+    """The RunConfig keywords of the command: those of the --config file,
+    overlaid with the flags given.  A flag is read from its text as its key
+    is read in the file, and with lists the sweep axes come as lists."""
+    settings = {} if args.config is None else load_config(args.config, lists)
     for field, _, _, flag, _ in _CONFIG_LAYOUT:
         raw = getattr(args, field)
         if raw is not None:
             try:
-                out[field] = _read_value(field, raw, lists)
+                settings[field] = _read_value(field, raw, lists)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {flag}: {raw}") from exc
-    return out
+    return settings
 
 
 @contextlib.contextmanager
@@ -96,8 +172,7 @@ def _outdir(args):
 
 
 def cmd_run(args):
-    config = build_config(args.config, **_overrides(args))
-    a = run_detailed(config)
+    a = run_detailed(RunConfig(**_settings(args)))
     text = table.record_text(a.report)
     with _outdir(args) as out:
         (out / "report.txt").write_text(text + "\n", encoding="utf-8")
@@ -133,11 +208,9 @@ def cmd_run(args):
 
 
 def cmd_sweep(args):
-    # The flags overlay the file, as in build_config, with the axes as lists.
-    overrides = {} if args.config is None else load_config(args.config, lists=True)
-    overrides.update(_overrides(args, lists=True))
-    ms, schemes = overrides.pop("m", None), overrides.pop("scheme", None)
-    config = RunConfig(**overrides)
+    settings = _settings(args, lists=True)
+    ms, schemes = settings.pop("m", None), settings.pop("scheme", None)
+    config = RunConfig(**settings)
     rows = sweep(config, ms=ms, schemes=schemes)
     # An all-failed cell's mean is NaN, and NaN > 0 is false.
     ran = [(row.scheme, row.m, row.mean_sup_error) for row in rows if row.mean_sup_error > 0]
@@ -160,10 +233,11 @@ def cmd_sweep(args):
 
 
 def cmd_check_bounds(args):
-    config = build_config(args.config, **_overrides(args))
-    report = check_bounds(config)
-    print(report.to_text())
-    return 0 if report.all_passed else 3
+    lines = check_bounds(RunConfig(**_settings(args)))
+    for line in lines:
+        status = "FAIL" if not line.passed else "vacuous" if line.vacuous else "ok"
+        print(f"{line.label}: {line.lhs:.6g} <= {line.rhs:.6g} -> {status}")
+    return 0 if all(line.passed for line in lines) else 3
 
 
 def main(argv=None):

@@ -396,15 +396,22 @@ class KernelContext:
     k_max: int
     half_width: float
 
+    @staticmethod
+    def window(lam, R, eps):
+        """(k_max, half_width) of the window that reconstructs on [-R, R] with
+        margin eps: its 2 k_max + 1 shifts k / lam cover [-half_width,
+        half_width]."""
+        half_width = (1.0 + 2.5 * eps) * R
+        # The 1e-9 guard keeps exact boundary products (e.g. 22.5) stable
+        # against floating-point representation of the factors.
+        return int(math.floor(lam * half_width + 1e-9)), half_width
+
     @classmethod
     def from_box(cls, generator, R, eps):
         """Window large enough to reconstruct on [-R, R] with margin eps."""
         if R <= 0 or eps <= 0:
             raise ValueError(f"need positive R and eps, got R={R}, eps={eps}")
-        half_width = (1.0 + 2.5 * eps) * R
-        # The 1e-9 guard keeps exact boundary products (e.g. 22.5) stable
-        # against floating-point representation of the factors.
-        k_max = int(math.floor(generator.lam * half_width + 1e-9))
+        k_max, half_width = cls.window(generator.lam, R, eps)
         return cls(generator=generator, k_max=k_max, half_width=half_width)
 
     @property

@@ -8,7 +8,6 @@ reconstruction against the true signal on an evaluation grid.
 
 from __future__ import annotations
 
-import configparser
 import dataclasses
 import functools
 import math
@@ -89,13 +88,21 @@ class RunConfig:
     t: float = 0.6
 
 
+# Annotations are postponed, so each field's type is its name.
+_FIELD_TYPE = {
+    f.name: {"int": int, "float": float}.get(f.type, str)
+    for f in dataclasses.fields(RunConfig)
+}
+
+
 def validate(config: RunConfig):
     """Raise ConfigError listing the inconsistencies in the configuration.
 
     Every problem with a value all schemes read is listed, starting with
     every float field that is NaN or infinite; when there is none, the first
-    problem with a value the configured scheme reads, or a negative
-    stability margin at target_sup.
+    problem with a value the configured scheme reads, or else a negative
+    stability margin at target_sup and fewer analysis rows (p, or m for
+    msq) than the d shifts of the span, which leaves every frame singular.
     """
     problems = [
         f"{name} must be finite, got {getattr(config, name)}"
@@ -136,7 +143,7 @@ def validate(config: RunConfig):
         problems.append(f"levels must be >= 1, got {config.levels}")
     if not problems:
         try:
-            _, taps, _, alphabet, _ = _scheme(config)
+            rows, taps, _, alphabet, _ = _scheme(config)
             margin = stability_margin(taps, config.target_sup, alphabet)
         except ValueError as exc:
             problems.append(str(exc))
@@ -146,6 +153,15 @@ def validate(config: RunConfig):
                     f"stability margin {margin:.6g} at target_sup={config.target_sup:g} "
                     "is negative, so the greedy state may leave the alphabet "
                     "half-step; raise levels or delta, or lower the feedback gain"
+                )
+            d = 2 * KernelContext.window(config.lam, config.R, config.eps)[0] + 1
+            if rows < d:
+                count = "m" if config.scheme == "msq" else "p"
+                problems.append(
+                    f"{count}={rows} gives at most {rows} analysis rows for the d={d} "
+                    f"shifts of lambda={config.lam:g}, R={config.R:g} and "
+                    f"eps={config.eps:g}, so every frame is singular; raise {count} "
+                    f"to at least {d}"
                 )
     if problems:
         raise ConfigError("; ".join(problems))
@@ -190,54 +206,36 @@ def _scheme(config: RunConfig):
     return config.p, (float(config.beta),), block, alphabet, nu_beta(config.beta, block)
 
 
-def _draw(config: RunConfig, nu, points=None):
-    """Sample coordinates in quantization order, and their bins.
-
-    points are the draw of config.m and config.seed, drawn here when not
-    given.  Without nu they are used as they come and the bins are None;
-    with it they are binned in blocks of nu.size.
-    """
-    if points is None:
-        points = draw_samples(config.m, config.R, config.eps, config.seed)
-    if nu is None:
-        return points, None
-    binned = partition_bins(points, config.R, config.eps, nu.size, config.seed)
-    return binned.coordinates, binned
-
-
 # Sample rows per chunk of the shaped frame, rounded down to whole blocks:
 # 4096 kernel rows of 45 values are 1.5 MB, so the frame holds its p x d
 # analysis rows and one chunk instead of the m x d sample matrix.
 _FRAME_CHUNK_ROWS = 1 << 12
 
 
-def _frame(config: RunConfig, ctx: KernelContext, coords, binned, nu, rows=None):
-    """Frame of the samples at coords, and the measurement map it was built for.
+def _frame(config: RunConfig, ctx: KernelContext, binned, nu, rows):
+    """Frame of a draw's samples, and the measurement map it was built for.
 
-    Without nu the analysis matrix is the plain sample matrix and the map is
-    the identity.  Otherwise the analysis matrix is W V S G, for the signs S
-    of binned, condensation V = condense(nu, .) and weights W, and the map
-    W V takes signed samples to one measurement per block of nu.size.  Its
-    rows are read, signed and condensed a chunk of whole blocks at a time;
+    rows(positions) returns the kernel rows of the draw's samples at
+    positions, slice(None) for all of them or else an index array, for which
+    it returns a new array: a run computes them from its points, a sweep
+    trial gathers them from the rows of its whole draw, and a row reads the
+    same bits either way.  Without nu the analysis matrix is the plain
+    sample matrix of the whole draw and the map is the identity.  Otherwise
+    the analysis matrix is W V S G, for the samples G and signs S of binned,
+    condensation V = condense(nu, .) and weights W, and the map W V takes
+    signed samples to one measurement per block of nu.size.  Its rows are
+    read, signed and condensed a chunk of whole blocks at a time;
     condensation sums within a block and the rest is elementwise, so the
-    chunks give the bits of one pass over G.  G's rows are read from the
-    kernel, or, when rows holds the kernel rows of the whole draw in draw
-    order, gathered from rows at the draw positions of the samples; a row
-    reads the same bits either way.
+    chunks give the bits of one pass over G.
     """
     if nu is None:
-        if rows is None:
-            rows = ctx.kernel_coefficients(coords)
-        return assemble_frame(rows, ctx), np.asarray
+        return assemble_frame(rows(slice(None)), ctx), np.asarray
     block, signs = nu.size, binned.signs
     step = max(1, _FRAME_CHUNK_ROWS // block)
     B = np.empty((binned.block_counts[-1], ctx.dimension))
     for lo in range(0, B.shape[0], step):
         chunk = slice(lo * block, (lo + step) * block)
-        if rows is None:
-            G = ctx.kernel_coefficients(coords[chunk])
-        else:
-            G = rows[binned.positions[chunk]]
+        G = rows(binned.positions[chunk])
         G *= signs[chunk, None]
         B[lo : lo + step] = condense(nu, G)
     weight = build_weight(binned.block_counts, config.R, config.eps)
@@ -346,23 +344,30 @@ def run_detailed(config: RunConfig, signal=None):
     if signal is None:
         signal = synth_test_signal(config.signal_seed, config.k_range, config.target_sup)
     t0 = time.perf_counter()
-    return _run_stages(config, _Grid.of(config, generator, signal), t0)
+    grid = _Grid.of(config, generator, signal)
+    points = draw_samples(config.m, config.R, config.eps, config.seed)
+    return _run_stages(
+        config, grid, t0, points, lambda i: grid.ctx.kernel_coefficients(points[i])
+    )
 
 
-def _run_stages(config: RunConfig, grid: _Grid, t0, points=None, rows=None):
-    """The run of config from its draw to the error on the grid.
+def _run_stages(config: RunConfig, grid: _Grid, t0, points, rows):
+    """The run of config on its drawn points, from binning to the error on
+    the grid.
 
-    A sweep trial passes the drawn points and the kernel rows of all of
-    them, which it makes once for every scheme; a single run draws here,
-    and its frame streams the rows.  elapsed_s counts from t0.
+    rows reads the kernel rows of points at given positions (see _frame): a
+    single run computes them chunk by chunk, and a sweep trial gathers them
+    from the rows of all its points, which it reads once for every scheme.
+    elapsed_s counts from t0.
     """
     p, taps, block, alphabet, nu = _scheme(config)
-    coords, binned = _draw(config, nu, points)
-    y = np.asarray(grid.signal.eval(coords), dtype=float)
-    if binned is not None:
-        y = binned.signs * y
+    if nu is None:
+        binned, y = None, np.asarray(grid.signal.eval(points), dtype=float)
+    else:
+        binned = partition_bins(points, config.R, config.eps, nu.size, config.seed)
+        y = binned.signs * np.asarray(grid.signal.eval(binned.coordinates), dtype=float)
     result = greedy_noise_shape(y, taps, alphabet, block)
-    system, measure = _frame(config, grid.ctx, coords, binned, nu, rows)
+    system, measure = _frame(config, grid.ctx, binned, nu, rows)
     coefficients = reconstruct(system, measure(result.q))
     recon_values = grid.rows @ coefficients
     err = grid.signal_values - recon_values
@@ -418,14 +423,17 @@ def sweep(config: RunConfig, ms=None, schemes=None):
     Frame failures and binning shortfalls are counted per cell and excluded
     from the error mean; a cell where every trial fails reports a NaN mean,
     and ``bandquant sweep`` then exits 3 after writing its files.
-    An empty list of budgets or schemes or any cell that fails validate
-    raises ConfigError before the first trial.
+    An empty or repeating list of budgets or schemes, or any cell that fails
+    validate, raises ConfigError before the first trial.
     """
     ms = [config.m] if ms is None else [int(v) for v in ms]
     schemes = [config.scheme] if schemes is None else list(schemes)
     for name, values in (("sample budget", ms), ("scheme", schemes)):
         if not values:
             raise ConfigError(f"sweep needs at least one {name}")
+        for v in values:
+            if values.count(v) > 1:
+                raise ConfigError(f"sweep lists the {name} {v!r} more than once")
     cells = {(s, m): dataclasses.replace(config, scheme=s, m=m) for s in schemes for m in ms}
     for cell in cells.values():
         validate(cell)
@@ -433,11 +441,11 @@ def sweep(config: RunConfig, ms=None, schemes=None):
     grid = _Grid.of(config, _generator(config), signal)
     sups = {key: [] for key in cells}
     failures = dict.fromkeys(cells, 0)
-    for m in dict.fromkeys(ms):
+    for m in ms:
         for trial in range(config.trials):
             points = draw_samples(m, config.R, config.eps, config.seed + trial)
-            rows = grid.ctx.kernel_coefficients(points)
-            for scheme in dict.fromkeys(schemes):
+            rows = grid.ctx.kernel_coefficients(points).__getitem__
+            for scheme in schemes:
                 trial_config = dataclasses.replace(cells[scheme, m], seed=config.seed + trial)
                 t0 = time.perf_counter()
                 try:
@@ -459,37 +467,15 @@ def sweep(config: RunConfig, ms=None, schemes=None):
     ]
 
 
-@dataclass(frozen=True)
-class BoundsReport:
-    """Outcome of the numerical audits for one configuration."""
-
-    lines: tuple
-
-    @property
-    def all_passed(self):
-        return all(line.passed for line in self.lines)
-
-    def to_text(self):
-        out = []
-        for line in self.lines:
-            if not line.passed:
-                status = "FAIL"
-            else:
-                status = "vacuous" if line.vacuous else "ok"
-            out.append(
-                f"{line.label}: {line.lhs:.6g} <= {line.rhs:.6g} -> {status}"
-            )
-        return "\n".join(out)
-
-
 def check_bounds(config: RunConfig):
     """Audit the inequalities the reconstruction guarantee rests on.
 
-    Checks shift orthonormality, the level at which the table cuts g (run
-    and sweep reject one above TAIL_TOLERANCE) and the kernel diagonal bound
-    for the generator, the condensation operator-norm bound for the
-    configured scheme, the projection truncation bound for the configured
-    signal, and the concentration band for one assembled frame.  When that
+    Returns a tuple of BoundReport lines.  Checks shift orthonormality, the
+    level at which the table cuts g (run and sweep reject one above
+    TAIL_TOLERANCE) and the kernel diagonal bound for the generator, the
+    condensation operator-norm bound for the configured scheme, the
+    projection truncation bound for the configured signal, and the
+    concentration band for one assembled frame.  When that
     frame cannot be formed, its failing line compares LAMBDA_MIN_FLOOR *
     lam_max with lam_min for a singular frame operator, or the block length
     with the short bin's sample count for a binning failure.
@@ -541,9 +527,12 @@ def check_bounds(config: RunConfig):
         lines.append(BoundReport(label=label, lhs=math.nan, rhs=math.nan))
 
     if nu is not None:
+        points = draw_samples(config.m, config.R, config.eps, config.seed)
         try:
-            coords, binned = _draw(config, nu)
-            system, _ = _frame(config, ctx, coords, binned, nu)
+            binned = partition_bins(points, config.R, config.eps, nu.size, config.seed)
+            system, _ = _frame(
+                config, ctx, binned, nu, lambda i: ctx.kernel_coefficients(points[i])
+            )
         except FrameFailure as exc:
             lines.append(
                 BoundReport(
@@ -563,100 +552,4 @@ def check_bounds(config: RunConfig):
         else:
             lines.extend(frame_bound_report(system, nu, config.gamma, config.t))
 
-    return BoundsReport(lines=tuple(lines))
-
-
-# --- configuration file handling -------------------------------------------
-
-# (field, section, key in file, CLI flag, help) for every configurable value.
-_CONFIG_LAYOUT = (
-    ("lam", "experiment", "lambda", "--lambda", "oversampling ratio"),
-    ("eps", "experiment", "eps", "--eps", "shell width parameter"),
-    ("R", "experiment", "R", "--R", "reconstruction half-width"),
-    ("r", "experiment", "r", "--r", "decay exponent used in bounds"),
-    ("m", "experiment", "m", "--m", "sample budget (comma list allowed for sweep)"),
-    ("p", "experiment", "p", "--p", "number of condensation blocks"),
-    ("seed", "experiment", "seed", "--seed", "sampling seed"),
-    ("trials", "experiment", "trials", "--trials", "trials per sweep cell"),
-    ("scheme", "experiment", "scheme", "--scheme",
-     "quantization scheme: msq | sigma-delta | beta (comma list allowed for sweep)"),
-    ("levels", "quantizer", "levels", "--levels", "alphabet levels per sign"),
-    ("delta", "quantizer", "delta", "--delta",
-     "alphabet half-step (shaped schemes; msq uses 1/(2·levels))"),
-    ("beta", "quantizer", "beta", "--beta", "geometric feedback weight (beta scheme)"),
-    ("order", "quantizer", "order", "--order", "difference order (sigma-delta scheme)"),
-    ("signal_seed", "signal", "seed", "--signal-seed", "test-signal seed"),
-    ("k_range", "signal", "k_range", "--k-range", "test-signal coefficient range"),
-    ("target_sup", "signal", "target_sup", "--target-sup", "test-signal sup-norm target"),
-    ("grid_points", "eval", "grid_points", "--grid-points",
-     "evaluation grid size on [-R, R]"),
-    ("gamma", "bounds", "gamma", "--gamma", "frame band confidence parameter"),
-    ("t", "bounds", "t", "--t", "frame band deviation parameter"),
-)
-
-# Annotations are postponed, so each field's type is its name.
-_FIELD_TYPE = {
-    f.name: {"int": int, "float": float}.get(f.type, str)
-    for f in dataclasses.fields(RunConfig)
-}
-
-
-# The axes sweep crosses.  Their flags and keys take comma lists.
-_SWEEP_AXES = ("m", "scheme")
-
-
-def _read_value(field, raw, lists=False):
-    """The value of field written as raw in a flag or a file key.
-
-    A sweep axis is split at commas and each entry read by the field's type:
-    with lists the result is that list, and without it the axis must hold one
-    value.  Raises ValueError when raw does not read.
-    """
-    if field not in _SWEEP_AXES:
-        return _FIELD_TYPE[field](raw)
-    values = [_FIELD_TYPE[field](v) for v in map(str.strip, raw.split(",")) if v]
-    if not lists and len(values) != 1:
-        raise ValueError(f"{raw!r} is not one value")
-    return values if lists else values[0]
-
-
-def load_config(path, lists=False):
-    """Read an INI file into the keyword overrides it defines.
-
-    Keys are case-sensitive ([experiment] has both R and r), a ";" after a
-    value starts a comment, and values are read as written (no "%"
-    interpolation).  Each value is read by _read_value, so with lists the
-    sweep axes m and scheme come back as lists.
-    """
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
-    parser.optionxform = str
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except (OSError, configparser.Error) as exc:
-        raise ConfigError(f"cannot read configuration file {path}: {exc}") from exc
-    overrides = {}
-    known = {(section, key) for _, section, key, _, _ in _CONFIG_LAYOUT}
-    for section in parser.sections():
-        for key in parser[section]:
-            if (section, key) not in known:
-                raise ConfigError(f"unknown configuration key [{section}] {key} in {path}")
-    for field, section, key, _, _ in _CONFIG_LAYOUT:
-        if parser.has_option(section, key):
-            raw = parser.get(section, key)
-            try:
-                overrides[field] = _read_value(field, raw, lists)
-            except ValueError as exc:
-                raise ConfigError(f"bad value for [{section}] {key} in {path}: {raw}") from exc
-    return overrides
-
-
-def build_config(file_path=None, **cli_overrides):
-    """Defaults, overlaid with the config file, overlaid with CLI values."""
-    overrides = {}
-    if file_path is not None:
-        overrides.update(load_config(file_path))
-    for key, value in cli_overrides.items():
-        if value is not None:
-            overrides[key] = value
-    return RunConfig(**overrides)
+    return tuple(lines)

@@ -89,5 +89,5 @@ def beta_run(tmp_path_factory):
     argv = ["--m", "1200", "--p", "80", "--scheme", "beta", "--grid-points", "50"]
     out = tmp_path_factory.mktemp("beta_run")
     assert main(["run", *argv, "--out", str(out)]) == 0
-    config = bq.build_config(m=1200, p=80, scheme="beta", grid_points=50)
+    config = bq.RunConfig(m=1200, p=80, scheme="beta", grid_points=50)
     return out, bq.run_detailed(config)

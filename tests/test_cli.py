@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import bandquant as bq
-from bandquant import table
+from bandquant import cli, table
 from bandquant.cli import main
 
 _FAST = ["--m", "1200", "--p", "80", "--scheme", "beta"]
@@ -166,12 +166,39 @@ def test_edge_configurations_exit_cleanly_with_finite_numbers(tmp_path, capsys, 
 
 
 def test_run_reports_frame_failure(tmp_path, capsys):
-    # 40 condensed rows cannot span the 45-dimensional coefficient space.
+    # 46 condensed rows against 45 dimensions: seed 1 leaves the frame singular.
     rc = main(
-        ["run", "--m", "600", "--p", "40", "--scheme", "beta", "--out", str(tmp_path)]
+        ["run", "--m", "690", "--p", "46", "--scheme", "beta", "--out", str(tmp_path)]
     )
     assert rc == 3
-    assert "error" in capsys.readouterr().err
+    assert "error: frame operator is numerically singular" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["run", "--m", "600", "--p", "40"], "p=40 gives at most 40 analysis rows for the d=45 "
+         "shifts of lambda=2, R=5 and eps=0.5, so every frame is singular; raise p to at least 45"),
+        (["run", "--scheme", "msq", "--m", "40"], "m=40 gives at most 40 analysis rows for the d=45"),
+        (["check-bounds", "--m", "600", "--p", "40"], "p=40 gives at most 40 analysis rows"),
+        # The msq cell is valid; the beta cell is not.
+        (["sweep", "--scheme", "msq,beta", "--m", "600", "--p", "40", "--trials", "1"],
+         "p=40 gives at most 40"),
+        (["run", "--lambda", "1.5", "--eps", "0.2", "--m", "22", "--p", "22"],
+         "p=22 gives at most 22 analysis rows for the d=23 shifts of lambda=1.5, R=5 and eps=0.2"),
+    ],
+    ids=["run", "run-msq", "check-bounds", "sweep", "run-d23"],
+)
+def test_fewer_analysis_rows_than_shifts_exits_2(tmp_path, capsys, monkeypatch, argv, needle):
+    # p (or m for msq) rows cannot span the d shifts on any draw, so the
+    # configuration is invalid before anything is drawn.
+    monkeypatch.setattr(
+        bq.pipeline, "_run_stages", lambda *a, **k: pytest.fail("a run started")
+    )
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration: ") and needle in err, err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_accepts_config_file(tmp_path, capsys):
@@ -251,7 +278,12 @@ def test_check_bounds_exit_code(capsys, monkeypatch):
     assert rc == 0
     out = capsys.readouterr().out
     assert "ok" in out and "FAIL" not in out
-    assert out == bq.check_bounds(bq.RunConfig()).to_text() + "\n"
+    lines = bq.check_bounds(bq.RunConfig())
+    status = {(True, False): "ok", (True, True): "vacuous"}
+    assert out == "".join(
+        f"{line.label}: {line.lhs:.6g} <= {line.rhs:.6g} -> {status[line.passed, line.vacuous]}\n"
+        for line in lines
+    )
     # The same audit through `python -m bandquant`.
     monkeypatch.setattr(sys, "argv", ["bandquant", "check-bounds"])
     with pytest.raises(SystemExit) as exit_info:
@@ -261,10 +293,10 @@ def test_check_bounds_exit_code(capsys, monkeypatch):
 
 
 def test_check_bounds_failure_lines_carry_computed_numbers(ctx, capsys):
-    # At m=600, p=40 the condensed frame has 38 rows for 45 dimensions.
-    assert main(["check-bounds", "--m", "600", "--p", "40"]) == 3
+    # At m=690, p=46 seed 1 leaves the condensed frame singular.
+    assert main(["check-bounds", "--m", "690", "--p", "46"]) == 3
     line = capsys.readouterr().out.splitlines()[-1]
-    binned = bq.partition_bins(bq.draw_samples(600, 5.0, 0.5, 1), 5.0, 0.5, 15, 1)
+    binned = bq.partition_bins(bq.draw_samples(690, 5.0, 0.5, 1), 5.0, 0.5, 15, 1)
     signed = binned.signs[:, None] * ctx.kernel_coefficients(binned.coordinates)
     condensed = bq.condense(bq.nu_beta(5.0, binned.block), signed)
     B = bq.build_weight(binned.block_counts, 5.0, 0.5)[:, None] * condensed
@@ -272,14 +304,15 @@ def test_check_bounds_failure_lines_carry_computed_numbers(ctx, capsys):
     assert line.startswith("frame spectrum (frame operator is numerically singular")
     floor = bq.frame.LAMBDA_MIN_FLOOR * lam_max
     assert line.endswith(f": {floor:.6g} <= {lam_min:.6g} -> FAIL")
-    # At m=40, p=2 the 20-sample blocks do not fit the shells.
-    assert main(["check-bounds", "--m", "40", "--p", "2"]) == 3
+    # At lambda 1.5, eps 0.2 and m = p = d = 23, seed 1 leaves a bin empty.
+    argv = ["--lambda", "1.5", "--eps", "0.2", "--m", "23", "--p", "23"]
+    assert main(["check-bounds", *argv]) == 3
     line = capsys.readouterr().out.splitlines()[-1]
-    counts = np.bincount(bq.bin_index(bq.draw_samples(40, 5.0, 0.5, 1), 5.0, 0.5), minlength=4)
-    short = int(np.flatnonzero(counts[1:] < 20)[0]) + 1
+    counts = np.bincount(bq.bin_index(bq.draw_samples(23, 5.0, 0.2, 1), 5.0, 0.2), minlength=4)
+    short = int(np.flatnonzero(counts[1:] < 1)[0]) + 1
     assert line == (
-        f"frame binning (bin {short} received {counts[short]} samples, fewer than "
-        f"one block of 20; draw more samples or reduce p): 20 <= {counts[short]} -> FAIL"
+        f"frame binning (bin {short} received 0 samples, fewer than "
+        "one block of 1; draw more samples or reduce p): 1 <= 0 -> FAIL"
     )
 
 
@@ -338,8 +371,9 @@ def test_readme_examples_run(tmp_path):
         assert main([*argv, "--out", str(tmp_path / str(k))]) == 0, argv
     ini = tmp_path / "readme.ini"
     ini.write_text(re.search(r"```ini\n(.*?)```", text, re.S).group(1), "utf-8")
-    config = bq.build_config(ini)
-    assert len(bq.load_config(ini)) == 19
+    settings = cli.load_config(ini)
+    assert len(settings) == 19
+    config = bq.RunConfig(**settings)
     assert (config.R, config.r, config.lam, config.levels) == (5.0, 11, 2.0, 80)
     # The example's scheme comment lists three schemes; each one runs.
     for scheme in ("msq", "sigma-delta", "beta"):
@@ -347,7 +381,7 @@ def test_readme_examples_run(tmp_path):
     namespace = {}
     for library in re.findall(r"```python\n(.*?)```", text, re.S):
         exec(library, namespace)
-    assert namespace["audit"].all_passed
+    assert all(line.passed for line in namespace["audit"])
     assert [row.failures for row in namespace["rows"]] == [0, 0, 0, 0]
     assert namespace["v"].shape == (namespace["binned"].block_counts[-1],)
 
@@ -407,33 +441,34 @@ def test_sweep_writes_csv_and_chart(tmp_path, capsys):
 
 def test_sweep_all_failures_still_writes_csv(tmp_path, capsys):
     rc = main(
-        ["sweep", "--scheme", "beta", "--m", "600", "--p", "40",
+        ["sweep", "--scheme", "beta", "--m", "690", "--p", "46",
          "--trials", "1", "--out", str(tmp_path)]
     )
     assert rc == 3
     captured = capsys.readouterr()
     assert "no chart written" in captured.err
-    assert "every trial failed: beta m=600 p=40" in captured.err
+    assert "every trial failed: beta m=690 p=46" in captured.err
     assert (tmp_path / "sweep.csv").is_file()
     assert not (tmp_path / "sweep.svg").exists()
     assert "nan" in (tmp_path / "sweep.csv").read_text(encoding="utf-8")
 
 
 def test_sweep_exits_3_when_one_cell_has_every_trial_failed(tmp_path, capsys):
-    # 40 condensed rows cannot span the frame, so every beta trial fails while
-    # the msq cell runs: the files are still written, the chart with msq alone.
+    # The 46 condensed rows of seed 1 leave the frame singular, so the beta
+    # trial fails while the msq cell runs: the files are still written, the
+    # chart with msq alone.
     rc = main(
-        ["sweep", "--scheme", "msq,beta", "--m", "600", "--p", "40",
+        ["sweep", "--scheme", "msq,beta", "--m", "690", "--p", "46",
          "--trials", "1", "--out", str(tmp_path)]
     )
     assert rc == 3
     captured = capsys.readouterr()
-    assert captured.err == "every trial failed: beta m=600 p=40\n"
+    assert captured.err == "every trial failed: beta m=690 p=46\n"
     assert "sweep summary written to" in captured.out
     lines = (tmp_path / "sweep.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "scheme,m,p,mean_sup_error,failures"
-    assert lines[1].startswith("msq,600,600,") and lines[1].endswith(",0")
-    assert lines[2] == "beta,600,40,nan,1"
+    assert lines[1].startswith("msq,690,690,") and lines[1].endswith(",0")
+    assert lines[2] == "beta,690,46,nan,1"
     svg = (tmp_path / "sweep.svg").read_text(encoding="utf-8")
     assert "msq" in svg and "beta" not in svg
 
@@ -466,6 +501,25 @@ def test_sweep_rejects_an_empty_list(tmp_path, capsys, flag):
     rc = main(["sweep", flag, ",", "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "sweep needs at least one" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [(["--m", "3000,3000", "--scheme", "beta"], "sample budget 3000"),
+     (["--scheme", "msq,beta,msq"], "scheme 'msq'")],
+    ids=["m", "scheme"],
+)
+def test_sweep_rejects_a_repeated_axis_value(tmp_path, capsys, monkeypatch, argv, needle):
+    # A repeated value would run its cell twice, write it twice to sweep.csv
+    # and plot its point twice.
+    monkeypatch.setattr(
+        bq.pipeline, "_run_stages", lambda *a, **k: pytest.fail("a trial ran")
+    )
+    rc = main(["sweep", *argv, "--trials", "1", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"invalid configuration: sweep lists the {needle} more than once" in err, err
     assert not (tmp_path / "out").exists()
 
 

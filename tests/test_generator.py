@@ -269,9 +269,12 @@ def test_shaped_frame_memory_stays_below_its_sample_matrix(ctx):
     _, _, _, _, nu = pipeline._scheme(config)
     samples = bq.draw_samples(96000, 5.0, 0.5, 1)
     binned = bq.partition_bins(samples, 5.0, 0.5, nu.size, 1)
-    coords = binned.coordinates
-    _, peak = _traced_peak(lambda: pipeline._frame(config, ctx, coords, binned, nu))
-    assert peak < 0.25 * coords.size * ctx.dimension * 8
+
+    def rows(positions):
+        return ctx.kernel_coefficients(samples[positions])
+
+    _, peak = _traced_peak(lambda: pipeline._frame(config, ctx, binned, nu, rows))
+    assert peak < 0.25 * binned.coordinates.size * ctx.dimension * 8
 
 
 def test_default_trial_stays_under_the_heap_trim_threshold(gen):
@@ -427,7 +430,8 @@ def test_kernel_coefficients_follow_eval_across_a_wide_run(gen):
     config = dataclasses.replace(bq.RunConfig(), R=15.0, eps=0.5)
     ctx = bq.KernelContext.from_box(gen, config.R, config.eps)
     _, _, _, _, nu = pipeline._scheme(config)
-    coords, _ = pipeline._draw(config, nu)
+    samples = bq.draw_samples(config.m, config.R, config.eps, config.seed)
+    coords = bq.partition_bins(samples, config.R, config.eps, nu.size, config.seed).coordinates
     grid = np.linspace(-config.R, config.R, config.grid_points)
     assert np.max(np.abs(coords[:, None] - ctx.shift_points)) > 70.0
     for x in (coords, grid):

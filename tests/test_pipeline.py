@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import bandquant as bq
-from bandquant import pipeline, svg, table
+from bandquant import cli, pipeline, svg, table
 
 
 def _small_beta(**kw):
@@ -227,12 +227,14 @@ def test_shaped_frame_matches_a_signed_copy(ctx, kw, monkeypatch):
     B = weight[:, None] * bq.condense(nu, G)
     want = bq.assemble_frame(B, ctx)
     # A budget of 10 rows is shorter than one block: one block per chunk.
-    # A sweep trial gathers the rows from those of the whole draw instead.
-    drawn = ctx.kernel_coefficients(samples)
+    # A run computes each chunk's rows; a sweep trial gathers them from the
+    # rows of the whole draw.
+    readers = (lambda i: ctx.kernel_coefficients(samples[i]),
+               ctx.kernel_coefficients(samples).__getitem__)
     for budget in (pipeline._FRAME_CHUNK_ROWS, 10):
         monkeypatch.setattr(pipeline, "_FRAME_CHUNK_ROWS", budget)
-        for rows in (None, drawn):
-            got, _ = pipeline._frame(config, ctx, binned.coordinates, binned, nu, rows)
+        for rows in readers:
+            got, _ = pipeline._frame(config, ctx, binned, nu, rows)
             for name in ("analysis", "eigvals", "eigvecs"):
                 np.testing.assert_array_equal(
                     getattr(got, name).view(np.int64), getattr(want, name).view(np.int64)
@@ -301,8 +303,9 @@ def test_sweep_trial_is_the_run_at_seed_plus_k(gen):
     [
         # 46 blocks of 15 against d = 45 shifts: some frames are singular.
         (dict(m=690, p=46, trials=6), [0, 6, 3]),
-        # Blocks of 75: bins 2 and 3 get about 60 of 300 samples each.
-        (dict(m=300, p=4, trials=2), [0, 2, 2]),
+        # d = 23 shifts at lambda 1.5, eps 0.2: seed 1 leaves a bin of the
+        # shaped schemes empty, and 23 msq rows span no frame.
+        (dict(lam=1.5, eps=0.2, m=23, p=23, trials=2), [1, 1, 1]),
     ],
 )
 def test_sweep_failures_are_the_runs_that_raise(gen, kw, failures):
@@ -328,10 +331,9 @@ def test_sweep_does_not_depend_on_axis_order(gen):
 
 
 def test_sweep_counts_failures(gen):
-    # 40 blocks of 15: at most 40 analysis rows against d = 45 shifts, so
-    # every frame is singular; every trial must fail and be counted rather
-    # than raise.
-    config = _small_beta(m=600, p=40, trials=2)
+    # 46 blocks of 15 against d = 45 shifts: the frames of seeds 1 and 2 are
+    # singular, and every trial must fail and be counted rather than raise.
+    config = _small_beta(m=690, p=46, trials=2)
     rows = bq.sweep(config)
     assert rows[0].failures == 2
     assert np.isnan(rows[0].mean_sup_error)
@@ -374,56 +376,63 @@ def test_sweep_files(gen, tmp_path):
 # --- bound audit -------------------------------------------------------------
 
 
+def _line(lines, needle):
+    """The one audit line whose label holds needle."""
+    (line,) = [line for line in lines if needle in line.label]
+    return line
+
+
 def test_check_bounds_default_config_passes(gen):
-    report = bq.check_bounds(bq.RunConfig())
-    assert report.all_passed, report.to_text()
-    text = report.to_text()
-    assert "orthonormality" in text
-    assert "kernel diagonal" in text
-    assert "condensation" in text
-    assert "projection" in text
-    assert "frame spectrum" in text
+    lines = bq.check_bounds(bq.RunConfig())
+    assert all(line.passed for line in lines), lines
+    labels = " ".join(line.label for line in lines)
+    for needle in ("orthonormality", "kernel diagonal", "condensation", "projection"):
+        assert needle in labels
+    assert sum("frame spectrum" in line.label for line in lines) == 2
 
 
 def test_check_bounds_labels_vacuous_lower_edge(gen):
     # At the defaults 1 - gamma - 3t < 0, so the lower edge cannot fail.
-    report = bq.check_bounds(bq.RunConfig())
-    edge = [line for line in report.to_text().splitlines() if "lower edge" in line]
-    assert edge[0].endswith("-> vacuous")
-    assert report.all_passed
+    lines = bq.check_bounds(bq.RunConfig())
+    edge = _line(lines, "lower edge")
+    assert edge.passed and edge.vacuous
+    assert all(line.passed for line in lines)
     # At t = 0.1 the edge is positive, so it is audited.
     tight = bq.check_bounds(dataclasses.replace(bq.RunConfig(), t=0.1))
-    edge = [line for line in tight.to_text().splitlines() if "lower edge" in line]
-    assert edge[0].endswith("-> FAIL")
+    assert not _line(tight, "lower edge").passed
     # The projection bound is vacuous at or above ||f||_L2([-R, R]) (at
     # r = 15, eps = 0.2), and check-bounds keeps that label.
-    proj = [line for line in report.to_text().splitlines() if "projection" in line]
-    assert proj[0].endswith("-> ok")
+    proj = _line(lines, "projection")
+    assert proj.passed and not proj.vacuous
     loose = bq.check_bounds(dataclasses.replace(bq.RunConfig(), r=15, eps=0.2))
-    proj = [line for line in loose.to_text().splitlines() if "projection" in line]
-    assert proj[0].endswith("-> vacuous")
-    assert loose.all_passed
+    proj = _line(loose, "projection")
+    assert proj.passed and proj.vacuous
+    assert all(line.passed for line in loose)
 
 
 def test_check_bounds_labels_a_projection_bound_above_the_signal_norm_vacuous(gen):
     # The default signal has ||f||_L2([-5, 5]) = 1.27.  At lambda = 1.1 the
     # bound is 9.2e5, below 1e6 but far above that norm, so it says nothing;
     # at the defaults it is 0.0395.
-    for lam, status in ((1.1, "vacuous"), (2.0, "ok")):
-        report = bq.check_bounds(dataclasses.replace(bq.RunConfig(), lam=lam))
-        proj = [line for line in report.to_text().splitlines() if "projection" in line]
-        assert proj[0].endswith(f"-> {status}")
+    for lam, vacuous in ((1.1, True), (2.0, False)):
+        proj = _line(bq.check_bounds(dataclasses.replace(bq.RunConfig(), lam=lam)), "projection")
+        assert proj.passed and proj.vacuous is vacuous
 
 
 def test_check_bounds_msq_skips_condensation(gen):
-    report = bq.check_bounds(dataclasses.replace(bq.RunConfig(), scheme="msq"))
-    text = report.to_text()
-    assert "condensation" not in text
-    assert "frame spectrum" not in text
-    assert report.all_passed
+    lines = bq.check_bounds(dataclasses.replace(bq.RunConfig(), scheme="msq"))
+    labels = " ".join(line.label for line in lines)
+    assert "condensation" not in labels
+    assert "frame spectrum" not in labels
+    assert all(line.passed for line in lines)
 
 
 # --- configuration files -----------------------------------------------------
+
+
+def _settings(*argv):
+    """The RunConfig keywords bandquant run reads from argv."""
+    return cli._settings(cli.build_parser().parse_args(["run", *argv]))
 
 
 def test_load_config_and_precedence(tmp_path):
@@ -447,15 +456,15 @@ def test_load_config_and_precedence(tmp_path):
         "grid_points = 50\n",
         encoding="utf-8",
     )
-    overrides = bq.load_config(ini)
-    assert overrides["scheme"] == "sigma-delta"
-    assert overrides["m"] == 1500
-    assert overrides["signal_seed"] == 4
-    assert overrides["R"] == 6.0 and overrides["r"] == 9
-    config = bq.build_config(ini)
+    settings = cli.load_config(ini)
+    assert settings["scheme"] == "sigma-delta"
+    assert settings["m"] == 1500
+    assert settings["signal_seed"] == 4
+    assert settings["R"] == 6.0 and settings["r"] == 9
+    config = bq.RunConfig(**_settings("--config", str(ini)))
     assert config.m == 1500 and config.seed == 9 and config.grid_points == 50
-    # CLI overrides beat the file; untouched keys keep defaults.
-    config = bq.build_config(ini, m=3000, p=200)
+    # Flags beat the file; untouched keys keep defaults.
+    config = bq.RunConfig(**_settings("--config", str(ini), "--m", "3000", "--p", "200"))
     assert config.m == 3000 and config.p == 200
     assert config.order == 7 and config.eps == 0.5
     bq.validate(config)
@@ -465,20 +474,20 @@ def test_load_config_rejects_unknown_and_bad_values(tmp_path):
     bad_key = tmp_path / "bad_key.ini"
     bad_key.write_text("[experiment]\nbogus = 1\n", encoding="utf-8")
     with pytest.raises(bq.ConfigError, match="unknown"):
-        bq.load_config(bad_key)
+        cli.load_config(bad_key)
     bad_value = tmp_path / "bad_value.ini"
     for value in ("many", "12%"):
         bad_value.write_text(f"[experiment]\nm = {value}\n", encoding="utf-8")
         with pytest.raises(bq.ConfigError, match="bad value"):
-            bq.load_config(bad_value)
+            cli.load_config(bad_value)
     # The error grid always spans [-R, R]; its half-width is not a key.
     bad_key.write_text("[eval]\ninterval = 5.0\n", encoding="utf-8")
     with pytest.raises(bq.ConfigError, match="unknown"):
-        bq.load_config(bad_key)
+        cli.load_config(bad_key)
 
 
 def test_config_layout_names_every_field_once():
-    layout = pipeline._CONFIG_LAYOUT
+    layout = cli._CONFIG_LAYOUT
     fields = [field for field, *_ in layout]
     assert sorted(fields) == sorted(f.name for f in dataclasses.fields(bq.RunConfig))
     assert len({(section, key) for _, section, key, _, _ in layout}) == len(layout)
