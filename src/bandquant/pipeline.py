@@ -347,25 +347,31 @@ def run_detailed(config: RunConfig, signal=None):
     grid = _Grid.of(config, generator, signal)
     points = draw_samples(config.m, config.R, config.eps, config.seed)
     return _run_stages(
-        config, grid, t0, points, lambda i: grid.ctx.kernel_coefficients(points[i])
+        config,
+        grid,
+        t0,
+        points,
+        lambda i: grid.signal.eval(points[i]),
+        lambda i: grid.ctx.kernel_coefficients(points[i]),
     )
 
 
-def _run_stages(config: RunConfig, grid: _Grid, t0, points, rows):
+def _run_stages(config: RunConfig, grid: _Grid, t0, points, values, rows):
     """The run of config on its drawn points, from binning to the error on
     the grid.
 
-    rows reads the kernel rows of points at given positions (see _frame): a
-    single run computes them chunk by chunk, and a sweep trial gathers them
-    from the rows of all its points, which it reads once for every scheme.
-    elapsed_s counts from t0.
+    values and rows read the signal's values and the kernel rows of points
+    at given positions, slice(None) for all of them or else an index array
+    (see _frame).  A single run computes them from its points, and a sweep
+    trial gathers them from the sinc basis and kernel rows of all its
+    points, which it builds once for every scheme.  elapsed_s counts from t0.
     """
     p, taps, block, alphabet, nu = _scheme(config)
     if nu is None:
-        binned, y = None, np.asarray(grid.signal.eval(points), dtype=float)
+        binned, y = None, values(slice(None))
     else:
         binned = partition_bins(points, config.R, config.eps, nu.size, config.seed)
-        y = binned.signs * np.asarray(grid.signal.eval(binned.coordinates), dtype=float)
+        y = binned.signs * values(binned.positions)
     result = greedy_noise_shape(y, taps, alphabet, block)
     system, measure = _frame(config, grid.ctx, binned, nu, rows)
     coefficients = reconstruct(system, measure(result.q))
@@ -415,11 +421,14 @@ def sweep(config: RunConfig, ms=None, schemes=None):
 
     Trial k of every cell is run_detailed at sampling seed config.seed + k
     with the signal held fixed, so all schemes of a trial quantize the same
-    draw.  The sweep draws it once per (m, trial) and reads the kernel rows
-    of all m points once, m x d floats (17 MB at m = 48 000 and d = 45, as
-    much as an msq run holds), which every scheme's frame then gathers from;
-    the grid and the signal's and kernel's values on it are made once per
-    sweep.  Each scheme still evaluates the signal at its own samples.
+    draw.  The sweep draws it once per (m, trial) and builds the signal's
+    sinc basis and the kernel rows of all m points once, m x K and m x d
+    floats (9.6 and 17 MB at m = 48 000, K = 25 and d = 45), which every
+    scheme then gathers its samples' rows from; the grid and the signal's
+    and kernel's values on it are made once per sweep.  Each scheme still
+    takes its own product of the gathered basis rows with the coefficients,
+    over exactly the rows a run's evaluation builds, so it rounds as the
+    run does.
     Frame failures and binning shortfalls are counted per cell and excluded
     from the error mean; a cell where every trial fails reports a NaN mean,
     and ``bandquant sweep`` then exits 3 after writing its files.
@@ -444,12 +453,15 @@ def sweep(config: RunConfig, ms=None, schemes=None):
     for m in ms:
         for trial in range(config.trials):
             points = draw_samples(m, config.R, config.eps, config.seed + trial)
+            basis = signal.basis(points)
             rows = grid.ctx.kernel_coefficients(points).__getitem__
             for scheme in schemes:
                 trial_config = dataclasses.replace(cells[scheme, m], seed=config.seed + trial)
                 t0 = time.perf_counter()
                 try:
-                    report = _run_stages(trial_config, grid, t0, points, rows).report
+                    report = _run_stages(
+                        trial_config, grid, t0, points, lambda i: basis[i] @ signal.coeffs, rows
+                    ).report
                 except (FrameFailure, BinningError):
                     failures[scheme, m] += 1
                 else:

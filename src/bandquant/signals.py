@@ -45,18 +45,16 @@ class SignalModel:
         object.__setattr__(self, "ks", ks)
         object.__setattr__(self, "coeffs", coeffs)
 
-    def eval(self, t):
-        """Evaluate at scalar or array t.
+    def basis(self, x):
+        """The sincs sinc(x - ks[k]), of shape x.shape + (ks.size,), for array x.
 
-        The sinc basis, of shape t.shape + (ks.size,), is filled in blocks of
-        at most _EVAL_CHUNK entries by np.sinc's own steps, in place, so no
-        full-size difference array or temporary is ever built.  The product
-        with the coefficients stays one call over all rows, because a
-        threaded BLAS rounds rows near its split points by where the split
-        falls, so a product per block could move values by an ulp.
+        The block is filled in place, at most _EVAL_CHUNK entries at a time,
+        by np.sinc's own steps, so no full-size difference array or temporary
+        is ever built.  Every step is elementwise, so a row holds the same
+        bits whichever points share the block with it: rows gathered from
+        the basis of a draw are the basis of the gathered points.
         """
-        t_arr = np.asarray(t, dtype=float)
-        x = np.atleast_1d(t_arr)
+        x = np.asarray(x, dtype=float)
         flat_x = x.reshape(-1)
         basis = np.empty((flat_x.size, self.ks.size))
         rows = max(1, _EVAL_CHUNK // max(1, self.ks.size))
@@ -66,7 +64,19 @@ class SignalModel:
             block *= np.pi
             block[block == 0] = _SINC_ZERO
             np.divide(np.sin(block), block, out=block)
-        out = basis.reshape(*x.shape, self.ks.size) @ self.coeffs
+        return basis.reshape(*x.shape, self.ks.size)
+
+    def eval(self, t):
+        """Evaluate at scalar or array t: basis(t) @ coeffs.
+
+        The product with the coefficients is one call over all rows, because
+        a threaded BLAS rounds rows near its split points by where the split
+        falls, so a product per block could move values by an ulp.  A caller
+        holding the basis of a superset of points gets the same bits from
+        basis[i] @ coeffs, one product over exactly the gathered rows.
+        """
+        t_arr = np.asarray(t, dtype=float)
+        out = self.basis(np.atleast_1d(t_arr)) @ self.coeffs
         return float(out[0]) if t_arr.ndim == 0 else out
 
     __call__ = eval

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import bandquant as bq
-from bandquant import cli, pipeline, svg, table
+from bandquant import cli, pipeline, signals, svg, table
 
 
 def _small_beta(**kw):
@@ -296,6 +296,24 @@ def test_sweep_trial_is_the_run_at_seed_plus_k(gen):
     # Trial k of a cell is run_detailed at seed + k with the sweep's signal,
     # for every scheme; block lengths 15 and 25 at p = 80.
     _check_sweep_against_runs(_small_beta(order=2, trials=3, seed=7), [1200, 2000], [0] * 6)
+
+
+def test_sweep_fills_the_sinc_basis_once_per_trial(gen, monkeypatch):
+    # The signal's sincs are filled for the normalisation grid, the grid and
+    # once per (m, trial) for all schemes, not once per scheme and trial.
+    sizes = []
+    fill = bq.SignalModel.basis
+
+    def counted(self, x):
+        sizes.append(np.size(x))
+        return fill(self, x)
+
+    monkeypatch.setattr(bq.SignalModel, "basis", counted)
+    config = _small_beta(order=2, trials=3, seed=7)
+    bq.sweep(config, ms=[1200, 2000], schemes=["msq", "beta", "sigma-delta"])
+    half = config.k_range + signals._NORM_GRID_MARGIN
+    norm_points = int(2 * half * signals._NORM_GRID_PER_UNIT) + 1
+    assert sizes == [norm_points, config.grid_points] + [1200] * 3 + [2000] * 3
 
 
 @pytest.mark.parametrize(

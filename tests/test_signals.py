@@ -125,6 +125,30 @@ def test_eval_is_np_sinc_at_integer_and_half_integer_points():
         np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
 
 
+def test_gathered_basis_rows_are_eval_at_the_gathered_points():
+    # A sweep trial builds the basis of its whole draw once and gathers each
+    # scheme's rows from it; the product over the gathered rows must be eval
+    # at those points, bit for bit, integer nodes (the _SINC_ZERO stand-in)
+    # and several blocks included.
+    model = bq.synth_test_signal(4, 12, 0.9)
+    rows = _EVAL_CHUNK // model.ks.size
+    rng = np.random.default_rng(17)
+    x = rng.uniform(-15.0, 15.0, 4 * rows + 7)
+    x[::9] = rng.integers(-12, 13, x[::9].size)
+    basis = model.basis(x)
+    assert basis.shape == (x.size, model.ks.size)
+    picks = np.sort(rng.choice(x.size, x.size // 2, replace=False))
+    for i in (slice(None), slice(5, 2 * rows + 1), picks, picks[::-1], np.arange(0, x.size, 9)):
+        got = basis[i] @ model.coeffs
+        np.testing.assert_array_equal(got.view(np.int64), model.eval(x[i]).view(np.int64))
+    square = x[: 4 * rows].reshape(4, rows)
+    assert model.basis(square).shape == (4, rows, model.ks.size)
+    assert model.eval(square).shape == (4, rows)
+    node = model.eval(x[9])
+    assert x[9] == round(x[9]) and type(node) is float
+    assert np.float64(node).view(np.int64) == (basis[[9]] @ model.coeffs)[0].view(np.int64)
+
+
 def test_single_sinc_model():
     model = bq.SignalModel(ks=np.array([4]), coeffs=np.array([0.5]))
     assert model.eval(4.0) == pytest.approx(0.5, abs=1e-15)
