@@ -9,7 +9,6 @@ resulting random frame.
 
 from .condense import (
     BoundReport,
-    build_weight,
     condense,
     nu_beta,
     nu_sigma_delta,

@@ -93,30 +93,6 @@ def condense(nu, v):
     return out
 
 
-def build_weight(block_counts, R, eps):
-    """Diagonal of the weight matrix for cumulative block counts (p1, p2, p3).
-
-    Each bin's blocks share one weight, the square root of (bin length) /
-    (blocks in bin); together with the sign flips this makes the condensed
-    rows behave like a Monte-Carlo quadrature of inner products against the
-    reproducing kernel.  Bin 1 covers an interval of length 2(1+eps)R split
-    over p1 blocks; bins 2 and 3 each cover shells of total length 2*eps*R
-    split over their own blocks.
-    """
-    p1, p2, p3 = (int(c) for c in block_counts)
-    if not 0 < p1 <= p2 <= p3:
-        raise ValueError(f"block counts must be positive and cumulative, got {block_counts}")
-    if p2 == p1 or p3 == p2:
-        raise ValueError(
-            f"every bin needs at least one block, got cumulative counts {block_counts}"
-        )
-    lengths = [2.0 * (1.0 + eps) * R, 2.0 * eps * R, 2.0 * eps * R]
-    counts = [p1, p2 - p1, p3 - p2]
-    return np.concatenate(
-        [np.full(c, math.sqrt(ln / c)) for ln, c in zip(lengths, counts)]
-    )
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """One verified inequality: computed left side against its closed form.

@@ -26,11 +26,10 @@ LAMBDA_MIN_FLOOR = 1e-10
 class FrameFailure(RuntimeError):
     """Raised when the assembled frame operator is numerically singular.
 
-    lam_min and lam_max are the frame operator's extreme eigenvalues, or None
-    when the failure was raised without forming one.
+    lam_min and lam_max are the frame operator's extreme eigenvalues.
     """
 
-    def __init__(self, message, lam_min=None, lam_max=None):
+    def __init__(self, message, lam_min, lam_max):
         super().__init__(message)
         self.lam_min = lam_min
         self.lam_max = lam_max

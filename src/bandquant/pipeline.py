@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -18,7 +19,6 @@ import numpy as np
 
 from .condense import (
     BoundReport,
-    build_weight,
     condense,
     nu_beta,
     nu_sigma_delta,
@@ -99,16 +99,19 @@ def validate(config: RunConfig):
     """Raise ConfigError listing the inconsistencies in the configuration.
 
     Every problem with a value all schemes read is listed, starting with
-    every float field that is NaN or infinite; when there is none, the first
-    problem with a value the configured scheme reads, or else a negative
-    stability margin at target_sup and fewer analysis rows (p, or m for
-    msq) than the d shifts of the span, which leaves every frame singular.
+    every float field that is NaN or infinite and every int field that is
+    not a whole number; when there is none, the first problem with a value
+    the configured scheme reads, or else a negative stability margin at
+    target_sup and fewer analysis rows (p, or m for msq) than the d shifts
+    of the span, which leaves every frame singular.
     """
-    problems = [
-        f"{name} must be finite, got {getattr(config, name)}"
-        for name, kind in _FIELD_TYPE.items()
-        if kind is float and not math.isfinite(getattr(config, name))
-    ]
+    problems = []
+    for name, kind in _FIELD_TYPE.items():
+        value = getattr(config, name)
+        if kind is float and not math.isfinite(value):
+            problems.append(f"{name} must be finite, got {value}")
+        elif kind is int and not isinstance(value, numbers.Integral):
+            problems.append(f"{name} must be a whole number, got {value}")
     if config.scheme not in SCHEMES:
         problems.append(f"unknown scheme {config.scheme!r}; expected one of {SCHEMES}")
     if config.lam <= 1:
@@ -212,7 +215,7 @@ def _scheme(config: RunConfig):
 _FRAME_CHUNK_ROWS = 1 << 12
 
 
-def _frame(config: RunConfig, ctx: KernelContext, binned, nu, rows):
+def _frame(ctx: KernelContext, binned, nu, rows):
     """Frame of a draw's samples, and the measurement map it was built for.
 
     rows(positions) returns the kernel rows of the draw's samples at
@@ -221,26 +224,25 @@ def _frame(config: RunConfig, ctx: KernelContext, binned, nu, rows):
     trial gathers them from the rows of its whole draw, and a row reads the
     same bits either way.  Without nu the analysis matrix is the plain
     sample matrix of the whole draw and the map is the identity.  Otherwise
-    the analysis matrix is W V S G, for the samples G and signs S of binned,
-    condensation V = condense(nu, .) and weights W, and the map W V takes
-    signed samples to one measurement per block of nu.size.  Its rows are
-    read, signed and condensed a chunk of whole blocks at a time;
-    condensation sums within a block and the rest is elementwise, so the
-    chunks give the bits of one pass over G.
+    the analysis matrix is W V S G, for the samples G, signs S and block
+    weights W of binned and condensation V = condense(nu, .), so one row
+    per weight, and the map W V takes signed samples to one measurement per
+    block of nu.size.  Its rows are read, signed and condensed a chunk of
+    whole blocks at a time; condensation sums within a block and the rest
+    is elementwise, so the chunks give the bits of one pass over G.
     """
     if nu is None:
         return assemble_frame(rows(slice(None)), ctx), np.asarray
-    block, signs = nu.size, binned.signs
+    block, signs, weights = nu.size, binned.signs, binned.weights
     step = max(1, _FRAME_CHUNK_ROWS // block)
-    B = np.empty((binned.block_counts[-1], ctx.dimension))
+    B = np.empty((weights.size, ctx.dimension))
     for lo in range(0, B.shape[0], step):
         chunk = slice(lo * block, (lo + step) * block)
         G = rows(binned.positions[chunk])
         G *= signs[chunk, None]
         B[lo : lo + step] = condense(nu, G)
-    weight = build_weight(binned.block_counts, config.R, config.eps)
-    B *= weight[:, None]
-    return assemble_frame(B, ctx), lambda q: weight * condense(nu, q)
+    B *= weights[:, None]
+    return assemble_frame(B, ctx), lambda q: weights * condense(nu, q)
 
 
 @functools.lru_cache(maxsize=4)
@@ -373,7 +375,7 @@ def _run_stages(config: RunConfig, grid: _Grid, t0, points, values, rows):
         binned = partition_bins(points, config.R, config.eps, nu.size, config.seed)
         y = binned.signs * values(binned.positions)
     result = greedy_noise_shape(y, taps, alphabet, block)
-    system, measure = _frame(config, grid.ctx, binned, nu, rows)
+    system, measure = _frame(grid.ctx, binned, nu, rows)
     coefficients = reconstruct(system, measure(result.q))
     recon_values = grid.rows @ coefficients
     err = grid.signal_values - recon_values
@@ -435,7 +437,7 @@ def sweep(config: RunConfig, ms=None, schemes=None):
     An empty or repeating list of budgets or schemes, or any cell that fails
     validate, raises ConfigError before the first trial.
     """
-    ms = [config.m] if ms is None else [int(v) for v in ms]
+    ms = [config.m] if ms is None else list(ms)
     schemes = [config.scheme] if schemes is None else list(schemes)
     for name, values in (("sample budget", ms), ("scheme", schemes)):
         if not values:
@@ -542,9 +544,7 @@ def check_bounds(config: RunConfig):
         points = draw_samples(config.m, config.R, config.eps, config.seed)
         try:
             binned = partition_bins(points, config.R, config.eps, nu.size, config.seed)
-            system, _ = _frame(
-                config, ctx, binned, nu, lambda i: ctx.kernel_coefficients(points[i])
-            )
+            system, _ = _frame(ctx, binned, nu, lambda i: ctx.kernel_coefficients(points[i]))
         except FrameFailure as exc:
             lines.append(
                 BoundReport(

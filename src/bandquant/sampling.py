@@ -6,11 +6,14 @@ into a centre region and two concentric shells, and each bin is truncated to
 a multiple of the condensation block length its caller passes, so that the
 per-bin counts stay compatible with the block structure of the condensation
 operator.  The retained samples and their signs (stream 1 of the seed) are
-flat arrays, bin 1 then 2 then 3.
+flat arrays, bin 1 then 2 then 3, and each block carries the quadrature
+weight sqrt(bin length / blocks in the bin), at bin lengths 2(1+eps)R for
+the centre and 2 eps R for each shell.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,25 +80,23 @@ class BinnedSamples:
     """Retained sample coordinates after truncation, bin 1 then 2 then 3, and
     one sign per coordinate.
 
-    Within a bin the coordinates keep their appearance order; block_counts
-    are the cumulative block totals (p1 <= p2 <= p3 = blocks actually used)
-    of the block length block; discarded counts the samples dropped to reach
-    block-multiple bin sizes; positions holds each coordinate's index in the
-    samples it was taken from.
+    Within a bin the coordinates keep their appearance order;
+    truncated_counts are the retained samples per bin, each a multiple of
+    the block length block; weights holds one quadrature weight per block,
+    sqrt(bin length / blocks in the bin), which together with the sign flips
+    makes the condensed rows behave like a Monte-Carlo quadrature of inner
+    products against the reproducing kernel; discarded counts the samples
+    dropped to reach block-multiple bin sizes; positions holds each
+    coordinate's index in the samples it was taken from.
     """
 
     coordinates: np.ndarray
     signs: np.ndarray
-    block_counts: tuple
+    truncated_counts: tuple
+    weights: np.ndarray
     discarded: int
     block: int
     positions: np.ndarray
-
-    @property
-    def truncated_counts(self):
-        """Retained samples per bin."""
-        starts = (0, *self.block_counts[:-1])
-        return tuple(self.block * (hi - lo) for lo, hi in zip(starts, self.block_counts))
 
 
 def partition_bins(samples, R, eps, block, seed):
@@ -103,8 +104,9 @@ def partition_bins(samples, R, eps, block, seed):
 
     Retains, per bin, the first floor(m_i / block) * block samples in
     appearance order, so each bin contributes a whole number of condensation
-    blocks, and draws their signs from the seed.  Raises BinningError when a
-    bin has fewer samples than one block, since then no block structure fits.
+    blocks, draws their signs from the seed and weights each block by
+    sqrt(bin length / blocks in the bin).  Raises BinningError when a bin
+    has fewer samples than one block, since then no block structure fits.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 1:
@@ -125,10 +127,13 @@ def partition_bins(samples, R, eps, block, seed):
             )
         bins.append(where[:kept])
     positions = np.concatenate(bins)
+    lengths = (2.0 * (1.0 + eps) * R, 2.0 * eps * R, 2.0 * eps * R)
+    blocks = [c.size // block for c in bins]
     return BinnedSamples(
         coordinates=samples[positions],
         signs=draw_signs(seed, positions.size),
-        block_counts=tuple(np.cumsum([len(c) // block for c in bins]).tolist()),
+        truncated_counts=tuple(c.size for c in bins),
+        weights=np.repeat([math.sqrt(ln / n) for ln, n in zip(lengths, blocks)], blocks),
         discarded=samples.size - positions.size,
         block=block,
         positions=positions,

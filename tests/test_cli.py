@@ -307,6 +307,14 @@ def test_check_bounds_exit_code(capsys, monkeypatch):
     assert capsys.readouterr().out == out
 
 
+def test_check_bounds_prints_the_difference_scheme_condensation_line(capsys):
+    assert main(["check-bounds", "--scheme", "sigma-delta", "--order", "2"]) == 0
+    line = capsys.readouterr().out.splitlines()[3]
+    bound = bq.verify_condensation_bounds(15, 200, order=2)
+    assert line == f"{bound.label}: {bound.lhs:.6g} <= {bound.rhs:.6g} -> ok"
+    assert line == "condensation norm bound (difference order 2): 0.882916 <= 257.45 -> ok"
+
+
 def test_check_bounds_failure_lines_carry_computed_numbers(ctx, capsys):
     # At m=690, p=46 seed 1 leaves the condensed frame singular.
     assert main(["check-bounds", "--m", "690", "--p", "46"]) == 3
@@ -314,7 +322,7 @@ def test_check_bounds_failure_lines_carry_computed_numbers(ctx, capsys):
     binned = bq.partition_bins(bq.draw_samples(690, 5.0, 0.5, 1), 5.0, 0.5, 15, 1)
     signed = binned.signs[:, None] * ctx.kernel_coefficients(binned.coordinates)
     condensed = bq.condense(bq.nu_beta(5.0, binned.block), signed)
-    B = bq.build_weight(binned.block_counts, 5.0, 0.5)[:, None] * condensed
+    B = binned.weights[:, None] * condensed
     lam_min, *_, lam_max = np.linalg.eigh(B.T @ B)[0]
     assert line.startswith("frame spectrum (frame operator is numerically singular")
     floor = bq.frame.LAMBDA_MIN_FLOOR * lam_max
@@ -398,7 +406,7 @@ def test_readme_examples_run(tmp_path):
         exec(library, namespace)
     assert all(line.passed for line in namespace["audit"])
     assert [row.failures for row in namespace["rows"]] == [0, 0, 0, 0]
-    assert namespace["v"].shape == (namespace["binned"].block_counts[-1],)
+    assert namespace["v"].shape == namespace["binned"].weights.shape
 
 
 def _without_elapsed(path):
@@ -542,3 +550,10 @@ def test_unknown_flag_is_an_argparse_error():
     with pytest.raises(SystemExit) as exc_info:
         main(["run", "--bogus"])
     assert exc_info.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "check-bounds"])
+def test_a_flag_value_that_does_not_read_exits_2(tmp_path, capsys, command):
+    assert main([command, "--m", "abc", "--out", str(tmp_path / "out")]) == 2
+    assert "invalid configuration: bad value for --m: abc" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -85,26 +85,6 @@ def test_block_condensation_matrix_and_apply(dense_v):
         bq.condense(np.ones((1, 3)), np.zeros(3))
 
 
-# --- weights -----------------------------------------------------------------
-
-
-def test_build_weight_frozen_values():
-    w = bq.build_weight((2, 4, 6), 5.0, 0.5)
-    np.testing.assert_allclose(
-        w,
-        [math.sqrt(7.5)] * 2 + [math.sqrt(2.5)] * 4,
-    )
-
-
-def test_build_weight_validation():
-    with pytest.raises(ValueError):
-        bq.build_weight((0, 2, 4), 5.0, 0.5)
-    with pytest.raises(ValueError):
-        bq.build_weight((2, 2, 4), 5.0, 0.5)  # empty bin 2
-    with pytest.raises(ValueError):
-        bq.build_weight((4, 2, 6), 5.0, 0.5)  # not cumulative
-
-
 # --- operator norm bound -----------------------------------------------------
 
 

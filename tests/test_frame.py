@@ -56,11 +56,10 @@ def test_weighted_condensed_roundtrip(gen, ctx):
     # Sign-flipped rows: G @ c are the signed exact samples of a span element.
     G = binned.signs[:, None] * ctx.kernel_coefficients(binned.coordinates)
     nu = bq.nu_beta(2.0, binned.block)
-    weight = bq.build_weight(binned.block_counts, 5.0, 0.5)
-    system = bq.assemble_frame(_measure(nu, weight, G), ctx)
+    system = bq.assemble_frame(_measure(nu, binned.weights, G), ctx)
     rng = np.random.default_rng(32)
     c = rng.normal(size=ctx.dimension)
-    v = _measure(nu, weight, G @ c)
+    v = _measure(nu, binned.weights, G @ c)
     back = bq.reconstruct(system, v)
     np.testing.assert_allclose(back, c, atol=1e-9)
     with pytest.raises(ValueError, match="measurements"):
@@ -70,13 +69,12 @@ def test_weighted_condensed_roundtrip(gen, ctx):
 def test_roundtrip_independent_of_condensation_row(gen, ctx):
     binned = _binned(gen)
     G = binned.signs[:, None] * ctx.kernel_coefficients(binned.coordinates)
-    weight = bq.build_weight(binned.block_counts, 5.0, 0.5)
     rng = np.random.default_rng(33)
     c = rng.normal(size=ctx.dimension)
     y = G @ c
     for nu in (bq.nu_beta(5.0, binned.block), bq.nu_sigma_delta(1, binned.block)):
-        system = bq.assemble_frame(_measure(nu, weight, G), ctx)
-        back = bq.reconstruct(system, _measure(nu, weight, y))
+        system = bq.assemble_frame(_measure(nu, binned.weights, G), ctx)
+        back = bq.reconstruct(system, _measure(nu, binned.weights, y))
         np.testing.assert_allclose(back, c, atol=1e-9)
 
 
@@ -115,9 +113,8 @@ def test_reconstruct_validation(ctx):
 def test_frame_band_report(gen, ctx):
     binned = _binned(gen)
     nu = bq.nu_beta(2.0, binned.block)
-    weight = bq.build_weight(binned.block_counts, 5.0, 0.5)
     G = binned.signs[:, None] * ctx.kernel_coefficients(binned.coordinates)
-    system = bq.assemble_frame(_measure(nu, weight, G), ctx)
+    system = bq.assemble_frame(_measure(nu, binned.weights, G), ctx)
     lower, upper = bq.frame_bound_report(system, nu, gamma=0.125, t=0.6)
     ratio = (np.sqrt((nu**2).sum()) / np.abs(nu).sum()) ** 2
     assert lower.label == "frame spectrum lower edge"

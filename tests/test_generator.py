@@ -273,7 +273,7 @@ def test_shaped_frame_memory_stays_below_its_sample_matrix(ctx):
     def rows(positions):
         return ctx.kernel_coefficients(samples[positions])
 
-    _, peak = _traced_peak(lambda: pipeline._frame(config, ctx, binned, nu, rows))
+    _, peak = _traced_peak(lambda: pipeline._frame(ctx, binned, nu, rows))
     assert peak < 0.25 * binned.coordinates.size * ctx.dimension * 8
 
 

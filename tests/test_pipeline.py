@@ -53,6 +53,20 @@ def test_validate_rejects_bad_configs():
             bq.validate(config)
 
 
+def test_validate_rejects_int_fields_that_are_not_whole_numbers():
+    # A float in an int field would run on a half-level alphabet or a
+    # truncated seed, or fail inside numpy.
+    for name, value in (("levels", 10.5), ("seed", 1.5), ("p", 200.0), ("m", 3e3),
+                        ("grid_points", 200.5)):
+        config = dataclasses.replace(bq.RunConfig(), **{name: value})
+        needle = f"^{name} must be a whole number, got {value}$"
+        with pytest.raises(bq.ConfigError, match=needle):
+            bq.validate(config)
+    # A sweep budget is not rounded to a whole one.
+    with pytest.raises(bq.ConfigError, match="^m must be a whole number, got 3000.5$"):
+        bq.sweep(bq.RunConfig(), ms=[3000.5])
+
+
 def test_validate_msq_ignores_block_structure():
     # p does not need to divide m when no condensation happens, and delta is
     # not read.
@@ -217,14 +231,13 @@ def test_shaped_frame_matches_a_signed_copy(ctx, kw, monkeypatch):
     _, _, _, _, nu = pipeline._scheme(config)
     samples = bq.draw_samples(config.m, config.R, config.eps, 3)
     binned = bq.partition_bins(samples, config.R, config.eps, nu.size, 3)
-    blocks = binned.block_counts[-1]
+    blocks = binned.weights.size
     step = pipeline._FRAME_CHUNK_ROWS // nu.size
     # The defaults fit one chunk; the sigma-delta frame ends on a ragged one.
     assert blocks % step != 0 if kw else blocks < step
     signs = np.asarray(binned.signs, dtype=float)
     G = signs[:, None] * ctx.kernel_coefficients(binned.coordinates)
-    weight = bq.build_weight(binned.block_counts, config.R, config.eps)
-    B = weight[:, None] * bq.condense(nu, G)
+    B = binned.weights[:, None] * bq.condense(nu, G)
     want = bq.assemble_frame(B, ctx)
     # A budget of 10 rows is shorter than one block: one block per chunk.
     # A run computes each chunk's rows; a sweep trial gathers them from the
@@ -234,7 +247,7 @@ def test_shaped_frame_matches_a_signed_copy(ctx, kw, monkeypatch):
     for budget in (pipeline._FRAME_CHUNK_ROWS, 10):
         monkeypatch.setattr(pipeline, "_FRAME_CHUNK_ROWS", budget)
         for rows in readers:
-            got, _ = pipeline._frame(config, ctx, binned, nu, rows)
+            got, _ = pipeline._frame(ctx, binned, nu, rows)
             for name in ("analysis", "eigvals", "eigvecs"):
                 np.testing.assert_array_equal(
                     getattr(got, name).view(np.int64), getattr(want, name).view(np.int64)

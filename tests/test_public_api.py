@@ -26,7 +26,6 @@ PUBLIC_NAMES = [
     "SignalModel",
     "assemble_frame",
     "bin_index",
-    "build_weight",
     "check_bounds",
     "condense",
     "difference_taps",

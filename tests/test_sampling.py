@@ -1,6 +1,8 @@
 """Sampling, binning and sign-stream tests (geometry R=5, eps=1/2 throughout:
 bin edges at 7.5, 10 and 12.5)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -69,7 +71,7 @@ def test_partition_trace():
     assert binned.block == 2
     assert binned.truncated_counts == (2, 2, 2)
     assert _raw_counts(samples) == (2, 2, 2)
-    assert binned.block_counts == (1, 2, 3)
+    np.testing.assert_array_equal(binned.weights, np.sqrt([15.0, 5.0, 5.0]))
     assert binned.discarded == 0
     np.testing.assert_array_equal(
         binned.coordinates, [3.0, 0.5, 8.0, -9.0, -12.0, 11.0]
@@ -89,7 +91,15 @@ def test_partition_truncates_to_block_multiples():
     assert _raw_counts(samples) == (5, 4, 3)
     assert binned.truncated_counts == (4, 4, 2)
     assert binned.discarded == 2
-    assert binned.block_counts == (2, 4, 5)
+    # Each block weighs sqrt(bin length / blocks in the bin): lengths
+    # 2(1+eps)R = 15 and 2 eps R = 5 over 2, 2 and 1 blocks.
+    np.testing.assert_array_equal(
+        binned.weights, [math.sqrt(7.5)] * 2 + [math.sqrt(2.5)] * 2 + [math.sqrt(5.0)]
+    )
+    lengths = (2.0 * (1.0 + EPS) * R, 2.0 * EPS * R, 2.0 * EPS * R)
+    blocks = (2, 2, 1)
+    for w, ln, n in zip(np.split(binned.weights, np.cumsum(blocks)[:-1]), lengths, blocks):
+        assert w.tolist() == [math.sqrt(ln / n)] * n
     bins = _bins(binned.coordinates, binned)
     np.testing.assert_array_equal(bins[0], [1.0, -2.0, 3.0, 0.5])
     np.testing.assert_array_equal(bins[2], [11.0, -12.0])
