@@ -85,6 +85,23 @@ def test_block_condensation_matrix_and_apply(dense_v):
         bq.condense(np.ones((1, 3)), np.zeros(3))
 
 
+# --- weights -----------------------------------------------------------------
+
+
+def test_build_weight_frozen_values():
+    # Two blocks of length 2 in each bin (R=5, eps=1/2): the centre's length
+    # 15 and each shell's length 5 are split over two blocks.
+    samples = np.array([1.0, -2.0, 3.0, 0.5, 8.0, -9.0, 9.5, -8.2, 11.0, -12.0, 12.4, -10.5])
+    binned = bq.partition_bins(samples, 5.0, 0.5, 2, 0)
+    np.testing.assert_allclose(
+        binned.weights,
+        [math.sqrt(7.5)] * 2 + [math.sqrt(2.5)] * 4,
+    )
+    # One weight per block, so it scales the condensed rows one for one.
+    signed = binned.signs[:, None] * np.ones((samples.size, 1))
+    assert bq.condense(bq.nu_beta(5.0, binned.block), signed).shape == (6, 1)
+
+
 # --- operator norm bound -----------------------------------------------------
 
 
