@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
+import functools
 import os
 import sys
 from pathlib import Path
@@ -123,6 +124,7 @@ def _add_common(parser):
 
 
 def build_parser():
+    """A new parser of the bandquant command line; main builds one per process."""
     parser = argparse.ArgumentParser(
         prog="bandquant",
         description="Bandlimited reconstruction from noise-shaped quantized random samples",
@@ -240,9 +242,15 @@ def cmd_check_bounds(args):
     return 0 if all(line.passed for line in lines) else 3
 
 
+@functools.cache
+def _parser():
+    """The parser of main, built on its first call and kept for the process;
+    argparse keeps no state between parse_args calls."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -48,7 +48,7 @@ TAIL_TOLERANCE = 1e-9
 
 # Points per chunk in Generator.eval, cubic coefficients per row block of
 # Generator._shift_rows (4 per entry, so 91 rows of 45 entries), and
-# differences per row block of the sinc basis in SignalModel.eval.
+# differences per row block of the sinc basis in SignalModel.basis.
 # An eval chunk's temporaries take 1.7 MB, so a call's peak memory stays near
 # the size of its output.  The size also keeps a 3000-sample trial's
 # transient memory (1.7 MB) below glibc's heap trim threshold after the

@@ -99,19 +99,28 @@ def validate(config: RunConfig):
     """Raise ConfigError listing the inconsistencies in the configuration.
 
     Every problem with a value all schemes read is listed, starting with
-    every float field that is NaN or infinite and every int field that is
-    not a whole number; when there is none, the first problem with a value
-    the configured scheme reads, or else a negative stability margin at
+    every float field that is not a real number or is NaN or infinite and
+    every int field that is not a whole number; when a numeric field holds
+    no real number at all, only these are listed, since no range check can
+    read it.  When there is no problem, the first problem with a value the
+    configured scheme reads, or else a negative stability margin at
     target_sup and fewer analysis rows (p, or m for msq) than the d shifts
     of the span, which leaves every frame singular.
     """
     problems = []
+    unreadable = False
     for name, kind in _FIELD_TYPE.items():
         value = getattr(config, name)
-        if kind is float and not math.isfinite(value):
+        real = isinstance(value, numbers.Real)
+        unreadable |= kind is not str and not real
+        if kind is float and not real:
+            problems.append(f"{name} must be a real number, got {value!r}")
+        elif kind is float and not math.isfinite(value):
             problems.append(f"{name} must be finite, got {value}")
         elif kind is int and not isinstance(value, numbers.Integral):
             problems.append(f"{name} must be a whole number, got {value}")
+    if unreadable:
+        raise ConfigError("; ".join(problems))
     if config.scheme not in SCHEMES:
         problems.append(f"unknown scheme {config.scheme!r}; expected one of {SCHEMES}")
     if config.lam <= 1:
@@ -347,33 +356,47 @@ def run_detailed(config: RunConfig, signal=None):
         signal = synth_test_signal(config.signal_seed, config.k_range, config.target_sup)
     t0 = time.perf_counter()
     grid = _Grid.of(config, generator, signal)
+    spec = _scheme(config)
     points = draw_samples(config.m, config.R, config.eps, config.seed)
+    binned, y = _signed_samples(config, points, spec[4], lambda i: grid.signal.eval(points[i]))
     return _run_stages(
-        config,
-        grid,
-        t0,
-        points,
-        lambda i: grid.signal.eval(points[i]),
-        lambda i: grid.ctx.kernel_coefficients(points[i]),
+        config, spec, grid, t0, binned, y, lambda i: grid.ctx.kernel_coefficients(points[i])
     )
 
 
-def _run_stages(config: RunConfig, grid: _Grid, t0, points, values, rows):
-    """The run of config on its drawn points, from binning to the error on
-    the grid.
+def _signed_samples(config: RunConfig, points, nu, values):
+    """The binning of config's drawn points and the quantizer's input y.
 
-    values and rows read the signal's values and the kernel rows of points
-    at given positions, slice(None) for all of them or else an index array
-    (see _frame).  A single run computes them from its points, and a sweep
-    trial gathers them from the sinc basis and kernel rows of all its
-    points, which it builds once for every scheme.  elapsed_s counts from t0.
+    values reads the signal's values at given positions of points,
+    slice(None) for all of them or else an index array.  Without nu (msq)
+    nothing is binned and y holds every sample's value.  Otherwise the
+    points are binned in blocks of nu.size at config.seed, which raises
+    BinningError when a bin holds less than one block, and y = signs *
+    values(positions).  The binning depends on the points, R, eps, the
+    block length and the seed alone, so the shaped schemes of one sweep
+    trial share it and y.
     """
-    p, taps, block, alphabet, nu = _scheme(config)
     if nu is None:
-        binned, y = None, values(slice(None))
-    else:
-        binned = partition_bins(points, config.R, config.eps, nu.size, config.seed)
-        y = binned.signs * values(binned.positions)
+        return None, values(slice(None))
+    binned = partition_bins(points, config.R, config.eps, nu.size, config.seed)
+    return binned, binned.signs * values(binned.positions)
+
+
+def _run_stages(config: RunConfig, spec, grid: _Grid, t0, binned, y, rows):
+    """The run of config on its signed samples, from the greedy recursion to
+    the error on the grid.
+
+    spec is _scheme(config), and binned and y are _signed_samples of the
+    run's draw.  rows reads the kernel rows of the drawn points at given
+    positions, slice(None) for all of them or else an index array (see
+    _frame).  A single run computes every one of these for itself.  A sweep
+    makes spec once per cell, binned and y once per (m, trial) for all its
+    shaped schemes, and reads rows from the kernel rows of all the trial's
+    points, which it builds once for every scheme; only the recursion, the
+    frame, the solve and the grid error are a scheme's own.  elapsed_s
+    counts from t0.
+    """
+    p, taps, block, alphabet, nu = spec
     result = greedy_noise_shape(y, taps, alphabet, block)
     system, measure = _frame(grid.ctx, binned, nu, rows)
     coefficients = reconstruct(system, measure(result.q))
@@ -423,14 +446,22 @@ def sweep(config: RunConfig, ms=None, schemes=None):
 
     Trial k of every cell is run_detailed at sampling seed config.seed + k
     with the signal held fixed, so all schemes of a trial quantize the same
-    draw.  The sweep draws it once per (m, trial) and builds the signal's
-    sinc basis and the kernel rows of all m points once, m x K and m x d
-    floats (9.6 and 17 MB at m = 48 000, K = 25 and d = 45), which every
-    scheme then gathers its samples' rows from; the grid and the signal's
-    and kernel's values on it are made once per sweep.  Each scheme still
-    takes its own product of the gathered basis rows with the coefficients,
-    over exactly the rows a run's evaluation builds, so it rounds as the
-    run does.
+    draw.  Each step runs once at the level where its inputs change:
+    - per sweep, the signal, the grid and the signal's and kernel's values
+      on it;
+    - per cell, the scheme's taps, restart length, alphabet and nu
+      (_scheme);
+    - per (m, trial), the draw, the signal's sinc basis and the kernel rows
+      of all m points, m x K and m x d floats (9.6 and 17 MB at m = 48 000,
+      K = 25 and d = 45), and, for all shaped schemes at once, since they
+      all have blocks of m // p, the binning and the signed samples
+      (_signed_samples); a BinningError there fails that trial of every
+      shaped cell;
+    - per scheme and trial, the greedy recursion, the frame, the solve and
+      the error on the grid (_run_stages).
+    The samples' values are products of the gathered basis rows with the
+    coefficients, over exactly the rows a run's evaluation builds, so they
+    round as the run's do.
     Frame failures and binning shortfalls are counted per cell and excluded
     from the error mean; a cell where every trial fails reports a NaN mean,
     and ``bandquant sweep`` then exits 3 after writing its files.
@@ -448,23 +479,44 @@ def sweep(config: RunConfig, ms=None, schemes=None):
     cells = {(s, m): dataclasses.replace(config, scheme=s, m=m) for s in schemes for m in ms}
     for cell in cells.values():
         validate(cell)
+    specs = {key: _scheme(cell) for key, cell in cells.items()}
     signal = synth_test_signal(config.signal_seed, config.k_range, config.target_sup)
     grid = _Grid.of(config, _generator(config), signal)
     sups = {key: [] for key in cells}
     failures = dict.fromkeys(cells, 0)
+    # A trial's arrays live until the next trial's replace them.  Freeing
+    # them at the end of each trial, in a helper function, let the heap
+    # shrink and fault its pages back in on every trial: 2.6 times the page
+    # faults of this loop over 150 sweeps of msq, beta and sigma-delta at
+    # m = 3000, 4 trials each.
     for m in ms:
+        # Every shaped cell at m has blocks of m // p, so all bin alike.
+        nu = next((specs[s, m][4] for s in schemes if specs[s, m][4] is not None), None)
         for trial in range(config.trials):
-            points = draw_samples(m, config.R, config.eps, config.seed + trial)
+            seed = config.seed + trial
+            points = draw_samples(m, config.R, config.eps, seed)
             basis = signal.basis(points)
+            values = lambda i: basis[i] @ signal.coeffs
             rows = grid.ctx.kernel_coefficients(points).__getitem__
-            for scheme in schemes:
-                trial_config = dataclasses.replace(cells[scheme, m], seed=config.seed + trial)
-                t0 = time.perf_counter()
+            shared = None
+            if nu is not None:
                 try:
-                    report = _run_stages(
-                        trial_config, grid, t0, points, lambda i: basis[i] @ signal.coeffs, rows
-                    ).report
-                except (FrameFailure, BinningError):
+                    shared = _signed_samples(
+                        dataclasses.replace(config, seed=seed), points, nu, values
+                    )
+                except BinningError:
+                    pass
+            for scheme in schemes:
+                spec = specs[scheme, m]
+                t0 = time.perf_counter()
+                samples = shared if spec[4] is not None else (None, values(slice(None)))
+                if samples is None:
+                    failures[scheme, m] += 1
+                    continue
+                trial_config = dataclasses.replace(cells[scheme, m], seed=seed)
+                try:
+                    report = _run_stages(trial_config, spec, grid, t0, *samples, rows).report
+                except FrameFailure:
                     failures[scheme, m] += 1
                 else:
                     sups[scheme, m].append(report.sup_error)
@@ -472,7 +524,7 @@ def sweep(config: RunConfig, ms=None, schemes=None):
         SweepRow(
             scheme=s,
             m=m,
-            p=_scheme(cells[s, m])[0],
+            p=specs[s, m][0],
             mean_sup_error=float(np.mean(sups[s, m])) if sups[s, m] else math.nan,
             failures=failures[s, m],
         )

@@ -552,6 +552,36 @@ def test_unknown_flag_is_an_argparse_error():
     assert exc_info.value.code == 2
 
 
+def test_main_builds_its_parser_once_per_process(tmp_path, capsys, monkeypatch):
+    # Importing the CLI builds no parser; the first main call builds the one
+    # that every later call, a failed one included, reuses.
+    probe = "import bandquant.cli as c; print(c._parser.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": str(Path(bq.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.stdout.strip() == "0", done.stderr
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        fast = [*_FAST, "--grid-points", "50", "--trials", "1"]
+        assert main(["run", *fast, "--out", str(tmp_path / "a")]) == 0
+        with pytest.raises(SystemExit) as exc_info:
+            main(["run", "--bogus"])
+        assert exc_info.value.code == 2
+        assert main(["sweep", *fast, "--out", str(tmp_path / "b")]) == 0
+        assert main(["run", *fast, "--out", str(tmp_path / "c")]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+    reports = [(tmp_path / d / "report.csv").read_text(encoding="utf-8") for d in "ac"]
+    assert len({text.rsplit(",", 1)[0] for text in reports}) == 1
+    assert (tmp_path / "b" / "sweep.csv").is_file()
+    # build_parser itself still makes a new parser on every call.
+    assert cli.build_parser() is not cli.build_parser()
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("command", ["run", "sweep", "check-bounds"])
 def test_a_flag_value_that_does_not_read_exits_2(tmp_path, capsys, command):
     assert main([command, "--m", "abc", "--out", str(tmp_path / "out")]) == 2

@@ -67,6 +67,26 @@ def test_validate_rejects_int_fields_that_are_not_whole_numbers():
         bq.sweep(bq.RunConfig(), ms=[3000.5])
 
 
+def test_validate_lists_numeric_fields_that_hold_no_number():
+    # math.isfinite and the range checks raised a bare TypeError on these.
+    for name, value, needle in (
+        ("R", "5", "R must be a real number, got '5'"),
+        ("beta", None, "beta must be a real number, got None"),
+        ("m", "3000", "m must be a whole number, got 3000"),
+    ):
+        config = dataclasses.replace(bq.RunConfig(), **{name: value})
+        with pytest.raises(bq.ConfigError, match=f"^{needle}$"):
+            bq.validate(config)
+    # Every field's problem is still listed.
+    config = dataclasses.replace(bq.RunConfig(), lam=float("nan"), t=None, levels=1.5)
+    with pytest.raises(
+        bq.ConfigError,
+        match="^lam must be finite, got nan; levels must be a whole number, got 1.5; "
+        "t must be a real number, got None$",
+    ):
+        bq.validate(config)
+
+
 def test_validate_msq_ignores_block_structure():
     # p does not need to divide m when no condensation happens, and delta is
     # not read.
@@ -327,6 +347,22 @@ def test_sweep_fills_the_sinc_basis_once_per_trial(gen, monkeypatch):
     half = config.k_range + signals._NORM_GRID_MARGIN
     norm_points = int(2 * half * signals._NORM_GRID_PER_UNIT) + 1
     assert sizes == [norm_points, config.grid_points] + [1200] * 3 + [2000] * 3
+
+
+def test_sweep_bins_each_draw_once_for_all_shaped_schemes(gen, monkeypatch):
+    # Both shaped schemes split m into blocks of m // p, so a trial bins its
+    # draw once for them; msq bins nothing.
+    calls = []
+    partition = pipeline.partition_bins
+
+    def counted(samples, R, eps, block, seed):
+        calls.append((samples.size, block, seed))
+        return partition(samples, R, eps, block, seed)
+
+    monkeypatch.setattr(pipeline, "partition_bins", counted)
+    config = _small_beta(order=2, trials=3, seed=7)
+    bq.sweep(config, ms=[1200, 2000], schemes=["msq", "beta", "sigma-delta"])
+    assert calls == [(m, m // 80, 7 + k) for m in (1200, 2000) for k in range(3)]
 
 
 @pytest.mark.parametrize(
