@@ -1,12 +1,15 @@
 """Random frame assembly, canonical dual reconstruction and spectrum diagnostics.
 
-The rows of the analysis matrix (the condensed, weighted, sign-flipped
+The rows of the analysis matrix B (the condensed, weighted, sign-flipped
 sample matrix, or the plain one) act as a random frame for the finite
-generator span: with enough samples the frame operator concentrates around a
-multiple of the identity.  Each row takes one measurement of a span element,
-and reconstruction maps the measurements back to coefficients.  The frame
-operator is decomposed once, by a symmetric eigendecomposition: its two ends
-are the reported spectrum, and reconstruction is a solve in its eigenbasis.
+generator span: with enough samples the frame operator B^T B concentrates
+around a multiple of the identity.  Each row takes one measurement of a span
+element, and reconstruction maps the measurements v back to coefficients
+through their analysis adjoint B^T v.  A caller forms B^T B and B^T v, in
+one pass over the rows or a chunk of rows at a time, and keeps neither B
+nor v here: the frame operator is decomposed once, by a symmetric
+eigendecomposition, its two ends are the reported spectrum, and
+reconstruction is a solve in its eigenbasis.
 """
 
 from __future__ import annotations
@@ -37,12 +40,10 @@ class FrameFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class FrameSystem:
-    """Assembled frame: the analysis matrix, one row per measurement, and the
-    frame operator's eigendecomposition, eigenvalues ascending with
-    eigenvectors as columns.
+    """Assembled frame: the frame operator's eigendecomposition, eigenvalues
+    ascending with eigenvectors as columns.
     """
 
-    analysis: np.ndarray
     eigvals: np.ndarray
     eigvecs: np.ndarray
 
@@ -55,42 +56,38 @@ class FrameSystem:
         return float(self.eigvals[-1])
 
 
-def assemble_frame(B, ctx: KernelContext):
-    """Decompose the frame operator B^T B of the analysis matrix B.
+def assemble_frame(S, ctx: KernelContext):
+    """Decompose the frame operator S = B^T B of an analysis matrix B.
 
     Raises FrameFailure when the frame operator's smallest eigenvalue is at
     most LAMBDA_MIN_FLOOR times its largest.
     """
-    B = np.asarray(B, dtype=float)
-    if B.ndim != 2 or B.shape[1] != ctx.dimension:
-        raise ValueError(
-            f"analysis matrix must have {ctx.dimension} columns, got shape {B.shape}"
-        )
-    eigvals, eigvecs = np.linalg.eigh(B.T @ B)
-    system = FrameSystem(B, eigvals, eigvecs)
+    S = np.asarray(S, dtype=float)
+    d = ctx.dimension
+    if S.shape != (d, d):
+        raise ValueError(f"frame operator must be {d} x {d}, got shape {S.shape}")
+    system = FrameSystem(*np.linalg.eigh(S))
     if system.lam_min <= LAMBDA_MIN_FLOOR * system.lam_max:
         raise FrameFailure(
             f"frame operator is numerically singular: eigenvalues {system.lam_min:.3e} "
-            f"to {system.lam_max:.3e} (rows={B.shape[0]}, dim={ctx.dimension})",
+            f"to {system.lam_max:.3e} (dim={d})",
             lam_min=system.lam_min,
             lam_max=system.lam_max,
         )
     return system
 
 
-def reconstruct(system: FrameSystem, v):
-    """Canonical-dual coefficients from measurements v, one per analysis row.
+def reconstruct(system: FrameSystem, rhs):
+    """Canonical-dual coefficients from the analysis adjoint rhs = B^T v.
 
-    Solves the frame operator S = U diag(lam) U^T against the analysis
-    adjoint in its eigenbasis: c = U (U^T B^T v / lam).  B^T v is summed by
-    einsum, not a threaded BLAS product, so its bits do not depend on the
-    BLAS thread count.
+    Solves the frame operator S = U diag(lam) U^T in its eigenbasis:
+    c = U (U^T rhs / lam).
     """
-    v = np.asarray(v, dtype=float)
-    rows = system.analysis.shape[0]
-    if v.shape != (rows,):
-        raise ValueError(f"expected {rows} measurements, got shape {v.shape}")
-    rhs = np.einsum("ij,i->j", system.analysis, v)
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.shape != system.eigvals.shape:
+        raise ValueError(
+            f"expected an adjoint of {system.eigvals.size} values, got shape {rhs.shape}"
+        )
     return system.eigvecs @ ((system.eigvecs.T @ rhs) / system.eigvals)
 
 

@@ -218,40 +218,61 @@ def _scheme(config: RunConfig):
     return config.p, (float(config.beta),), block, alphabet, nu_beta(config.beta, block)
 
 
-# Sample rows per chunk of the shaped frame, rounded down to whole blocks:
-# 4096 kernel rows of 45 values are 1.5 MB, so the frame holds its p x d
-# analysis rows and one chunk instead of the m x d sample matrix.
+# Sample rows per chunk of the frame, rounded down to whole blocks for a
+# shaped frame: 4096 kernel rows of 45 values are 1.5 MB, so a frame holds
+# its sums (and the p x d analysis rows of a shaped frame) and at most two
+# chunks, the one it reads and the one it read before, never the m x d
+# sample matrix.
 _FRAME_CHUNK_ROWS = 1 << 12
 
 
-def _frame(ctx: KernelContext, binned, nu, rows):
-    """Frame of a draw's samples, and the measurement map it was built for.
+def _frame(ctx: KernelContext, m, binned, nu, rows, signals):
+    """Frame of a draw of m samples, and the analysis adjoint of each signal.
 
     rows(positions) returns the kernel rows of the draw's samples at
-    positions, slice(None) for all of them or else an index array, for which
-    it returns a new array: a run computes them from its points, a sweep
-    trial gathers them from the rows of its whole draw, and a row reads the
-    same bits either way.  Without nu the analysis matrix is the plain
-    sample matrix of the whole draw and the map is the identity.  Otherwise
-    the analysis matrix is W V S G, for the samples G, signs S and block
-    weights W of binned and condensation V = condense(nu, .), so one row
-    per weight, and the map W V takes signed samples to one measurement per
-    block of nu.size.  Its rows are read, signed and condensed a chunk of
-    whole blocks at a time; condensation sums within a block and the rest
-    is elementwise, so the chunks give the bits of one pass over G.
+    positions, a slice or an index array: a run computes them from its
+    points, a sweep trial reads them from the rows of its whole draw (a
+    view for a slice, a new array for an index array), and a row reads the
+    same bits either way.  signals holds signed samples, m values each (q
+    and y for a run, none for an audit); the adjoint B^T v of each is
+    formed in the same pass over the rows as the frame operator B^T B, so
+    every row is read once.
+
+    Without nu the analysis matrix B is the plain sample matrix G and v is
+    the signal itself.  The rows are read _FRAME_CHUNK_ROWS at a time, and
+    each chunk's G^T G (one BLAS syrk) and G^T v are added up, so these sums
+    group their terms by chunk.  Otherwise B is W V S G, for the signs S
+    and block weights W of binned and condensation V = condense(nu, .), so
+    one row per weight, and v = W V s for each signal s.  The rows are
+    read, signed and condensed a chunk of whole blocks at a time into the
+    p x d matrix B; condensation sums within a block and the rest is
+    elementwise, so the chunks give the bits of one pass over G, and B^T B
+    and B^T v are formed from all of B.  Adjoints are summed by einsum, not
+    a threaded BLAS product, so their bits do not depend on the BLAS thread
+    count.
     """
+    d = ctx.dimension
     if nu is None:
-        return assemble_frame(rows(slice(None)), ctx), np.asarray
+        S = np.zeros((d, d))
+        adjoints = [np.zeros(d) for _ in signals]
+        for lo in range(0, m, _FRAME_CHUNK_ROWS):
+            chunk = slice(lo, lo + _FRAME_CHUNK_ROWS)
+            G = rows(chunk)
+            S += G.T @ G
+            for adjoint, s in zip(adjoints, signals):
+                adjoint += np.einsum("ij,i->j", G, s[chunk])
+        return assemble_frame(S, ctx), adjoints
     block, signs, weights = nu.size, binned.signs, binned.weights
     step = max(1, _FRAME_CHUNK_ROWS // block)
-    B = np.empty((weights.size, ctx.dimension))
+    B = np.empty((weights.size, d))
     for lo in range(0, B.shape[0], step):
         chunk = slice(lo * block, (lo + step) * block)
         G = rows(binned.positions[chunk])
         G *= signs[chunk, None]
         B[lo : lo + step] = condense(nu, G)
     B *= weights[:, None]
-    return assemble_frame(B, ctx), lambda q: weights * condense(nu, q)
+    system = assemble_frame(B.T @ B, ctx)
+    return system, [np.einsum("ij,i->j", B, weights * condense(nu, s)) for s in signals]
 
 
 @functools.lru_cache(maxsize=4)
@@ -299,8 +320,9 @@ class RunReport:
 class RunArtifacts:
     """Everything produced by one run, for report files and inspection.
 
-    measure is the run's measurement map: it takes signed samples, y or q,
-    to the measurements reconstruct reads against system.
+    adjoint_y is the analysis adjoint of the unquantized samples y, formed
+    in the same pass over the rows as the frame, so reconstruct(system,
+    adjoint_y) gives R y without reading a row again.
     """
 
     report: RunReport
@@ -313,7 +335,7 @@ class RunArtifacts:
     state: np.ndarray
     binned: object
     system: FrameSystem
-    measure: object
+    adjoint_y: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -388,18 +410,18 @@ def _run_stages(config: RunConfig, spec, grid: _Grid, t0, binned, y, rows):
 
     spec is _scheme(config), and binned and y are _signed_samples of the
     run's draw.  rows reads the kernel rows of the drawn points at given
-    positions, slice(None) for all of them or else an index array (see
-    _frame).  A single run computes every one of these for itself.  A sweep
-    makes spec once per cell, binned and y once per (m, trial) for all its
-    shaped schemes, and reads rows from the kernel rows of all the trial's
-    points, which it builds once for every scheme; only the recursion, the
-    frame, the solve and the grid error are a scheme's own.  elapsed_s
+    positions, a slice or an index array (see _frame).  A single run
+    computes every one of these for itself.  A sweep makes spec once per
+    cell, binned and y once per (m, trial) for all its shaped schemes, and
+    reads rows from the kernel rows of all the trial's points, which it
+    builds once for every scheme; only the recursion, the frame, the solve
+    and the grid error are a scheme's own.  elapsed_s
     counts from t0.
     """
     p, taps, block, alphabet, nu = spec
     result = greedy_noise_shape(y, taps, alphabet, block)
-    system, measure = _frame(grid.ctx, binned, nu, rows)
-    coefficients = reconstruct(system, measure(result.q))
+    system, (adjoint_q, adjoint_y) = _frame(grid.ctx, config.m, binned, nu, rows, (result.q, y))
+    coefficients = reconstruct(system, adjoint_q)
     recon_values = grid.rows @ coefficients
     err = grid.signal_values - recon_values
     report = RunReport(
@@ -426,7 +448,7 @@ def _run_stages(config: RunConfig, spec, grid: _Grid, t0, binned, y, rows):
         state=result.u,
         binned=binned,
         system=system,
-        measure=measure,
+        adjoint_y=adjoint_y,
     )
 
 
@@ -461,7 +483,11 @@ def sweep(config: RunConfig, ms=None, schemes=None):
       the error on the grid (_run_stages).
     The samples' values are products of the gathered basis rows with the
     coefficients, over exactly the rows a run's evaluation builds, so they
-    round as the run's do.
+    round as the run's do.  A frame reads the trial's kernel rows in the
+    chunks a run computes, an msq frame as views of consecutive rows and a
+    shaped one as rows gathered by position, so its sums match the run's
+    bit for bit, although the trial still holds all m x d rows while a run
+    holds one chunk of them.
     Frame failures and binning shortfalls are counted per cell and excluded
     from the error mean; a cell where every trial fails reports a NaN mean,
     and ``bandquant sweep`` then exits 3 after writing its files.
@@ -540,11 +566,13 @@ def check_bounds(config: RunConfig):
     level at which the table cuts g (run and sweep reject one above
     TAIL_TOLERANCE) and the kernel diagonal bound for the generator, the
     condensation operator-norm bound for the configured scheme, the
-    projection truncation bound for the configured signal, and the
-    concentration band for one assembled frame.  When that
-    frame cannot be formed, its failing line compares LAMBDA_MIN_FLOOR *
-    lam_max with lam_min for a singular frame operator, or the block length
-    with the short bin's sample count for a binning failure.
+    projection truncation bound for the configured signal, and one frame
+    assembled as run assembles it: a shaped frame against its
+    concentration band, an msq frame, which has no band, by comparing
+    LAMBDA_MIN_FLOOR * lam_max with lam_min.  When that frame cannot be
+    formed, its failing line compares LAMBDA_MIN_FLOOR * lam_max with
+    lam_min for a singular frame operator, or the block length with the
+    short bin's sample count for a binning failure.
     """
     validate(config)
     generator = shared_generator(GeneratorParams(lam=config.lam))
@@ -592,25 +620,36 @@ def check_bounds(config: RunConfig):
         label = f"projection truncation bound (r={config.r}; {exc})"
         lines.append(BoundReport(label=label, lhs=math.nan, rhs=math.nan))
 
-    if nu is not None:
-        points = draw_samples(config.m, config.R, config.eps, config.seed)
-        try:
-            binned = partition_bins(points, config.R, config.eps, nu.size, config.seed)
-            system, _ = _frame(ctx, binned, nu, lambda i: ctx.kernel_coefficients(points[i]))
-        except FrameFailure as exc:
-            lines.append(
-                BoundReport(
-                    label=f"frame spectrum ({exc})",
-                    lhs=LAMBDA_MIN_FLOOR * exc.lam_max,
-                    rhs=exc.lam_min,
-                )
+    points = draw_samples(config.m, config.R, config.eps, config.seed)
+    rows = lambda i: ctx.kernel_coefficients(points[i])
+    try:
+        binned = None if nu is None else partition_bins(
+            points, config.R, config.eps, nu.size, config.seed
+        )
+        system, _ = _frame(ctx, config.m, binned, nu, rows, ())
+    except FrameFailure as exc:
+        lines.append(
+            BoundReport(
+                label=f"frame spectrum ({exc})",
+                lhs=LAMBDA_MIN_FLOOR * exc.lam_max,
+                rhs=exc.lam_min,
             )
-        except BinningError as exc:
+        )
+    except BinningError as exc:
+        lines.append(
+            BoundReport(
+                label=f"frame binning ({exc})",
+                lhs=float(exc.block),
+                rhs=float(exc.samples),
+            )
+        )
+    else:
+        if nu is None:
             lines.append(
                 BoundReport(
-                    label=f"frame binning ({exc})",
-                    lhs=float(exc.block),
-                    rhs=float(exc.samples),
+                    label=f"frame spectrum floor ({LAMBDA_MIN_FLOOR:g} lam_max <= lam_min)",
+                    lhs=LAMBDA_MIN_FLOOR * system.lam_max,
+                    rhs=system.lam_min,
                 )
             )
         else:

@@ -77,8 +77,8 @@ def test_criterion_1_noise_shaping_identity_and_state_bound(dense_h):
 
 
 def test_criterion_2_unquantized_round_trip_is_exact(span_signal):
-    # R y: the run's own measurement map and canonical dual applied to the
-    # unquantized samples, so the condensation rows in use are covered.
+    # R y: the canonical dual applied to the run's own analysis adjoint of
+    # the unquantized samples, so the condensation rows in use are covered.
     t0 = time.perf_counter()
     signal = span_signal(np.random.default_rng(0))
     configs = {
@@ -101,7 +101,7 @@ def test_criterion_2_unquantized_round_trip_is_exact(span_signal):
                 failures += 1
                 continue
             ry = bq.CoefficientVector(
-                values=bq.reconstruct(art.system, art.measure(art.y)),
+                values=bq.reconstruct(art.system, art.adjoint_y),
                 context=signal.context,
             )
             sup = float(np.max(np.abs(ry.eval(art.grid) - art.signal_values)))

@@ -339,6 +339,24 @@ def test_check_bounds_failure_lines_carry_computed_numbers(ctx, capsys):
     )
 
 
+def test_check_bounds_audits_the_msq_frame_that_run_builds(tmp_path, capsys):
+    # At m = d = 45 seed 1 leaves the msq frame singular: run exits 3, and
+    # the audit fails on the same frame operator.
+    argv = ["--scheme", "msq", "--m", "45"]
+    assert main(["run", *argv, "--out", str(tmp_path)]) == 3
+    error = capsys.readouterr().err.strip().removeprefix("error: ")
+    assert error.startswith("frame operator is numerically singular")
+    assert main(["check-bounds", *argv]) == 3
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line.startswith(f"frame spectrum ({error}): ")
+    assert line.endswith(" -> FAIL")
+    # A frame that spans prints its floor line instead.
+    assert main(["check-bounds", "--scheme", "msq"]) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line.startswith("frame spectrum floor (1e-10 lam_max <= lam_min): ")
+    assert line.endswith(" -> ok")
+
+
 class _ClosedPipe:
     """Standard output whose reader has gone away, seen at write or flush."""
 
@@ -421,10 +439,11 @@ def _without_elapsed(path):
 
 
 def test_msq_run_files_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # At 48 000 samples reconstruct's analysis adjoint is large enough for a
-    # threaded BLAS to split it.  The quantizer input still comes from a BLAS
-    # product in SignalModel.eval, which at this seed gives the same bits at
-    # 1 and 2 threads; in the beta high-resolution run it does not.
+    # The msq frame sums one BLAS syrk per chunk of kernel rows, a call that
+    # a threaded BLAS may split between its threads.  The quantizer input still
+    # comes from a BLAS product in SignalModel.eval, which at this seed gives
+    # the same bits at 1 and 2 threads; in the beta high-resolution run it
+    # does not.
     paths = [str(Path(bq.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     files = []
     for threads in ("1", "2"):

@@ -273,8 +273,18 @@ def test_shaped_frame_memory_stays_below_its_sample_matrix(ctx):
     def rows(positions):
         return ctx.kernel_coefficients(samples[positions])
 
-    _, peak = _traced_peak(lambda: pipeline._frame(ctx, binned, nu, rows))
+    _, peak = _traced_peak(lambda: pipeline._frame(ctx, config.m, binned, nu, rows, ()))
     assert peak < 0.25 * binned.coordinates.size * ctx.dimension * 8
+
+
+def test_msq_run_memory_stays_below_its_sample_matrix(gen, ctx):
+    # An msq run holds the m x K sinc basis of its samples while it evaluates
+    # the signal (9.6 MB here), and then at most two chunks of kernel rows,
+    # never the m x d sample matrix (17.3 MB).
+    config = dataclasses.replace(bq.RunConfig(), scheme="msq", m=48000, levels=80)
+    _, peak = _traced_peak(lambda: bq.run_detailed(config))
+    basis = config.m * (2 * config.k_range + 1) * 8
+    assert peak < basis + 2 * pipeline._FRAME_CHUNK_ROWS * ctx.dimension * 8
 
 
 def test_default_trial_stays_under_the_heap_trim_threshold(gen):

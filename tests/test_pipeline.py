@@ -111,15 +111,17 @@ def test_validate_collects_multiple_problems():
 
 
 def test_run_exact_roundtrip_for_span_signal(ctx, span_signal):
-    # The run's own measurement map, applied to the unquantized samples.
+    # The adjoint of the unquantized samples, formed in the run's one pass
+    # over its rows: the plain frame's included.
     fv = span_signal(np.random.default_rng(40))
     for config in (
         _small_beta(),
         _small_beta(scheme="sigma-delta", order=7, levels=80, delta=0.05),
+        _small_beta(scheme="msq", levels=80),
     ):
         art = bq.run_detailed(config, signal=fv)
         exact = bq.CoefficientVector(
-            values=bq.reconstruct(art.system, art.measure(art.y)), context=ctx
+            values=bq.reconstruct(art.system, art.adjoint_y), context=ctx
         )
         assert np.max(np.abs(exact.eval(art.grid) - art.signal_values)) < 1e-8
         assert art.report.max_state <= config.delta
@@ -242,36 +244,56 @@ def test_report_text_and_csv_roundtrip(tmp_path):
     [
         dict(),
         dict(scheme="sigma-delta", m=48000, p=3000, order=3, levels=10, delta=0.1),
+        dict(scheme="msq", m=20000),
     ],
 )
 def test_shaped_frame_matches_a_signed_copy(ctx, kw, monkeypatch):
-    # The shaped frame reads, signs and condenses its rows a chunk of whole
-    # blocks at a time; the reference flips a copy of the whole sample matrix.
+    # A frame reads its rows a chunk at a time, and a shaped one signs and
+    # condenses each chunk of whole blocks; the reference forms the analysis
+    # matrix B from a signed copy of the whole sample matrix (for msq, B is
+    # the sample matrix), then B^T B and the adjoints B^T v of two signals.
     config = dataclasses.replace(bq.RunConfig(), **kw)
     _, _, _, _, nu = pipeline._scheme(config)
     samples = bq.draw_samples(config.m, config.R, config.eps, 3)
-    binned = bq.partition_bins(samples, config.R, config.eps, nu.size, 3)
-    blocks = binned.weights.size
-    step = pipeline._FRAME_CHUNK_ROWS // nu.size
-    # The defaults fit one chunk; the sigma-delta frame ends on a ragged one.
-    assert blocks % step != 0 if kw else blocks < step
-    signs = np.asarray(binned.signs, dtype=float)
-    G = signs[:, None] * ctx.kernel_coefficients(binned.coordinates)
-    B = binned.weights[:, None] * bq.condense(nu, G)
-    want = bq.assemble_frame(B, ctx)
+    G = ctx.kernel_coefficients(samples)
+    signals = tuple(np.random.default_rng(3).uniform(-1.0, 1.0, (2, config.m)))
+    budget = pipeline._FRAME_CHUNK_ROWS
+    if nu is None:
+        binned, B, measured, rows, step = None, G, signals, config.m, budget
+    else:
+        binned = bq.partition_bins(samples, config.R, config.eps, nu.size, 3)
+        signals = tuple(s[: binned.positions.size] for s in signals)
+        signs = np.asarray(binned.signs, dtype=float)
+        B = binned.weights[:, None] * bq.condense(nu, signs[:, None] * G[binned.positions])
+        measured = [binned.weights * bq.condense(nu, s) for s in signals]
+        rows, step = binned.weights.size, budget // nu.size
+    # The defaults fit one chunk; the sigma-delta and msq frames end on a
+    # ragged one.
+    assert rows % step != 0 if kw else rows < step
+    want = np.linalg.eigh(B.T @ B)
+    adjoints = [np.einsum("ij,i->j", B, v) for v in measured]
     # A budget of 10 rows is shorter than one block: one block per chunk.
-    # A run computes each chunk's rows; a sweep trial gathers them from the
+    # A run computes each chunk's rows; a sweep trial reads them from the
     # rows of the whole draw.
-    readers = (lambda i: ctx.kernel_coefficients(samples[i]),
-               ctx.kernel_coefficients(samples).__getitem__)
-    for budget in (pipeline._FRAME_CHUNK_ROWS, 10):
+    readers = (lambda i: ctx.kernel_coefficients(samples[i]), G.__getitem__)
+    for budget in (budget, 10):
         monkeypatch.setattr(pipeline, "_FRAME_CHUNK_ROWS", budget)
-        for rows in readers:
-            got, _ = pipeline._frame(ctx, binned, nu, rows)
-            for name in ("analysis", "eigvals", "eigvecs"):
-                np.testing.assert_array_equal(
-                    getattr(got, name).view(np.int64), getattr(want, name).view(np.int64)
-                )
+        for reader in readers:
+            system, got = pipeline._frame(ctx, config.m, binned, nu, reader, signals)
+            if nu is not None:
+                for a, b in zip((system.eigvals, system.eigvecs, *got), (*want, *adjoints)):
+                    np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+                continue
+            # The chunk sums regroup the additions of B^T B and B^T v: 1e-12
+            # relative to the largest value, where 3e-14 was seen.
+            lam = want[0]
+            np.testing.assert_allclose(system.eigvals, lam, rtol=0, atol=1e-12 * lam[-1])
+            for a, b in zip(got, adjoints):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * np.abs(b).max())
+            c = want[1] @ ((want[1].T @ adjoints[0]) / lam)
+            np.testing.assert_allclose(
+                bq.reconstruct(system, got[0]), c, rtol=0, atol=1e-12 * np.abs(c).max()
+            )
 
 
 # --- sweeps ------------------------------------------------------------------
@@ -325,10 +347,14 @@ def _check_sweep_against_runs(config, ms, failures):
         assert _bits(row.mean_sup_error) == _bits(np.mean(ran) if ran else np.nan)
 
 
-def test_sweep_trial_is_the_run_at_seed_plus_k(gen):
+def test_sweep_trial_is_the_run_at_seed_plus_k(gen, monkeypatch):
     # Trial k of a cell is run_detailed at seed + k with the sweep's signal,
-    # for every scheme; block lengths 15 and 25 at p = 80.
-    _check_sweep_against_runs(_small_beta(order=2, trials=3, seed=7), [1200, 2000], [0] * 6)
+    # for every scheme; block lengths 15 and 25 at p = 80.  At 500 rows per
+    # chunk every frame takes several chunks, the msq ones a ragged last.
+    for budget in (pipeline._FRAME_CHUNK_ROWS, 500):
+        monkeypatch.setattr(pipeline, "_FRAME_CHUNK_ROWS", budget)
+        config = _small_beta(order=2, trials=3, seed=7)
+        _check_sweep_against_runs(config, [1200, 2000], [0] * 6)
 
 
 def test_sweep_fills_the_sinc_basis_once_per_trial(gen, monkeypatch):
@@ -487,10 +513,13 @@ def test_check_bounds_labels_a_projection_bound_above_the_signal_norm_vacuous(ge
 
 
 def test_check_bounds_msq_skips_condensation(gen):
+    # No condensation and no concentration band: the msq frame is audited
+    # by its floor alone.
     lines = bq.check_bounds(dataclasses.replace(bq.RunConfig(), scheme="msq"))
     labels = " ".join(line.label for line in lines)
     assert "condensation" not in labels
-    assert "frame spectrum" not in labels
+    assert "edge" not in labels
+    assert lines[-1].label == "frame spectrum floor (1e-10 lam_max <= lam_min)"
     assert all(line.passed for line in lines)
 
 
