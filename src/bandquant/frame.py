@@ -5,11 +5,11 @@ sample matrix, or the plain one) act as a random frame for the finite
 generator span: with enough samples the frame operator B^T B concentrates
 around a multiple of the identity.  Each row takes one measurement of a span
 element, and reconstruction maps the measurements v back to coefficients
-through their analysis adjoint B^T v.  A caller forms B^T B and B^T v, in
-one pass over the rows or a chunk of rows at a time, and keeps neither B
-nor v here: the frame operator is decomposed once, by a symmetric
-eigendecomposition, its two ends are the reported spectrum, and
-reconstruction is a solve in its eigenbasis.
+through their analysis adjoint B^T v.  A caller adds up B^T B and B^T v a
+chunk of rows at a time, and keeps neither B nor v here: the frame
+operator is decomposed once, by a symmetric eigendecomposition, its two
+ends are the reported spectrum, and reconstruction is a solve in its
+eigenbasis.
 """
 
 from __future__ import annotations

@@ -220,9 +220,8 @@ def _scheme(config: RunConfig):
 
 # Sample rows per chunk of the frame, rounded down to whole blocks for a
 # shaped frame: 4096 kernel rows of 45 values are 1.5 MB, so a frame holds
-# its sums (and the p x d analysis rows of a shaped frame) and at most two
-# chunks, the one it reads and the one it read before, never the m x d
-# sample matrix.
+# its sums and at most two chunks, the one it reads and the one it read
+# before, never the m x d sample matrix or the p x d analysis matrix.
 _FRAME_CHUNK_ROWS = 1 << 12
 
 
@@ -239,40 +238,36 @@ def _frame(ctx: KernelContext, m, binned, nu, rows, signals):
     every row is read once.
 
     Without nu the analysis matrix B is the plain sample matrix G and v is
-    the signal itself.  The rows are read _FRAME_CHUNK_ROWS at a time, and
-    each chunk's G^T G (one BLAS syrk) and G^T v are added up, so these sums
-    group their terms by chunk.  Otherwise B is W V S G, for the signs S
-    and block weights W of binned and condensation V = condense(nu, .), so
-    one row per weight, and v = W V s for each signal s.  The rows are
-    read, signed and condensed a chunk of whole blocks at a time into the
-    p x d matrix B; condensation sums within a block and the rest is
-    elementwise, so the chunks give the bits of one pass over G, and B^T B
-    and B^T v are formed from all of B.  Adjoints are summed by einsum, not
-    a threaded BLAS product, so their bits do not depend on the BLAS thread
-    count.
+    the signal itself.  Otherwise B is W V S G, for the signs S and block
+    weights W of binned and condensation V = condense(nu, .), so one row per
+    weight, and v = W V s for each signal s; condensation sums within a
+    block and the rest is elementwise, so a chunk of whole blocks of G gives
+    its rows of B.  Either way the rows are read _FRAME_CHUNK_ROWS at a
+    time, and each chunk's B^T B (one BLAS syrk) and B^T v are added up, so
+    these sums group their terms by chunk.  Adjoints are summed by einsum,
+    not a threaded BLAS product, so their bits do not depend on the BLAS
+    thread count.
     """
     d = ctx.dimension
-    if nu is None:
-        S = np.zeros((d, d))
-        adjoints = [np.zeros(d) for _ in signals]
-        for lo in range(0, m, _FRAME_CHUNK_ROWS):
-            chunk = slice(lo, lo + _FRAME_CHUNK_ROWS)
-            G = rows(chunk)
-            S += G.T @ G
-            for adjoint, s in zip(adjoints, signals):
-                adjoint += np.einsum("ij,i->j", G, s[chunk])
-        return assemble_frame(S, ctx), adjoints
-    block, signs, weights = nu.size, binned.signs, binned.weights
+    S = np.zeros((d, d))
+    adjoints = [np.zeros(d) for _ in signals]
+    block = 1 if nu is None else nu.size
+    if nu is not None:
+        signals = [binned.weights * condense(nu, s) for s in signals]
     step = max(1, _FRAME_CHUNK_ROWS // block)
-    B = np.empty((weights.size, d))
-    for lo in range(0, B.shape[0], step):
-        chunk = slice(lo * block, (lo + step) * block)
-        G = rows(binned.positions[chunk])
-        G *= signs[chunk, None]
-        B[lo : lo + step] = condense(nu, G)
-    B *= weights[:, None]
-    system = assemble_frame(B.T @ B, ctx)
-    return system, [np.einsum("ij,i->j", B, weights * condense(nu, s)) for s in signals]
+    for lo in range(0, m if nu is None else binned.weights.size, step):
+        chunk = slice(lo, lo + step)
+        if nu is None:
+            B = rows(chunk)
+        else:
+            samples = slice(lo * block, (lo + step) * block)
+            G = rows(binned.positions[samples])
+            G *= binned.signs[samples, None]
+            B = binned.weights[chunk, None] * condense(nu, G)
+        S += B.T @ B
+        for adjoint, v in zip(adjoints, signals):
+            adjoint += np.einsum("ij,i->j", B, v[chunk])
+    return assemble_frame(S, ctx), adjoints
 
 
 @functools.lru_cache(maxsize=4)
@@ -483,11 +478,11 @@ def sweep(config: RunConfig, ms=None, schemes=None):
       the error on the grid (_run_stages).
     The samples' values are products of the gathered basis rows with the
     coefficients, over exactly the rows a run's evaluation builds, so they
-    round as the run's do.  A frame reads the trial's kernel rows in the
-    chunks a run computes, an msq frame as views of consecutive rows and a
-    shaped one as rows gathered by position, so its sums match the run's
-    bit for bit, although the trial still holds all m x d rows while a run
-    holds one chunk of them.
+    round as the run's do.  A frame adds up its chunk sums over the trial's
+    kernel rows cut at the rows and blocks a run cuts, an msq frame reading
+    views of consecutive rows and a shaped one rows gathered by position,
+    so its sums match the run's bit for bit, although the trial still holds
+    all m x d rows while a run holds at most two chunks of them.
     Frame failures and binning shortfalls are counted per cell and excluded
     from the error mean; a cell where every trial fails reports a NaN mean,
     and ``bandquant sweep`` then exits 3 after writing its files.

@@ -438,12 +438,20 @@ def _without_elapsed(path):
     return text
 
 
-def test_msq_run_files_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # The msq frame sums one BLAS syrk per chunk of kernel rows, a call that
-    # a threaded BLAS may split between its threads.  The quantizer input still
-    # comes from a BLAS product in SignalModel.eval, which at this seed gives
-    # the same bits at 1 and 2 threads; in the beta high-resolution run it
-    # does not.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--m", "48000", "--scheme", "msq", "--levels", "80"],
+        ["--m", "12000", "--p", "800"],
+    ],
+    ids=["msq-48k", "beta-12k"],
+)
+def test_run_files_do_not_depend_on_the_blas_thread_count(tmp_path, argv):
+    # A frame sums one BLAS syrk per chunk of rows, a call that a threaded
+    # BLAS may split between its threads; the beta frame takes three chunks.
+    # The quantizer input still comes from a BLAS product in SignalModel.eval,
+    # which at these seeds gives the same bits at 1 and 2 threads; in the
+    # beta high-resolution run it does not.
     paths = [str(Path(bq.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     files = []
     for threads in ("1", "2"):
@@ -453,9 +461,11 @@ def test_msq_run_files_do_not_depend_on_the_blas_thread_count(tmp_path):
             PYTHONPATH=os.pathsep.join(filter(None, paths)),
             OPENBLAS_NUM_THREADS=threads,
         )
-        argv = ["run", "--m", "48000", "--scheme", "msq", "--levels", "80", "--out", str(out)]
         subprocess.run(
-            [sys.executable, "-m", "bandquant", *argv], env=env, capture_output=True, check=True
+            [sys.executable, "-m", "bandquant", "run", *argv, "--out", str(out)],
+            env=env,
+            capture_output=True,
+            check=True,
         )
         files.append({path.name: _without_elapsed(path) for path in sorted(out.iterdir())})
     assert len(files[0]) >= 5

@@ -263,18 +263,20 @@ def test_signal_eval_memory_stays_near_its_basis():
 
 
 def test_shaped_frame_memory_stays_below_its_sample_matrix(ctx):
-    # The shaped frame holds its p x d rows and one chunk of kernel rows,
-    # never the m x d sample matrix.
-    config = dataclasses.replace(bq.RunConfig(), m=96000, p=6400)
-    _, _, _, _, nu = pipeline._scheme(config)
-    samples = bq.draw_samples(96000, 5.0, 0.5, 1)
-    binned = bq.partition_bins(samples, 5.0, 0.5, nu.size, 1)
+    # A shaped frame holds its sums and a few chunks of kernel rows, never
+    # the m x d sample matrix (69 MB here) nor the p x d analysis matrix,
+    # so its peak does not grow with p.
+    samples = bq.draw_samples(192000, 5.0, 0.5, 1)
 
     def rows(positions):
         return ctx.kernel_coefficients(samples[positions])
 
-    _, peak = _traced_peak(lambda: pipeline._frame(ctx, config.m, binned, nu, rows, ()))
-    assert peak < 0.25 * binned.coordinates.size * ctx.dimension * 8
+    for p in (1600, 12800):
+        config = dataclasses.replace(bq.RunConfig(), m=samples.size, p=p)
+        _, _, _, _, nu = pipeline._scheme(config)
+        binned = bq.partition_bins(samples, 5.0, 0.5, nu.size, 1)
+        _, peak = _traced_peak(lambda: pipeline._frame(ctx, config.m, binned, nu, rows, ()))
+        assert peak < 3 * pipeline._FRAME_CHUNK_ROWS * ctx.dimension * 8, p
 
 
 def test_msq_run_memory_stays_below_its_sample_matrix(gen, ctx):

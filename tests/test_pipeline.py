@@ -257,40 +257,40 @@ def test_shaped_frame_matches_a_signed_copy(ctx, kw, monkeypatch):
     samples = bq.draw_samples(config.m, config.R, config.eps, 3)
     G = ctx.kernel_coefficients(samples)
     signals = tuple(np.random.default_rng(3).uniform(-1.0, 1.0, (2, config.m)))
-    budget = pipeline._FRAME_CHUNK_ROWS
     if nu is None:
-        binned, B, measured, rows, step = None, G, signals, config.m, budget
+        binned, B, measured, block = None, G, signals, 1
     else:
         binned = bq.partition_bins(samples, config.R, config.eps, nu.size, 3)
         signals = tuple(s[: binned.positions.size] for s in signals)
         signs = np.asarray(binned.signs, dtype=float)
         B = binned.weights[:, None] * bq.condense(nu, signs[:, None] * G[binned.positions])
         measured = [binned.weights * bq.condense(nu, s) for s in signals]
-        rows, step = binned.weights.size, budget // nu.size
+        block = nu.size
     # The defaults fit one chunk; the sigma-delta and msq frames end on a
     # ragged one.
-    assert rows % step != 0 if kw else rows < step
+    step = pipeline._FRAME_CHUNK_ROWS // block
+    assert len(B) % step != 0 if kw else len(B) < step
     want = np.linalg.eigh(B.T @ B)
     adjoints = [np.einsum("ij,i->j", B, v) for v in measured]
+    c = want[1] @ ((want[1].T @ adjoints[0]) / want[0])
     # A budget of 10 rows is shorter than one block: one block per chunk.
     # A run computes each chunk's rows; a sweep trial reads them from the
     # rows of the whole draw.
     readers = (lambda i: ctx.kernel_coefficients(samples[i]), G.__getitem__)
-    for budget in (budget, 10):
+    for budget in (pipeline._FRAME_CHUNK_ROWS, 10):
         monkeypatch.setattr(pipeline, "_FRAME_CHUNK_ROWS", budget)
         for reader in readers:
             system, got = pipeline._frame(ctx, config.m, binned, nu, reader, signals)
-            if nu is not None:
+            # One chunk adds its B^T B and B^T v to zero, which is exact.
+            if len(B) <= max(1, budget // block):
                 for a, b in zip((system.eigvals, system.eigvecs, *got), (*want, *adjoints)):
                     np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
-                continue
             # The chunk sums regroup the additions of B^T B and B^T v: 1e-12
             # relative to the largest value, where 3e-14 was seen.
             lam = want[0]
             np.testing.assert_allclose(system.eigvals, lam, rtol=0, atol=1e-12 * lam[-1])
             for a, b in zip(got, adjoints):
                 np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * np.abs(b).max())
-            c = want[1] @ ((want[1].T @ adjoints[0]) / lam)
             np.testing.assert_allclose(
                 bq.reconstruct(system, got[0]), c, rtol=0, atol=1e-12 * np.abs(c).max()
             )
