@@ -252,8 +252,6 @@ class Generator:
             flat_out[lo:hi] = self._shift_rows(np.abs(flat_t[lo:hi]), 0)[:, 0]
         return float(out) if out.ndim == 0 else out
 
-    __call__ = eval
-
     def _cell(self, start):
         """Row of ``self._cubics`` holding the interval that starts at node ``start``."""
         quotient, cell = np.divmod(start, self._shift_steps)

@@ -79,8 +79,6 @@ class SignalModel:
         out = self.basis(np.atleast_1d(t_arr)) @ self.coeffs
         return float(out[0]) if t_arr.ndim == 0 else out
 
-    __call__ = eval
-
 
 def synth_test_signal(seed, k_range, target_sup):
     """Random sinc train with integer nodes in [-k_range, k_range].
@@ -129,8 +127,6 @@ class CoefficientVector:
         scalar = t_arr.ndim == 0
         out = np.atleast_1d(self.context.kernel_coefficients(t_arr)) @ self.values
         return float(out) if scalar else out
-
-    __call__ = eval
 
 
 def project(f, generator: Generator, R, eps):

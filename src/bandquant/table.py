@@ -8,9 +8,8 @@ header, row and ``name = value`` text from their fields, and a field's
 formats their few rows by ``%`` one field at a time, so other conversions,
 such as ``%s`` or ``%.3f``, occur only there.
 
-``write_columns`` writes chunks of fewer than _NUMPY_ROWS rows by one ``%``
-over the row's conversions, and formats the columns of longer chunks in numpy,
-byte-identical to ``%``, into one byte matrix per chunk.  For a float64 x
+``write_columns`` formats every chunk's columns in numpy, byte-identical to
+``%``, into one byte matrix per chunk.  For a float64 x
 with 1e-4 <= |x| < 1e16, ``%.17g`` prints fixed notation with the 17 digits
 D = round-half-even(|x| 10^(16-k)), k = floor(log10 |x|).  Every 10^s with
 s <= 22 is an exact double, so Dekker's product (Veltkamp split by 2^27 + 1)
@@ -44,14 +43,6 @@ import numpy as np
 
 # Rows formatted per write: bounds the temporary cell matrices.
 _WRITE_CHUNK = 1 << 12
-
-# Below this many rows one ``%`` over the whole chunk costs about as much as
-# the numpy path or less; the numpy path's fixed cost is about 0.3 ms.  For an
-# int and three float columns (median of 41 writes, 2 cores, numpy 2.4.6),
-# 200 rows take 0.27 ms by ``%`` and 0.38 ms in numpy, 400 rows 0.49 and
-# 0.45 ms.  The crossover lies between 300 and 400 rows, and no benchmark
-# workload writes a chunk of 300 to 511 rows.
-_NUMPY_ROWS = 512
 
 # Conversion per type name (report dataclasses use postponed annotations).
 _CONVERSION = {"str": "%s", "int": "%d", "float": "%.17g"}
@@ -229,32 +220,19 @@ def _int_cells(i):
     return _with_fallback(cells, slow, "%d", i)
 
 
-def _conversion(column):
-    """``%d`` for an int column, ``%.17g`` for a float64 one."""
-    if column.dtype.kind == "i":
-        return _CONVERSION["int"]
-    if column.dtype == np.float64:
-        return _CONVERSION["float"]
-    raise TypeError(f"no table conversion for a column of dtype {column.dtype}")
-
-
 def write_columns(path, header_lines, columns):
     """Write the header lines, then one line per row of the equal-length
-    int or float64 columns.  Each chunk of _WRITE_CHUNK rows is written by
-    one ``%`` when it is short, and otherwise as one byte matrix of cells,
-    commas and newlines, from which the NUL padding is cut."""
+    int or float64 columns.  Each chunk of _WRITE_CHUNK rows is written as
+    one byte matrix of cells, commas and newlines, from which the NUL
+    padding is cut."""
     columns = [np.asarray(c) for c in columns]
-    row_format = ",".join(_conversion(c) for c in columns)
+    for c in columns:
+        if c.dtype.kind != "i" and c.dtype != np.float64:
+            raise TypeError(f"no table conversion for a column of dtype {c.dtype}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(line + "\n" for line in header_lines)
         for start in range(0, len(columns[0]) if columns else 0, _WRITE_CHUNK):
             chunk = [c[start : start + _WRITE_CHUNK] for c in columns]
-            if chunk[0].size < _NUMPY_ROWS:
-                flat = [None] * (len(chunk) * chunk[0].size)
-                for j, c in enumerate(chunk):
-                    flat[j :: len(chunk)] = c.tolist()
-                fh.write((row_format + "\n") * chunk[0].size % tuple(flat))
-                continue
             cells = [
                 _float_cells(c) if c.dtype == np.float64 else _int_cells(c.astype(np.int64))
                 for c in chunk

@@ -165,7 +165,7 @@ def test_criterion_4_generator_validity():
     # The decay constant must certify on a grid 10x finer than its own.
     c11 = gen.decay_constant(11)
     fine = np.arange(0.0, gen.params.tail_cut, gen.params.grid_step / 10.0)
-    fine_max = float(np.max((1.0 + fine) ** 11 * np.abs(gen(fine))))
+    fine_max = float(np.max((1.0 + fine) ** 11 * np.abs(gen.eval(fine))))
 
     holds = 0
     for seed in range(10):

@@ -27,17 +27,20 @@ def _written(tmp_path, header_lines, columns, types):
     return path.read_text(encoding="utf-8")
 
 
-def test_write_columns_edge_values(tmp_path):
+@pytest.mark.parametrize("rows", [1, 9, 200, 513])
+def test_write_columns_edge_values(tmp_path, rows):
+    # The first row alone, (-2^63, 0.0, 1, -0.0), takes the per-value
+    # fallback in every cell of its int and float columns.
     floats = np.array(
         [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, sys.float_info.max, 1 / 3, 1e16]
     )
     signs = np.array([1, -1, -1, 1, 1, -1, 1, -1, 1], dtype=np.int64)
     ints = np.array(
-        [0, -1, 7, 2**53 + 1, -(2**63), 2**63 - 1, 12, -12, 100], dtype=np.int64
+        [-(2**63), 0, -1, 7, 2**53 + 1, 2**63 - 1, 12, -12, 100], dtype=np.int64
     )
-    columns = [ints, floats, signs, -floats]
+    columns = [np.resize(c, rows) for c in (ints, floats, signs, -floats)]
     types = (int, float, int, float)
-    header = ["# bandquant-test v1 n=9", "k,x,sign,minus_x"]
+    header = [f"# bandquant-test v1 n={rows}", "k,x,sign,minus_x"]
     assert _written(tmp_path, header, columns, types) == _oracle(
         header, zip(*columns), types
     )
@@ -275,9 +278,9 @@ def test_ints_match_percent(tmp_path):
 
 
 def test_columns_take_their_conversion_from_their_dtype(tmp_path):
-    # Every int kind is written as %d, in either path; any other dtype than
-    # an int or float64 is refused before the file is opened.
-    rows = 2 * table._NUMPY_ROWS + 1
+    # Every int kind is written as %d; any other dtype than an int or
+    # float64 is refused before the file is opened.
+    rows = 1025
     for dtype in (np.int8, np.int32):
         i = np.resize(np.array([0, -7, 100, -128, 127], dtype=dtype), rows)
         assert _column_text(tmp_path, i) == _expected(i, "%d")
