@@ -27,6 +27,8 @@ from typing import ClassVar
 
 import numpy as np
 
+from .sampling import geometry_problems, span_window
+
 # Safety factor applied on top of the measured grid maximum when estimating
 # decay constants, covering values between grid nodes.
 DECAY_SAFETY = 0.05
@@ -388,29 +390,19 @@ class Generator:
 
 @dataclass(frozen=True)
 class KernelContext:
-    """A generator together with the finite shift window spanning the model space."""
+    """A generator with the shift window spanning the model space: 2 k_max + 1
+    shifts k / lam over [-half_width, half_width], half_width = (1+2.5 eps) R."""
 
     generator: Generator
     k_max: int
     half_width: float
 
-    @staticmethod
-    def window(lam, R, eps):
-        """(k_max, half_width) of the window that reconstructs on [-R, R] with
-        margin eps: its 2 k_max + 1 shifts k / lam cover [-half_width,
-        half_width]."""
-        half_width = (1.0 + 2.5 * eps) * R
-        # The 1e-9 guard keeps exact boundary products (e.g. 22.5) stable
-        # against floating-point representation of the factors.
-        return int(math.floor(lam * half_width + 1e-9)), half_width
-
     @classmethod
     def from_box(cls, generator, R, eps):
-        """Window large enough to reconstruct on [-R, R] with margin eps."""
-        if R <= 0 or eps <= 0:
-            raise ValueError(f"need positive R and eps, got R={R}, eps={eps}")
-        k_max, half_width = cls.window(generator.lam, R, eps)
-        return cls(generator=generator, k_max=k_max, half_width=half_width)
+        """Window for [-R, R] with margin eps; raises ValueError on a bad geometry."""
+        if problems := geometry_problems(R, eps, generator.lam):
+            raise ValueError(problems[0])
+        return cls(generator, *span_window(generator.lam, R, eps))
 
     @property
     def index_set(self):

@@ -39,7 +39,7 @@ from .quantize import (
     greedy_noise_shape,
     stability_margin,
 )
-from .sampling import BinningError, draw_samples, partition_bins
+from .sampling import BinningError, draw_samples, geometry_problems, partition_bins, span_window
 from .signals import project, projection_error_report, synth_test_signal
 
 SCHEMES = ("msq", "sigma-delta", "beta")
@@ -125,14 +125,7 @@ def validate(config: RunConfig):
         problems.append(f"unknown scheme {config.scheme!r}; expected one of {SCHEMES}")
     if config.lam <= 1:
         problems.append(f"oversampling ratio must exceed 1, got {config.lam}")
-    if config.R <= 0:
-        problems.append(f"R must be positive, got {config.R}")
-    if config.eps <= 0:
-        problems.append(f"eps must be positive, got {config.eps}")
-    elif config.eps * config.R < 1.0:
-        problems.append(
-            f"shell width eps*R must be at least 1, got {config.eps * config.R}"
-        )
+    problems += geometry_problems(config.R, config.eps, config.lam)
     if config.r < 2:
         problems.append(f"decay exponent r must be at least 2, got {config.r}")
     if config.m < 1:
@@ -166,7 +159,7 @@ def validate(config: RunConfig):
                     "is negative, so the greedy state may leave the alphabet "
                     "half-step; raise levels or delta, or lower the feedback gain"
                 )
-            d = 2 * KernelContext.window(config.lam, config.R, config.eps)[0] + 1
+            d = 2 * span_window(config.lam, config.R, config.eps)[0] + 1
             if rows < d:
                 count = "m" if config.scheme == "msq" else "p"
                 problems.append(
@@ -176,7 +169,8 @@ def validate(config: RunConfig):
                     f"to at least {d}"
                 )
     if problems:
-        raise ConfigError("; ".join(problems))
+        # The geometry repeats the message for a non-finite R, eps or lam.
+        raise ConfigError("; ".join(dict.fromkeys(problems)))
 
 
 def _scheme(config: RunConfig):

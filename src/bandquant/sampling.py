@@ -1,14 +1,16 @@
-"""Random sample draws, three-interval binning and Bernoulli sign streams.
+"""Sampling geometry, random draws, three-interval binning and sign streams.
 
-The sampling is fixed by plain values: m points drawn i.i.d. uniformly from
-[-(1+3 eps) R, (1+3 eps) R] on stream 0 of the seed.  That interval splits
-into a centre region and two concentric shells, and each bin is truncated to
-a multiple of the condensation block length its caller passes, so that the
-per-bin counts stay compatible with the block structure of the condensation
-operator.  The retained samples and their signs (stream 1 of the seed) are
-flat arrays, bin 1 then 2 then 3, and each block carries the quadrature
-weight sqrt(bin length / blocks in the bin), at bin lengths 2(1+eps)R for
-the centre and 2 eps R for each shell.
+For a reconstruction on [-R, R] with shell parameter eps, m points are drawn
+i.i.d. uniformly from [-(1+3 eps) R, (1+3 eps) R] on stream 0 of the seed,
+and the span's shifts cover [-(1+2.5 eps) R, (1+2.5 eps) R]; every module
+reads this geometry from here.  The sampling interval splits into a centre
+region and two concentric shells, and each bin is truncated to a multiple of
+the condensation block length its caller passes, so that the per-bin counts
+stay compatible with the block structure of the condensation operator.  The
+retained samples and their signs (stream 1 of the seed) are flat arrays, bin
+1 then 2 then 3, and each block carries the quadrature weight sqrt(bin
+length / blocks in the bin), at bin lengths 2(1+eps)R for the centre and
+2 eps R for each shell.
 """
 
 from __future__ import annotations
@@ -17,6 +19,49 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# Radii (1 + c eps) R: the shells start at c = 1 and 2, the samples reach
+# c = 3 and the span's shifts c = 2.5, the middle of the outer shell.  2.5 is
+# not a measured choice: the outer shell's samples beyond it carry f - Pf
+# into the data, and which factor serves best is open (ROADMAP.md).
+SAMPLING_FACTOR = 3.0
+SPAN_FACTOR = 2.5
+
+
+def radius(R, eps, c):
+    """(1 + c eps) R, the geometry's radius at factor c."""
+    return (1.0 + c * eps) * R
+
+
+def span_window(lam, R, eps):
+    """(k_max, half_width) of the span that reconstructs on [-R, R]: its
+    2 k_max + 1 shifts k / lam cover [-half_width, half_width]."""
+    half_width = radius(R, eps, SPAN_FACTOR)
+    # The 1e-9 guard keeps exact boundary products (e.g. 22.5) stable
+    # against floating-point representation of the factors.
+    return int(math.floor(lam * half_width + 1e-9)), half_width
+
+
+def geometry_problems(R, eps, lam=1.0):
+    """Every problem with R and eps on a lattice of density lam: all three
+    finite, R and eps positive, the shell width eps R at least 1, and the
+    sampling interval 2(1+3 eps) R and the lattice extent lam (1+2.5 eps) R
+    finite floats.  The default lam = 1 checks the sampling interval alone."""
+    named = {"R": R, "eps": eps, "lam": lam}
+    problems = [f"{k} must be finite, got {v}" for k, v in named.items() if not math.isfinite(v)]
+    length, extent = 2.0 * radius(R, eps, SAMPLING_FACTOR), lam * radius(R, eps, SPAN_FACTOR)
+    if R <= 0:
+        problems.append(f"R must be positive, got {R}")
+    if eps <= 0:
+        problems.append(f"eps must be positive, got {eps}")
+    elif eps * R < 1.0:
+        problems.append(f"shell width eps*R must be at least 1, got {eps * R}")
+    elif not problems and math.inf in (length, extent):
+        problems.append(
+            f"R={R:g} and eps={eps:g} give a sampling interval of length {length:g} and, "
+            f"at lam={lam:g}, a lattice extent of {extent:g}; both must be finite"
+        )
+    return problems
 
 
 class BinningError(ValueError):
@@ -39,40 +84,32 @@ def _stream(seed, channel):
 def draw_samples(m, R, eps, seed):
     """Draw m sample coordinates uniformly from [-(1+3 eps) R, (1+3 eps) R].
 
-    The draw reads dedicated stream 0 of the seed.  eps * R, the width of
-    each shell, must be at least 1.
+    The draw reads dedicated stream 0 of the seed.  Raises ValueError with
+    the first of geometry_problems(R, eps).
     """
     if m < 1:
         raise ValueError(f"sample budget m must be positive, got {m}")
-    if R <= 0:
-        raise ValueError(f"R must be positive, got {R}")
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if eps * R < 1.0:
-        raise ValueError(f"shell width eps*R must be at least 1, got {eps * R}")
+    if problems := geometry_problems(R, eps):
+        raise ValueError(problems[0])
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    half = (1.0 + 3.0 * eps) * R
+    half = radius(R, eps, SAMPLING_FACTOR)
     return _stream(seed, 0).uniform(-half, half, size=m)
 
 
 def bin_index(x, R, eps):
     """Bin labels (1, 2, 3) by distance from the origin.
 
-    The centre bin is open at its boundary, shells own their inner edge:
-    |x| < (1+eps)R -> 1, (1+eps)R <= |x| < (1+2eps)R -> 2, and
-    (1+2eps)R <= |x| <= (1+3eps)R -> 3.  Values beyond the outer interval
-    are rejected.
+    The label is 1 plus the number of shell edges (1+eps)R and (1+2eps)R at
+    or below |x|, so the centre bin is open at its boundary and each shell
+    owns its inner edge; bin 3 ends at (1+3eps)R (SAMPLING_FACTOR), and
+    values beyond it are rejected.
     """
     x_arr = np.abs(np.asarray(x, dtype=float))
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
-    if np.any(x_arr > (1.0 + 3.0 * eps) * R):
+    if np.any(x_arr > radius(R, eps, SAMPLING_FACTOR)):
         raise ValueError("sample outside the outer sampling interval")
-    out = np.ones(x_arr.shape, dtype=int)
-    out[x_arr >= (1.0 + eps) * R] = 2
-    out[x_arr >= (1.0 + 2.0 * eps) * R] = 3
-    return int(out[0]) if scalar else out
+    out = 1 + (x_arr >= radius(R, eps, 1.0)) + (x_arr >= radius(R, eps, 2.0))
+    return int(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -127,7 +164,7 @@ def partition_bins(samples, R, eps, block, seed):
             )
         bins.append(where[:kept])
     positions = np.concatenate(bins)
-    lengths = (2.0 * (1.0 + eps) * R, 2.0 * eps * R, 2.0 * eps * R)
+    lengths = (2.0 * radius(R, eps, 1.0), 2.0 * eps * R, 2.0 * eps * R)
     blocks = [c.size // block for c in bins]
     return BinnedSamples(
         coordinates=samples[positions],

@@ -135,19 +135,14 @@ def project(f, generator: Generator, R, eps):
     For a bandlimited SignalModel the projection coefficients are the lattice
     samples f(k/lam) / sqrt(lam) over the index window.  That formula holds
     only for a pi-bandlimited f, so a CoefficientVector, which is bandlimited
-    to (2 lam - 1) pi, raises ValueError.
+    to (2 lam - 1) pi, raises ValueError, as does a geometry from_box rejects.
     """
-    if eps * R < 1.0:
-        raise ValueError(
-            f"shell width eps*R must be at least 1 for the projection window "
-            f"to extend usefully beyond [-R, R], got {eps * R}"
-        )
+    ctx = KernelContext.from_box(generator, R, eps)
     if isinstance(f, CoefficientVector):
         raise ValueError(
             "a generator-span element is not pi-bandlimited, so its lattice "
             "samples are not its projection"
         )
-    ctx = KernelContext.from_box(generator, R, eps)
     values = np.asarray(f.eval(ctx.shift_points), dtype=float) / math.sqrt(
         generator.lam
     )

@@ -71,6 +71,27 @@ def test_run_exits_2_on_a_non_finite_float(tmp_path, capsys, flag, value):
     assert f"invalid configuration: {field} must be finite, got {value}" in err, err
 
 
+_OVERFLOWS = [
+    *[[command, "--R", "1e308"] for command in ("run", "sweep", "check-bounds")],
+    *[[command, "--eps", "1e308", "--R", "10"] for command in ("run", "sweep", "check-bounds")],
+    ["run", "--lambda", "1e308"],
+]
+
+
+@pytest.mark.parametrize("argv", _OVERFLOWS, ids=[" ".join(argv) for argv in _OVERFLOWS])
+def test_a_geometry_beyond_the_float_range_exits_2(tmp_path, capsys, argv):
+    # The span window raised OverflowError on these, with a traceback.
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    needle = {
+        "--R": "R=1e+308 and eps=0.5 give a sampling interval of length inf",
+        "--eps": "R=10 and eps=1e+308 give a sampling interval of length inf",
+        "--lambda": "at lam=1e+308, a lattice extent of inf; both must be finite",
+    }[argv[1]]
+    assert err.startswith("invalid configuration: ") and needle in err, err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
 def test_run_rejects_bad_scheme(tmp_path, capsys):
     cases = [
         ("bogus", "unknown scheme"),

@@ -89,14 +89,19 @@ def test_block_condensation_matrix_and_apply(dense_v):
 
 
 def test_build_weight_frozen_values():
-    # Two blocks of length 2 in each bin (R=5, eps=1/2): the centre's length
-    # 15 and each shell's length 5 are split over two blocks.
-    samples = np.array([1.0, -2.0, 3.0, 0.5, 8.0, -9.0, 9.5, -8.2, 11.0, -12.0, 12.4, -10.5])
-    binned = bq.partition_bins(samples, 5.0, 0.5, 2, 0)
-    np.testing.assert_allclose(
-        binned.weights,
-        [math.sqrt(7.5)] * 2 + [math.sqrt(2.5)] * 4,
-    )
+    # Two blocks of length 2 in each bin: the centre's length 2 (1 + eps) R
+    # (15 at R=5, eps=1/2) and each shell's length 2 eps R (5) are split over
+    # two blocks, bit for bit as these float expressions compute them.
+    for R, eps, samples in (
+        (5.0, 0.5, [1.0, -2.0, 3.0, 0.5, 8.0, -9.0, 9.5, -8.2, 11.0, -12.0, 12.4, -10.5]),
+        (7.0, 0.3, [1.0, -2.0, 3.0, 0.5, 9.5, -10.0, 10.5, -9.2, 12.0, -12.5, 13.0, -11.5]),
+    ):
+        samples = np.array(samples)
+        binned = bq.partition_bins(samples, R, eps, 2, 0)
+        lengths = (2.0 * (1.0 + eps) * R, 2.0 * eps * R, 2.0 * eps * R)
+        np.testing.assert_array_equal(
+            binned.weights, np.repeat([math.sqrt(ln / 2) for ln in lengths], 2)
+        )
     # One weight per block, so it scales the condensed rows one for one.
     signed = binned.signs[:, None] * np.ones((samples.size, 1))
     assert bq.condense(bq.nu_beta(5.0, binned.block), signed).shape == (6, 1)

@@ -373,13 +373,19 @@ def test_decay_constant_rejects_rising_tail(gen):
 # --- kernel ------------------------------------------------------------------
 
 
-def test_kernel_context_window(gen, ctx):
-    assert ctx.k_max == 22
-    assert ctx.dimension == 45
-    assert ctx.index_set[0] == -22 and ctx.index_set[-1] == 22
-    assert ctx.half_width == pytest.approx(11.25)
-    small = bq.KernelContext.from_box(gen, 2.0, 0.5)
-    assert small.k_max == math.floor(2.0 * 2.25 * 2.0)
+def test_kernel_context_window():
+    # The default, a shell width of exactly 1 and a non-dyadic geometry.
+    for lam, R, eps, k_max in ((2.0, 5.0, 0.5, 22), (2.0, 2.0, 0.5, 9), (1.5, 7.0, 0.3, 18)):
+        gen = bq.shared_generator(bq.GeneratorParams(lam=lam))
+        ctx = bq.KernelContext.from_box(gen, R, eps)
+        assert ctx.k_max == k_max
+        assert ctx.dimension == 2 * k_max + 1
+        assert ctx.index_set[0] == -k_max and ctx.index_set[-1] == k_max
+        # Bit for bit the float expressions the span was first written with,
+        # so a reordered operation fails on the non-dyadic geometry.
+        half_width = (1.0 + 2.5 * eps) * R
+        assert ctx.half_width == half_width
+        assert ctx.k_max == int(math.floor(lam * half_width + 1e-9))
 
 
 def _eval_kernel(ctx, x):

@@ -1,7 +1,9 @@
-"""Sampling, binning and sign-stream tests (geometry R=5, eps=1/2 throughout:
-bin edges at 7.5, 10 and 12.5)."""
+"""Sampling, binning and sign-stream tests (geometry R=5, eps=1/2 unless a
+test says otherwise: bin edges at 7.5, 10 and 12.5)."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -36,20 +38,64 @@ def test_draw_samples_validation():
         bq.draw_samples(100, 5.0, 0.5, -1)
 
 
+_GEOMETRIES = [
+    (5.0, 0.5, None),
+    (2.0, 0.5, None),  # shell width exactly 1
+    (7.0, 0.3, None),
+    (5.0, 0.1, "shell width eps*R must be at least 1, got 0.5"),
+    (0.0, 0.5, "R must be positive, got 0.0"),
+    (-5.0, 0.5, "R must be positive, got -5.0"),
+    (5.0, 0.0, "eps must be positive, got 0.0"),
+    (5.0, -0.5, "eps must be positive, got -0.5"),
+    (1e308, 0.5, "R=1e+308 and eps=0.5 give a sampling interval of length inf"),
+    (10.0, 1e308, "R=10 and eps=1e+308 give a sampling interval of length inf"),
+    (math.inf, 0.5, "R must be finite, got inf"),
+    (5.0, math.nan, "eps must be finite, got nan"),
+]
+
+
+@pytest.mark.parametrize(
+    "R, eps, problem", _GEOMETRIES, ids=[f"R={R:g},eps={eps:g}" for R, eps, _ in _GEOMETRIES]
+)
+def test_every_entry_point_takes_the_same_geometry(gen, R, eps, problem):
+    # validate lists the problem, the library functions raise it.  At the
+    # overflowing and non-finite geometries they raised OverflowError or
+    # drew from an infinite interval.
+    model = bq.synth_test_signal(1, 12, 0.9)
+    calls = (
+        lambda: bq.validate(dataclasses.replace(bq.RunConfig(), R=R, eps=eps)),
+        lambda: bq.draw_samples(100, R, eps, 1),
+        lambda: bq.project(model, gen, R, eps),
+        lambda: bq.KernelContext.from_box(gen, R, eps),
+    )
+    for call in calls:
+        if problem is None:
+            call()
+            continue
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            call()
+
+
 # --- bin labels --------------------------------------------------------------
 
 
 def test_bin_index_cases():
-    xs = np.array([-12.0, 3.0, 8.0, -9.0, 0.5, 11.0])
-    np.testing.assert_array_equal(bq.bin_index(xs, 5.0, 0.5), [3, 1, 2, 2, 1, 3])
-    # Shells own their inner edge; bin 3 owns the outer endpoint.
-    assert bq.bin_index(7.5, 5.0, 0.5) == 2
-    assert bq.bin_index(-7.5, 5.0, 0.5) == 2
-    assert bq.bin_index(10.0, 5.0, 0.5) == 3
-    assert bq.bin_index(12.5, 5.0, 0.5) == 3
-    assert bq.bin_index(7.4999, 5.0, 0.5) == 1
-    with pytest.raises(ValueError, match="outside"):
-        bq.bin_index(12.6, 5.0, 0.5)
+    below = lambda v: float(np.nextafter(v, 0.0))
+    for R, eps in ((5.0, 0.5), (7.0, 0.3)):
+        # The edges are the float expressions the bins were first written
+        # with, to the last bit: at (7, 0.3) the outer edge (1 + 2 eps) R is
+        # 11.200000000000001, where R + 2 eps R would be 11.2.
+        inner, outer, half = (1.0 + eps) * R, (1.0 + 2.0 * eps) * R, (1.0 + 3.0 * eps) * R
+        xs = np.array([-below(inner), inner, below(outer), -outer, half, 0.5])
+        np.testing.assert_array_equal(bq.bin_index(xs, R, eps), [1, 2, 2, 3, 3, 1])
+        # Shells own their inner edge; bin 3 owns the outer endpoint.
+        assert bq.bin_index(inner, R, eps) == 2
+        assert bq.bin_index(-inner, R, eps) == 2
+        assert bq.bin_index(outer, R, eps) == 3
+        assert bq.bin_index(-half, R, eps) == 3
+        assert bq.bin_index(below(inner), R, eps) == 1
+        with pytest.raises(ValueError, match="outside"):
+            bq.bin_index(np.nextafter(half, np.inf), R, eps)
 
 
 # --- partition ---------------------------------------------------------------
